@@ -7,7 +7,8 @@ passthrough (input on channel one, silence on channel two).
 
 External command templates substitute ``{input}``/``{out_a}``/``{out_b}``
 for stage 2, or ``{input}``/``{out_vocal}``/``{out_accomp}`` for stage 1.
-All exchanged audio is mono 8 kHz WAV.
+A template is split into arguments before substitution, so paths may
+contain spaces. All exchanged audio is mono 8 kHz WAV.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ from __future__ import annotations
 import json
 import shlex
 import shutil
+import string
 import subprocess
 import tempfile
 import uuid
@@ -42,6 +44,26 @@ KIND_EXTERNAL = "external_command"
 KIND_ORACLE = "oracle"
 KIND_PASSTHROUGH = "passthrough"
 _KINDS = (KIND_EXTERNAL, KIND_ORACLE, KIND_PASSTHROUGH)
+
+_PLACEHOLDERS = {STAGE1: {"input", "out_vocal", "out_accomp"},
+                 STAGE2: {"input", "out_a", "out_b"}}
+
+
+def _check_template(command: str, stage: str) -> None:
+    """Reject a command template that would fail to split or substitute."""
+    try:
+        fields = [(name, spec, conv)
+                  for token in shlex.split(command)
+                  for _, name, spec, conv in string.Formatter().parse(token)
+                  if name is not None]
+    except ValueError as exc:
+        raise MalformedRegistryError(f"bad command template {command!r}: {exc}")
+    allowed = _PLACEHOLDERS[stage]
+    for name, spec, conv in fields:
+        if name not in allowed or spec or conv:
+            raise MalformedRegistryError(
+                f"bad placeholder {{{name}}} in {command!r}: {stage} takes only "
+                + ", ".join(f"{{{p}}}" for p in sorted(allowed)))
 
 
 @dataclass
@@ -74,8 +96,10 @@ class SeparationBackend:
             raise MalformedRegistryError(f"unknown backend kind {self.kind!r}")
         if self.stage not in _STAGES:
             raise MalformedRegistryError(f"unknown backend stage {self.stage!r}")
-        if self.kind == KIND_EXTERNAL and not self.command:
-            raise MalformedRegistryError("external_command backend needs a command")
+        if self.kind == KIND_EXTERNAL:
+            if not self.command:
+                raise MalformedRegistryError("external_command backend needs a command")
+            _check_template(self.command, self.stage)
         if self.kind == KIND_ORACLE and self.oracle is None:
             raise MalformedRegistryError("oracle backend needs an oracle spec")
 
@@ -117,8 +141,10 @@ def _run_external(backend: SeparationBackend, input_w: Waveform,
                  "out_accomp": scratch / "out_accomp.wav"}
     write_wav(input_w, in_path)
 
-    cmd = backend.command.format(input=in_path, **slots)
-    proc = subprocess.run(shlex.split(cmd), capture_output=True, text=True)
+    argv = [token.format(input=in_path, **slots)
+            for token in shlex.split(backend.command)]
+    cmd = shlex.join(argv)
+    proc = subprocess.run(argv, capture_output=True, text=True)
     if proc.returncode != 0:
         raise BackendFailureError(
             f"command exited {proc.returncode}: {cmd}\nstderr: {proc.stderr.strip()}")

@@ -6,7 +6,7 @@ from __future__ import annotations
 import json
 import shutil
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 from .audio import CANONICAL_RATE, Waveform, read_wav, resample, write_wav
@@ -14,7 +14,7 @@ from .backends import STAGE1, STAGE2, CandidateModel, run_backend
 from .errors import MalformedRegistryError
 from .metrics import pit_evaluate
 from .pitch import PitchConfig
-from .selection import SelectionResult, TrendScore, select_model
+from .selection import SelectionResult, TrendScore, frames_per_block, select_model
 
 
 @dataclass
@@ -63,6 +63,8 @@ def separate_song(song_path,
     stage1, candidates = split_registry(models, stage1_id)
     if model is not None and model not in {c.model_id for c in candidates}:
         raise MalformedRegistryError(f"--model {model!r} is not a stage-2 candidate")
+    # reject a bad block length before any backend runs
+    frames_per_block(segment_seconds, pitch_config or PitchConfig())
 
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -87,7 +89,6 @@ def separate_song(song_path,
                 chosen=model,
                 scores=[TrendScore(model_id=c.model_id, score=None)
                         for c in candidates],
-                outputs=pair,
                 outputs_by_model={model: pair})
         else:
             selection = select_model(mixed_vocal, candidates,
@@ -104,7 +105,7 @@ def separate_song(song_path,
             "vocal_b": out / "vocal_b.wav",
             "accompaniment": out / "accompaniment.wav",
         }
-        vocal_a, vocal_b = selection.outputs
+        vocal_a, vocal_b = candidate_outputs[selection.chosen]
         write_wav(vocal_a, paths["vocal_a"]); written.append(paths["vocal_a"])
         write_wav(vocal_b, paths["vocal_b"]); written.append(paths["vocal_b"])
         write_wav(accompaniment, paths["accompaniment"])
@@ -112,7 +113,7 @@ def separate_song(song_path,
 
         candidate_entries = []
         for score in selection.scores:
-            entry = score.to_dict() if isinstance(score, TrendScore) else score
+            entry = asdict(score)
             entry["outputs"] = None
             model_id = entry["model_id"]
             if keep_candidates and model_id in candidate_outputs:

@@ -65,7 +65,11 @@ class PitchConfig:
 
 @dataclass
 class PitchTrack:
-    """Per-frame pitch values in Hz at a fixed hop; 0 encodes unvoiced."""
+    """Per-frame pitch values in Hz at a fixed hop; 0 encodes unvoiced.
+
+    ``fmin_hz``/``fmax_hz`` are never read; they remain only so that
+    ``PitchTrack(pitches, hop, fmin, fmax)`` still constructs.
+    """
 
     pitches_hz: np.ndarray
     hop_seconds: float
@@ -151,7 +155,7 @@ def track_pitch(w: Waveform, config: PitchConfig | None = None) -> PitchTrack:
                 refined = tau + float(np.clip(shift, -1.0, 1.0))
         pitches[i] = float(np.clip(rate / refined, cfg.fmin_hz, cfg.fmax_hz))
 
-    return PitchTrack(pitches, cfg.hop_seconds, cfg.fmin_hz, cfg.fmax_hz)
+    return PitchTrack(pitches, cfg.hop_seconds)
 
 
 def load_pitch_track(path, expected_frames: int | None = None,
@@ -207,12 +211,7 @@ def load_pitch_track(path, expected_frames: int | None = None,
     left = np.clip(idx - 1, 0, len(times_arr) - 1)
     pick_left = np.abs(times_arr[left] - grid) <= np.abs(times_arr[idx] - grid)
     nearest = np.where(pick_left, left, idx)
-    pitches = freqs_arr[nearest]
-
-    voiced = pitches[pitches > 0]
-    fmin = float(voiced.min()) if voiced.size else DEFAULT_FMIN_HZ
-    fmax = float(voiced.max()) if voiced.size else DEFAULT_FMAX_HZ
-    return PitchTrack(pitches, hop_seconds, fmin, fmax)
+    return PitchTrack(freqs_arr[nearest], hop_seconds)
 
 
 def to_semitones(track: PitchTrack) -> PitchTrack:
@@ -225,7 +224,4 @@ def to_semitones(track: PitchTrack) -> PitchTrack:
     out = np.zeros_like(p)
     voiced = p > 0
     out[voiced] = np.maximum(69.0 + 12.0 * np.log2(p[voiced] / 440.0), 0.0)
-    nonzero = out[out > 0]
-    fmin = float(nonzero.min()) if nonzero.size else DEFAULT_FMIN_HZ
-    fmax = float(nonzero.max()) if nonzero.size else DEFAULT_FMAX_HZ
-    return PitchTrack(out, track.hop_seconds, fmin, fmax)
+    return PitchTrack(out, track.hop_seconds)

@@ -13,16 +13,18 @@ singer into silence. The candidate with the smallest score wins.
 from __future__ import annotations
 
 import logging
+import math
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .audio import Waveform
+from .audio import CANONICAL_RATE, Waveform
 from .backends import CandidateModel, run_backend
 from .errors import (
     BackendFailureError,
+    ConfigInvalidError,
     ContractViolationError,
     FrameMismatchError,
     TooShortError,
@@ -38,19 +40,10 @@ PENALTY_SCORE = 1e12
 @dataclass
 class TrendScore:
     model_id: str
-    score: float
+    score: float | None  # None when selection was bypassed
     contributing_frames: int = 0
     penalized: bool = False
     error: str | None = None
-
-    def to_dict(self) -> dict:
-        return {
-            "model_id": self.model_id,
-            "score": self.score,
-            "contributing_frames": self.contributing_frames,
-            "penalized": self.penalized,
-            "error": self.error,
-        }
 
 
 def trend(p: PitchTrack) -> np.ndarray:
@@ -60,13 +53,16 @@ def trend(p: PitchTrack) -> np.ndarray:
     return np.diff(p.pitches_hz)
 
 
-def trend_distance(pa: PitchTrack, pb: PitchTrack) -> TrendScore:
+def trend_distance(pa: PitchTrack, pb: PitchTrack,
+                   block_frames: int | None = None) -> TrendScore:
     """Sum of |vA_i - vB_i| over trend indices whose voicing window holds.
 
     The window for v_i is pitch frames i-1, i, i+1 (indexed at v's left
-    endpoint); indices whose window leaves the track are masked out. If
-    every frame of either channel is unvoiced the penalty sentinel is
-    returned instead of a sum.
+    endpoint); indices whose window leaves its block are masked out. The
+    track is cut into blocks of ``block_frames`` frames (None: one block
+    spanning the whole track), and a trailing block under 3 frames is
+    dropped. If every frame of either channel is unvoiced in some kept
+    block, the penalty sentinel is returned instead of a sum.
     """
     if len(pa) != len(pb):
         raise FrameMismatchError(f"frame counts differ: {len(pa)} vs {len(pb)}")
@@ -75,18 +71,27 @@ def trend_distance(pa: PitchTrack, pb: PitchTrack) -> TrendScore:
             f"hops differ: {pa.hop_seconds} vs {pb.hop_seconds}")
     if len(pa) < 3:
         raise FrameMismatchError(f"need at least 3 frames, got {len(pa)}")
+    if block_frames is not None and block_frames < 3:
+        raise ConfigInvalidError(f"blocks need at least 3 frames, got {block_frames}")
 
     a = pa.pitches_hz
     b = pb.pitches_hz
-    if not a.any() or not b.any():
+    n = len(a)
+    block = n if block_frames is None else block_frames
+    starts = np.arange(0, n, block)
+    voiced_ab = np.vstack((a, b)) > 0
+    voiced_per_block = np.logical_or.reduceat(voiced_ab, starts, axis=1)
+    if not voiced_per_block[:, n - starts >= 3].all():
         return TrendScore(model_id="", score=PENALTY_SCORE, penalized=True)
 
     va = np.diff(a)
     vb = np.diff(b)
-    voiced = (a > 0) & (b > 0)
-    # window over v index i: pitch frames i-1, i, i+1; i=0 falls off the edge
+    voiced = voiced_ab.all(axis=0)
+    # window over v index i: pitch frames i-1, i, i+1; it leaves the block
+    # when i is a block's first frame or i+1 is the next block's first
     idx = np.arange(1, len(va))
-    mask = voiced[idx - 1] & voiced[idx] & voiced[idx + 1]
+    mask = (voiced[idx - 1] & voiced[idx] & voiced[idx + 1]
+            & (idx % block != 0) & ((idx + 1) % block != 0))
     terms = np.abs(va[idx] - vb[idx])[mask]
     return TrendScore(
         model_id="",
@@ -99,9 +104,26 @@ def trend_distance(pa: PitchTrack, pb: PitchTrack) -> TrendScore:
 class SelectionResult:
     chosen: str
     scores: list[TrendScore]
-    outputs: tuple[Waveform, Waveform]
     outputs_by_model: dict[str, tuple[Waveform, Waveform]] = field(default_factory=dict)
     all_penalized: bool = False
+
+
+def frames_per_block(segment_seconds: float | None,
+                     cfg: PitchConfig) -> int | None:
+    """Blocked-scoring length: round(segment_seconds / hop) frames, at least 3.
+
+    None (whole-input scoring) passes through. The pitch config is
+    validated first, since its hop is the divisor; a length that is not
+    positive and finite raises ConfigInvalidError.
+    """
+    if segment_seconds is None:
+        return None
+    cfg.validate(CANONICAL_RATE)
+    frames = segment_seconds / cfg.hop_seconds
+    if not 0 < frames < math.inf:
+        raise ConfigInvalidError(
+            f"segment length must be positive and finite, got {segment_seconds} s")
+    return max(3, int(round(frames)))
 
 
 def score_candidate(outputs: tuple[Waveform, Waveform],
@@ -110,38 +132,20 @@ def score_candidate(outputs: tuple[Waveform, Waveform],
                     segment_seconds: float | None = None) -> TrendScore:
     """Pitch-track a candidate's two output channels and score the trends.
 
-    With ``segment_seconds`` set, each channel is scored in fixed-length
-    frame blocks and the blocks' scores summed (the mask never bridges a
-    block boundary); a block where either channel is fully unvoiced
+    With ``segment_seconds`` set, the trends are scored in fixed-length
+    frame blocks (see ``trend_distance``): the mask never bridges a block
+    boundary, and a block where either channel is fully unvoiced
     penalizes the whole candidate.
     """
     cfg = pitch_config or PitchConfig()
+    if units not in ("hz", "semitones"):
+        raise ValueError(f"unknown pitch units {units!r}")
+    block = frames_per_block(segment_seconds, cfg)
     ta = track_pitch(outputs[0], cfg)
     tb = track_pitch(outputs[1], cfg)
     if units == "semitones":
         ta, tb = to_semitones(ta), to_semitones(tb)
-    elif units != "hz":
-        raise ValueError(f"unknown pitch units {units!r}")
-
-    if segment_seconds is None:
-        return trend_distance(ta, tb)
-
-    frames_per_block = max(3, int(round(segment_seconds / cfg.hop_seconds)))
-    total = 0.0
-    contributing = 0
-    for start in range(0, len(ta), frames_per_block):
-        block_a = PitchTrack(ta.pitches_hz[start:start + frames_per_block],
-                             ta.hop_seconds, ta.fmin_hz, ta.fmax_hz)
-        block_b = PitchTrack(tb.pitches_hz[start:start + frames_per_block],
-                             tb.hop_seconds, tb.fmin_hz, tb.fmax_hz)
-        if len(block_a) < 3:
-            break
-        part = trend_distance(block_a, block_b)
-        if part.penalized:
-            return TrendScore(model_id="", score=PENALTY_SCORE, penalized=True)
-        total += part.score
-        contributing += part.contributing_frames
-    return TrendScore(model_id="", score=total, contributing_frames=contributing)
+    return trend_distance(ta, tb, block_frames=block)
 
 
 def select_model(mixed_vocal: Waveform,
@@ -174,8 +178,7 @@ def select_model(mixed_vocal: Waveform,
                               penalized=True, error=str(exc)), None
         result = score_candidate(pair, pitch_config, units=units,
                                  segment_seconds=segment_seconds)
-        result.model_id = cand.model_id
-        return result, pair
+        return replace(result, model_id=cand.model_id), pair
 
     max_workers = jobs or min(len(candidates), os.cpu_count() or 1)
     with ThreadPoolExecutor(max_workers=max_workers) as pool:
@@ -198,7 +201,6 @@ def select_model(mixed_vocal: Waveform,
     return SelectionResult(
         chosen=best.model_id,
         scores=scores,
-        outputs=outputs[best.model_id],
         outputs_by_model=outputs,
         all_penalized=all_penalized,
     )

@@ -175,6 +175,11 @@ class TestExternalCommand:
             run_backend(stub_cmd("wrongrate"), synth.sine(250.0, 0.5),
                         workdir=tmp_path)
 
+    def test_paths_with_spaces(self, stub_cmd, tmp_path):
+        w = synth.sine(250.0, 0.5)
+        out_a, _ = run_backend(stub_cmd("ok"), w, workdir=tmp_path / "with space")
+        assert len(out_a) == len(w)
+
     def test_parallel_runs_do_not_collide(self, stub_cmd, tmp_path):
         w = synth.sine(199.0, 0.5)
         backend = stub_cmd("ok")
@@ -242,6 +247,22 @@ class TestRegistry:
         path = tmp_path / "reg.json"
         path.write_text(json.dumps([
             {"model_id": "m", "stage": "stage3", "command": "x"}]))
+        with pytest.raises(MalformedRegistryError):
+            registry_load(path)
+
+    @pytest.mark.parametrize("stage, command", [
+        (STAGE2, "run {input} {out_a} {oops}"),
+        (STAGE2, "run {input {out_a} {out_b}"),
+        (STAGE2, "run {input} {out_a} {out_b}}"),
+        (STAGE2, "run {} {out_a} {out_b}"),
+        (STAGE2, "run {input!r} {out_a} {out_b}"),
+        (STAGE2, "run '{input} {out_a} {out_b}"),
+        (STAGE1, "run {input} {out_a} {out_b}"),
+    ])
+    def test_bad_command_template(self, tmp_path, stage, command):
+        path = tmp_path / "reg.json"
+        path.write_text(json.dumps([
+            {"model_id": "m", "stage": stage, "command": command}]))
         with pytest.raises(MalformedRegistryError):
             registry_load(path)
 

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from singersep import cli
+from singersep import cli, synth
 from singersep.audio import read_wav, write_wav
 from singersep.backends import STAGE1, STAGE2, registry_load
 from singersep.dataset import mix_at_snr
@@ -124,6 +124,59 @@ class TestCliSeparate:
             "--stage1", "missing-model", "--out", str(tmp_path / "o3"),
             "--seed", "3"])
         assert rc == 2
+
+    def test_segment_seconds_scores_in_blocks(self, duet_setup, tmp_path):
+        out = tmp_path / "blocked"
+        rc = cli.main([
+            "separate", str(duet_setup["song"]),
+            "--registry", str(duet_setup["registry"]),
+            "--stage1", "stage1-pass", "--out", str(out), "--seed", "3",
+            "--segment-seconds", "0.5"])
+        assert rc == 0
+        report = json.loads((out / "report.json").read_text())
+        assert report["chosen"] == "clean"
+        frames = {c["model_id"]: c["contributing_frames"]
+                  for c in report["candidates"]}
+        # 597 voiced frames in 50-frame blocks: 11 full blocks hold 48
+        # windows each and the 47-frame tail holds 45 (595 unblocked)
+        assert frames["clean"] == 11 * 48 + 45
+
+    def test_semitone_units(self, tmp_path, capsys):
+        # vibrato depth proportional to the carrier: the clean voices move
+        # in parallel in semitones, not in Hz, so the units decide the pick
+        ref_a = synth.vibrato_sine(200.0, 6.0, depth_hz=2.0, vibrato_phase=1.0)
+        ref_b = synth.vibrato_sine(310.0, 6.0, depth_hz=3.1, vibrato_phase=1.0)
+        pa, pb, song = tmp_path / "a.wav", tmp_path / "b.wav", tmp_path / "song.wav"
+        write_wav(ref_a, pa)
+        write_wav(ref_b, pb)
+        write_wav(mix_at_snr(ref_a, ref_b, 0.0).mixture, song)
+        registry = write_registry(tmp_path / "registry.json", [
+            {"model_id": "stage1-pass", "stage": STAGE1, "kind": "passthrough"},
+            {"model_id": "clean", "stage": STAGE2, "kind": "oracle",
+             "oracle": {"ref_a": str(pa), "ref_b": str(pb), "leak": 0.0}},
+            {"model_id": "leaky", "stage": STAGE2, "kind": "oracle",
+             "oracle": {"ref_a": str(pa), "ref_b": str(pb), "leak": 0.4}},
+        ])
+        for units, chosen in (("semitones", "clean"), ("hz", "leaky")):
+            rc = cli.main([
+                "separate", str(song), "--registry", str(registry),
+                "--stage1", "stage1-pass", "--out", str(tmp_path / units),
+                "--seed", "3", "--units", units])
+            assert rc == 0
+            assert f"chosen model: {chosen}" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("value", ["-5", "0", "inf", "nan"])
+    def test_bad_segment_seconds_exits_2_before_any_backend(
+            self, duet_setup, tmp_path, capsys, value):
+        out = tmp_path / "bad-seg"
+        rc = cli.main([
+            "separate", str(duet_setup["song"]),
+            "--registry", str(duet_setup["registry"]),
+            "--stage1", "stage1-pass", "--out", str(out), "--seed", "3",
+            "--segment-seconds", value])
+        assert rc == 2
+        assert "segment length" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_unknown_bypass_model_exits_2(self, duet_setup, tmp_path):
         rc = cli.main([

@@ -13,6 +13,7 @@ from singersep.backends import (
 )
 from singersep.errors import (
     BackendFailureError,
+    ConfigInvalidError,
     FrameMismatchError,
     TooShortError,
 )
@@ -46,6 +47,28 @@ def brute_force_trend_distance(pa, pb):
             continue
         if all(pa[j] > 0 and pb[j] > 0 for j in (i - 1, i, i + 1)):
             total += abs(va[i] - vb[i])
+    return total
+
+
+def brute_force_blocked_trend_distance(pa, pb, block):
+    """Plain per-block loop of the blocked trend-distance rule.
+
+    The tracks are cut into blocks of ``block`` frames; a trailing block
+    under 3 frames is dropped; every kept block is scored on its own by
+    the whole-track rule and the scores are summed, so no window bridges
+    two blocks; an entirely unvoiced channel in any kept block is the
+    penalty.
+    """
+    total = 0.0
+    for start in range(0, len(pa), block):
+        part_a = list(pa[start:start + block])
+        part_b = list(pb[start:start + block])
+        if len(part_a) < 3:
+            break
+        part = brute_force_trend_distance(part_a, part_b)
+        if part == PENALTY_SCORE:
+            return PENALTY_SCORE
+        total += part
     return total
 
 
@@ -145,6 +168,56 @@ class TestTrendDistance:
         before = trend_distance(_track(pa), _track(pb)).score
         after = trend_distance(_track(pa_zeroed), _track(pb)).score
         assert after <= before
+
+
+class TestBlockedTrendDistance:
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_matches_per_block_loop(self, data):
+        n = data.draw(st.integers(3, 80))
+        block = data.draw(st.integers(3, 30))
+        values = st.one_of(st.just(0.0), st.floats(50.0, 400.0))
+        pa = data.draw(st.lists(values, min_size=n, max_size=n))
+        pb = data.draw(st.lists(values, min_size=n, max_size=n))
+        expected = brute_force_blocked_trend_distance(pa, pb, block)
+        got = trend_distance(_track(pa), _track(pb), block_frames=block)
+        assert got.penalized == (expected == PENALTY_SCORE)
+        assert got.score == pytest.approx(expected, rel=1e-12, abs=0.0)
+
+    def test_block_spanning_track_is_whole_input(self):
+        pa = _track([100, 110, 120, 130, 125])
+        pb = _track([100, 105, 120, 135, 125])
+        whole = trend_distance(pa, pb)
+        assert trend_distance(pa, pb, block_frames=5) == whole
+        assert trend_distance(pa, pb, block_frames=50) == whole
+
+    def test_window_never_bridges_blocks(self):
+        # blocks [0, 3) and [3, 6): only indices 1 and 4 are inside a block
+        pa = _track([100, 110, 120, 130, 140, 150])
+        pb = _track([100, 100, 100, 100, 100, 100])
+        score = trend_distance(pa, pb, block_frames=3)
+        assert score.contributing_frames == 2
+        assert score.score == 20.0
+
+    def test_unvoiced_kept_block_penalized_trailing_block_not(self):
+        voiced = [100, 110, 120, 130, 140, 150]
+        # frames 6-7 form a trailing block under 3 frames: dropped
+        pa = _track(voiced + [0, 0])
+        pb = _track(voiced + [100, 110])
+        assert not trend_distance(pa, pb, block_frames=3).penalized
+        # a silent channel in a kept block penalizes the candidate
+        pa = _track([0, 0, 0] + voiced[3:] + [100, 110])
+        score = trend_distance(pa, pb, block_frames=3)
+        assert score.penalized and score.score == PENALTY_SCORE
+
+    def test_short_track_rejected_as_in_whole_input(self):
+        with pytest.raises(FrameMismatchError):
+            trend_distance(_track([100, 110]), _track([100, 110]), block_frames=3)
+
+    def test_block_under_three_frames_rejected(self):
+        t = _track([100, 110, 120, 130])
+        with pytest.raises(ConfigInvalidError):
+            trend_distance(t, t, block_frames=2)
 
 
 class TestSelectModel:
