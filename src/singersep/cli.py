@@ -21,6 +21,7 @@ import numpy as np
 from . import audio, backends, dataset, metrics, pipeline, pitch, selection, synth
 from .errors import (
     BackendFailureError,
+    ConfigInvalidError,
     MalformedRegistryError,
     PairingImpossibleError,
     SingerSepError,
@@ -74,6 +75,8 @@ def _resolve_options(args) -> dict:
             elif key in file_values:
                 value = cast(file_values[key])
         resolved[key] = value
+    if resolved["jobs"] is not None and resolved["jobs"] < 1:
+        raise ConfigInvalidError(f"jobs must be at least 1, got {resolved['jobs']}")
     return resolved
 
 
@@ -104,7 +107,7 @@ def _add_shared_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", help="key=value config file (or MIRSS_CONFIG)")
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--jobs", type=int, default=None,
-                   help="worker pool size for batch commands (default: CPUs)")
+                   help="worker pool size, at least 1 (default: CPUs)")
     p.add_argument("--pitch-threshold", dest="pitch_threshold", type=float, default=None)
     p.add_argument("--pitch-fmin", dest="pitch_fmin", type=float, default=None)
     p.add_argument("--pitch-fmax", dest="pitch_fmax", type=float, default=None)

@@ -63,8 +63,10 @@ def separate_song(song_path,
     stage1, candidates = split_registry(models, stage1_id)
     if model is not None and model not in {c.model_id for c in candidates}:
         raise MalformedRegistryError(f"--model {model!r} is not a stage-2 candidate")
-    # reject a bad block length before any backend runs
-    frames_per_block(segment_seconds, pitch_config or PitchConfig())
+    # reject a bad pitch config or block length before any backend runs
+    cfg = pitch_config or PitchConfig()
+    cfg.validate(CANONICAL_RATE)
+    frames_per_block(segment_seconds, cfg)
 
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)

@@ -6,6 +6,14 @@ first lag under the threshold, walks down to the local minimum, and refines
 it by parabolic interpolation. Frames with no qualifying lag, or with RMS
 below the silence floor, are emitted as 0 (unvoiced).
 
+The difference function is computed in the algebraic form of de Cheveigne
+& Kawahara, "YIN, a fundamental frequency estimator for speech and music"
+(JASA 2002, section II): d(tau) = e_0 + e_tau - 2 r(tau), with the window
+energies from a cumulative sum of squares and the correlation r(tau) from
+one FFT per frame. The pick runs on whole arrays, with no loop over lags
+or frames. Frames go through in fixed blocks of ``BLOCK_FRAMES``, so the
+working memory stays flat with input length.
+
 Externally computed tracks (e.g. from a neural pitch model) can be imported
 from CSV with ``load_pitch_track`` and used interchangeably.
 """
@@ -23,13 +31,16 @@ from .errors import ConfigInvalidError, FrameCountMismatchError, MalformedCsvErr
 
 DEFAULT_FMIN_HZ = 55.0
 DEFAULT_FMAX_HZ = 1000.0
+# frames per FFT batch: bounds the tracker's working memory at any input length
+BLOCK_FRAMES = 256
 
 
 @dataclass
 class PitchConfig:
     """Tracker parameters. Defaults: 40 ms frames, 10 ms hop, range 55-1000 Hz.
 
-    The frame must cover at least two periods of fmin_hz.
+    Every field must be finite, the threshold positive and the silence
+    floor non-negative; the frame must cover at least two periods of fmin_hz.
     """
 
     frame_seconds: float = 0.040
@@ -46,6 +57,11 @@ class PitchConfig:
         return int(round(self.hop_seconds * rate))
 
     def validate(self, rate: int) -> None:
+        non_finite = [f"{k}={v}" for k, v in vars(self).items()
+                      if not math.isfinite(v)]
+        if non_finite:
+            raise ConfigInvalidError(
+                f"pitch settings must be finite, got {', '.join(non_finite)}")
         if not (0 < self.fmin_hz < self.fmax_hz):
             raise ConfigInvalidError(
                 f"need 0 < fmin < fmax, got {self.fmin_hz}..{self.fmax_hz}")
@@ -54,6 +70,8 @@ class PitchConfig:
                 f"fmax {self.fmax_hz} Hz at or above Nyquist of {rate} Hz")
         if self.threshold <= 0:
             raise ConfigInvalidError("threshold must be positive")
+        if self.silence_rms < 0:
+            raise ConfigInvalidError("silence_rms must not be negative")
         if self.hop_length(rate) < 1:
             raise ConfigInvalidError("hop shorter than one sample")
         frame = self.frame_length(rate)
@@ -115,47 +133,70 @@ def track_pitch(w: Waveform, config: PitchConfig | None = None) -> PitchTrack:
             f"input of {len(w)} samples is shorter than one {frame_len}-sample frame")
 
     frames = sliding_window_view(w.samples, frame_len)[::hop]
-    n_frames = frames.shape[0]
-    rms = np.sqrt(np.mean(frames ** 2, axis=1))
+    pitches = np.empty(frames.shape[0])
+    for start in range(0, frames.shape[0], BLOCK_FRAMES):
+        block = frames[start:start + BLOCK_FRAMES]
+        pitches[start:start + block.shape[0]] = _block_pitches(block, rate, cfg)
+    return PitchTrack(pitches, cfg.hop_seconds)
 
+
+def _block_pitches(frames: np.ndarray, rate: int, cfg: PitchConfig) -> np.ndarray:
+    """Pitch in Hz (0 = unvoiced) of each row of a (frames, frame_len) block."""
+    n_frames, frame_len = frames.shape
     tau_max = int(rate / cfg.fmin_hz)
     tau_min = max(2, int(math.ceil(rate / cfg.fmax_hz)))
     window = frame_len - tau_max
+    lags = np.arange(tau_max + 1)
 
-    # difference function d(tau), vectorized over frames per lag
-    diff = np.empty((n_frames, tau_max + 1))
+    # d(tau) = e_0 + e_tau - 2 r(tau). The energies e_tau of the window
+    # shifted by tau come from one cumulative sum of squares; r(tau) comes
+    # from one FFT, whose length frame_len = (window - 1 + tau_max) + 1 keeps
+    # every lag from wrapping around. d(tau) does not change when a constant
+    # is added to a frame, so each frame's first sample is subtracted first:
+    # a DC offset then costs no precision, and a frame that opens with a run
+    # of equal samples (digital silence) keeps the exact zeros that the
+    # direct sum of squares gives its leading lags.
+    rms = np.sqrt(np.mean(frames ** 2, axis=1))
+    rebased = frames - frames[:, :1]
+    energy = np.zeros((n_frames, frame_len + 1))
+    np.cumsum(rebased ** 2, axis=1, out=energy[:, 1:])
+    shifted = energy[:, window:] - energy[:, :tau_max + 1]
+    spectrum = np.conj(np.fft.rfft(rebased[:, :window], frame_len))
+    spectrum *= np.fft.rfft(rebased, frame_len)
+    corr = np.fft.irfft(spectrum, frame_len)[:, :tau_max + 1]
+    diff = shifted[:, :1] + shifted - 2.0 * corr
+    np.maximum(diff, 0.0, out=diff)
     diff[:, 0] = 0.0
-    head = frames[:, :window]
-    for tau in range(1, tau_max + 1):
-        delta = head - frames[:, tau:tau + window]
-        diff[:, tau] = np.einsum("ij,ij->i", delta, delta)
 
     # cumulative mean-normalized difference d'(tau)
     running = np.cumsum(diff[:, 1:], axis=1)
     cmndf = np.ones_like(diff)
-    np.divide(diff[:, 1:] * np.arange(1, tau_max + 1), running,
+    np.divide(diff[:, 1:] * lags[1:], running,
               out=cmndf[:, 1:], where=running > 0)
 
-    pitches = np.zeros(n_frames)
-    for i in range(n_frames):
-        if rms[i] < cfg.silence_rms:
-            continue
-        row = cmndf[i]
-        qualifying = np.nonzero(row[tau_min:tau_max + 1] < cfg.threshold)[0]
-        if qualifying.size == 0:
-            continue
-        tau = tau_min + int(qualifying[0])
-        while tau + 1 <= tau_max and row[tau + 1] < row[tau]:
-            tau += 1
-        refined = float(tau)
-        if 1 <= tau < tau_max:
-            denom = row[tau - 1] - 2 * row[tau] + row[tau + 1]
-            if denom > 0:
-                shift = 0.5 * (row[tau - 1] - row[tau + 1]) / denom
-                refined = tau + float(np.clip(shift, -1.0, 1.0))
-        pitches[i] = float(np.clip(rate / refined, cfg.fmin_hz, cfg.fmax_hz))
+    # first lag in range under the threshold, then on down to the local
+    # minimum: the first lag from there on whose successor is not lower
+    below = (cmndf < cfg.threshold) & (lags >= tau_min)
+    voiced = below.any(axis=1) & (rms >= cfg.silence_rms)
+    first = np.argmax(below, axis=1)
+    descending = np.zeros_like(below)
+    descending[:, :-1] = cmndf[:, 1:] < cmndf[:, :-1]
+    tau = np.argmax(~descending & (lags >= first[:, None]), axis=1)
 
-    return PitchTrack(pitches, cfg.hop_seconds)
+    # parabolic refinement through the neighbours of the minimum
+    rows = np.arange(n_frames)
+    prev = cmndf[rows, tau - 1]
+    here = cmndf[rows, tau]
+    after = cmndf[rows, np.minimum(tau + 1, tau_max)]
+    denom = prev - 2 * here + after
+    shift = np.zeros(n_frames)
+    np.divide(0.5 * (prev - after), denom, out=shift,
+              where=(tau >= 1) & (tau < tau_max) & (denom > 0))
+    refined = tau + np.clip(shift, -1.0, 1.0)
+
+    pitches = np.zeros(n_frames)
+    pitches[voiced] = np.clip(rate / refined[voiced], cfg.fmin_hz, cfg.fmax_hz)
+    return pitches
 
 
 def load_pitch_track(path, expected_frames: int | None = None,

@@ -1,4 +1,5 @@
 import json
+import sys
 
 import numpy as np
 import pytest
@@ -176,6 +177,57 @@ class TestCliSeparate:
             "--segment-seconds", value])
         assert rc == 2
         assert "segment length" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--pitch-fmin", "30"),
+        ("--pitch-threshold", "inf"),
+        ("--pitch-threshold", "nan"),
+        ("--pitch-hop", "inf"),
+        ("--pitch-hop", "nan"),
+        ("--pitch-frame", "nan"),
+        ("--pitch-fmax", "inf"),
+    ])
+    def test_bad_pitch_config_exits_2_before_any_backend(
+            self, duet_setup, tmp_path, capsys, flag, value):
+        marker = tmp_path / "backend-ran"
+        touch = (f'{sys.executable} -c "import pathlib, sys; '
+                 f'pathlib.Path(sys.argv[1]).touch()" {marker} '
+                 "{input} {out_a} {out_b}")
+        entries = json.loads(duet_setup["registry"].read_text())
+        entries.insert(1, {"model_id": "marker", "stage": STAGE2,
+                           "command": touch})
+        registry = write_registry(tmp_path / "marker-registry.json", entries)
+        rc = cli.main([
+            "separate", str(duet_setup["song"]), "--registry", str(registry),
+            "--stage1", "stage1-pass", "--out", str(tmp_path / "bad-pitch"),
+            "--seed", "3", flag, value])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith("error: ")
+        assert "Traceback" not in err
+        assert not marker.exists()
+
+    @pytest.mark.parametrize("source", ["flag", "env", "config"])
+    @pytest.mark.parametrize("jobs", ["0", "-1"])
+    def test_jobs_below_one_exits_2(self, duet_setup, tmp_path, capsys,
+                                    monkeypatch, source, jobs):
+        out = tmp_path / "bad-jobs"
+        argv = ["separate", str(duet_setup["song"]),
+                "--registry", str(duet_setup["registry"]),
+                "--stage1", "stage1-pass", "--out", str(out), "--seed", "3"]
+        monkeypatch.delenv("MIRSS_JOBS", raising=False)
+        if source == "flag":
+            argv += ["--jobs", jobs]
+        elif source == "env":
+            monkeypatch.setenv("MIRSS_JOBS", jobs)
+        else:
+            cfg = tmp_path / "mirss.cfg"
+            cfg.write_text(f"jobs = {jobs}\n")
+            argv += ["--config", str(cfg)]
+        rc = cli.main(argv)
+        assert rc == 2
+        assert f"jobs must be at least 1, got {jobs}" in capsys.readouterr().err
         assert not out.exists()
 
     def test_unknown_bypass_model_exits_2(self, duet_setup, tmp_path):

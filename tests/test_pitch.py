@@ -1,8 +1,14 @@
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from numpy.lib.stride_tricks import sliding_window_view
 
 from singersep import synth
-from singersep.audio import Waveform
+from singersep.audio import CANONICAL_RATE, Waveform
 from singersep.errors import (
     ConfigInvalidError,
     FrameCountMismatchError,
@@ -16,6 +22,98 @@ from singersep.pitch import (
     to_semitones,
     track_pitch,
 )
+
+
+def loop_track_pitch(w: Waveform, config: PitchConfig | None = None) -> PitchTrack:
+    """Reference tracker: d(tau) by a loop over lags, the pick by a loop over frames."""
+    cfg = config or PitchConfig()
+    rate = w.sample_rate
+    if rate != CANONICAL_RATE:
+        raise ConfigInvalidError(
+            f"tracker expects {CANONICAL_RATE} Hz input, got {rate} Hz; resample first")
+    cfg.validate(rate)
+    frame_len = cfg.frame_length(rate)
+    hop = cfg.hop_length(rate)
+    if len(w) < frame_len:
+        raise ConfigInvalidError(
+            f"input of {len(w)} samples is shorter than one {frame_len}-sample frame")
+
+    frames = sliding_window_view(w.samples, frame_len)[::hop]
+    n_frames = frames.shape[0]
+    rms = np.sqrt(np.mean(frames ** 2, axis=1))
+
+    tau_max = int(rate / cfg.fmin_hz)
+    tau_min = max(2, int(math.ceil(rate / cfg.fmax_hz)))
+    window = frame_len - tau_max
+
+    # difference function d(tau), vectorized over frames per lag
+    diff = np.empty((n_frames, tau_max + 1))
+    diff[:, 0] = 0.0
+    head = frames[:, :window]
+    for tau in range(1, tau_max + 1):
+        delta = head - frames[:, tau:tau + window]
+        diff[:, tau] = np.einsum("ij,ij->i", delta, delta)
+
+    # cumulative mean-normalized difference d'(tau)
+    running = np.cumsum(diff[:, 1:], axis=1)
+    cmndf = np.ones_like(diff)
+    np.divide(diff[:, 1:] * np.arange(1, tau_max + 1), running,
+              out=cmndf[:, 1:], where=running > 0)
+
+    pitches = np.zeros(n_frames)
+    for i in range(n_frames):
+        if rms[i] < cfg.silence_rms:
+            continue
+        row = cmndf[i]
+        qualifying = np.nonzero(row[tau_min:tau_max + 1] < cfg.threshold)[0]
+        if qualifying.size == 0:
+            continue
+        tau = tau_min + int(qualifying[0])
+        while tau + 1 <= tau_max and row[tau + 1] < row[tau]:
+            tau += 1
+        refined = float(tau)
+        if 1 <= tau < tau_max:
+            denom = row[tau - 1] - 2 * row[tau] + row[tau + 1]
+            if denom > 0:
+                shift = 0.5 * (row[tau - 1] - row[tau + 1]) / denom
+                refined = tau + float(np.clip(shift, -1.0, 1.0))
+        pitches[i] = float(np.clip(rate / refined, cfg.fmin_hz, cfg.fmax_hz))
+
+    return PitchTrack(pitches, cfg.hop_seconds)
+
+
+@st.composite
+def tracker_cases(draw):
+    """A valid config and a signal of 1, 255, 256, 257 or 513 frames.
+
+    The signal is a vibrato tone with up to four harmonics, white noise
+    and a DC offset; it may start after a stretch of silence (the offset
+    alone), so that a tone onset falls at a random frame.
+    """
+    rate = CANONICAL_RATE
+    fmin = draw(st.floats(40.0, 200.0))
+    fmax = draw(st.floats(1.5 * fmin, 3500.0))
+    frame_len = math.ceil(2 * rate / fmin) + draw(st.integers(0, 160))
+    hop = draw(st.integers(1, 160))
+    cfg = PitchConfig(frame_seconds=frame_len / rate, hop_seconds=hop / rate,
+                      threshold=draw(st.floats(0.02, 0.5)),
+                      fmin_hz=fmin, fmax_hz=fmax)
+    n_frames = draw(st.sampled_from([1, 255, 256, 257, 513]))
+    n = (n_frames - 1) * hop + frame_len + draw(st.integers(0, hop - 1))
+
+    t = np.arange(n) / rate
+    f0 = draw(st.floats(60.0, 990.0))
+    depth = draw(st.floats(0.0, 0.05)) * f0
+    freq = f0 + depth * np.sin(2 * np.pi * draw(st.floats(3.0, 7.0)) * t)
+    phase = 2 * np.pi * np.cumsum(freq) / rate
+    tone = sum(draw(st.floats(0.0, 1.0)) * np.sin(k * phase)
+               for k in range(1, 5) if k * (f0 + depth) < rate / 2)
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    tone = tone + draw(st.floats(0.0, 0.5)) * rng.standard_normal(n)
+    tone *= draw(st.floats(1e-3, 1.0)) / max(float(np.max(np.abs(tone))), 1e-12)
+    tone[:draw(st.integers(0, n // 2))] = 0.0
+    offset = draw(st.floats(-0.5, 0.5))
+    return Waveform(offset + tone, rate), cfg
 
 
 class TestTracker:
@@ -80,6 +178,41 @@ class TestTracker:
         voiced = track.pitches_hz[track.pitches_hz > 0]
         assert np.all(voiced >= cfg.fmin_hz)
         assert np.all(voiced <= cfg.fmax_hz)
+
+
+    @settings(max_examples=60, deadline=None)
+    @given(tracker_cases())
+    def test_matches_loop_tracker(self, case):
+        w, cfg = case
+        fast = track_pitch(w, cfg).pitches_hz
+        slow = loop_track_pitch(w, cfg).pitches_hz
+        np.testing.assert_array_equal(fast > 0, slow > 0)
+        voiced = slow > 0
+        np.testing.assert_allclose(fast[voiced], slow[voiced], rtol=1e-9, atol=0)
+
+    def test_working_memory_flat_in_input_length(self):
+        w = synth.vibrato_sine(220.0, 180.0)
+        tracemalloc.start()
+        try:
+            track_pitch(w)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2 ** 20
+
+
+class TestPitchConfig:
+    @pytest.mark.parametrize("field", [
+        "frame_seconds", "hop_seconds", "threshold", "fmin_hz", "fmax_hz",
+        "silence_rms"])
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+    def test_non_finite_rejected(self, field, value):
+        with pytest.raises(ConfigInvalidError, match="finite"):
+            PitchConfig(**{field: value}).validate(CANONICAL_RATE)
+
+    def test_negative_silence_floor_rejected(self):
+        with pytest.raises(ConfigInvalidError, match="silence_rms"):
+            PitchConfig(silence_rms=-1e-4).validate(CANONICAL_RATE)
 
 
 class TestLoadPitchTrack:
