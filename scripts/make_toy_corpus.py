@@ -8,7 +8,10 @@ that ``singersep build-dataset`` consumes.
 Example:
     python scripts/make_toy_corpus.py --out /tmp/toy --singers 8 --songs 2
     singersep build-dataset --manifest /tmp/toy/stems.json --scheme duet \
-        --out /tmp/toy-ds --seed 7
+        --ratios 0.5,0.25,0.25 --out /tmp/toy-ds --seed 7
+
+Duet pairing needs two singers in every split, so eight singers take the
+0.5/0.25/0.25 split (24/12/12 pairs) rather than the default 0.8/0.1/0.1.
 """
 
 import argparse

@@ -144,7 +144,10 @@ def _run_external(backend: SeparationBackend, input_w: Waveform,
     argv = [token.format(input=in_path, **slots)
             for token in shlex.split(backend.command)]
     cmd = shlex.join(argv)
-    proc = subprocess.run(argv, capture_output=True, text=True)
+    try:
+        proc = subprocess.run(argv, capture_output=True, text=True)
+    except OSError as exc:
+        raise BackendFailureError(f"command could not start: {cmd}: {exc}")
     if proc.returncode != 0:
         raise BackendFailureError(
             f"command exited {proc.returncode}: {cmd}\nstderr: {proc.stderr.strip()}")

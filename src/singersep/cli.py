@@ -1,6 +1,6 @@
 """Command-line entry points: separate, build-dataset, evaluate, selftest.
 
-Option values resolve as flags > MIRSS_* environment variables > config
+Run settings resolve as flags > MIRSS_<KEY> environment variables > config
 file (key=value lines). Exit codes: 0 success, 2 configuration error,
 3 backend failure, 4 evaluation incomplete.
 """
@@ -22,8 +22,7 @@ from . import audio, backends, dataset, metrics, pipeline, pitch, selection, syn
 from .errors import (
     BackendFailureError,
     ConfigInvalidError,
-    MalformedRegistryError,
-    PairingImpossibleError,
+    ContractViolationError,
     SingerSepError,
 )
 
@@ -32,67 +31,65 @@ EXIT_CONFIG = 2
 EXIT_BACKEND = 3
 EXIT_INCOMPLETE = 4
 
-_CONFIG_KEYS = {
-    "seed": int,
-    "jobs": int,
-    "pitch_threshold": float,
-    "pitch_fmin": float,
-    "pitch_fmax": float,
-    "pitch_frame": float,
-    "pitch_hop": float,
-    "units": str,
+# Run settings shared by separate, build-dataset and evaluate. Each key is
+# also read from MIRSS_<KEY> and from a `key = value` line of the config file.
+_SETTINGS = {
+    "seed": {"type": int},
+    "jobs": {"type": int, "help": "worker pool size, at least 1 (default: CPUs)"},
+    "pitch_threshold": {"type": float, "default": pitch.PitchConfig.threshold},
+    "pitch_fmin": {"type": float, "default": pitch.PitchConfig.fmin_hz},
+    "pitch_fmax": {"type": float, "default": pitch.PitchConfig.fmax_hz},
+    "pitch_frame": {"type": float, "default": pitch.PitchConfig.frame_seconds},
+    "pitch_hop": {"type": float, "default": pitch.PitchConfig.hop_seconds},
+    "units": {"choices": selection.UNITS, "default": "hz",
+              "help": "pitch units for trend scoring (default hz)"},
 }
 
 
-def _load_config_file(path) -> dict:
-    values = {}
+def _flag(key: str) -> str:
+    return f"--{key.replace('_', '-')}"
+
+
+def _config_flags(path) -> list[str]:
+    """The ``key = value`` lines of a config file as flags; '#' starts a comment."""
+    flags = []
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line or line.startswith("#"):
                 continue
-            if "=" not in line:
-                raise ValueError(f"{path}:{lineno}: expected key=value")
-            key, _, raw = line.partition("=")
-            values[key.strip()] = raw.strip()
-    return values
+            key, sep, value = (part.strip() for part in line.partition("="))
+            if not sep:
+                raise ConfigInvalidError(f"{path}:{lineno}: expected key=value")
+            if key not in _SETTINGS:
+                raise ConfigInvalidError(
+                    f"{path}:{lineno}: unknown key {key!r} (known: {', '.join(_SETTINGS)})")
+            flags.append(f"{_flag(key)}={value}")
+    return flags
 
 
-def _resolve_options(args) -> dict:
-    """Apply the flags > env > config-file precedence for shared options."""
-    file_values = {}
-    config_path = getattr(args, "config", None) or os.environ.get("MIRSS_CONFIG")
-    if config_path:
-        file_values = _load_config_file(config_path)
+class _SettingsParser(argparse.ArgumentParser):
+    """Raises, not exits: the user's flags parsed alone first, so an error
+    here comes from the environment or the config file."""
 
-    resolved = {}
-    for key, cast in _CONFIG_KEYS.items():
-        value = getattr(args, key, None)
-        if value is None:
-            env = os.environ.get(f"MIRSS_{key.upper()}")
-            if env is not None:
-                value = cast(env)
-            elif key in file_values:
-                value = cast(file_values[key])
-        resolved[key] = value
-    if resolved["jobs"] is not None and resolved["jobs"] < 1:
-        raise ConfigInvalidError(f"jobs must be at least 1, got {resolved['jobs']}")
-    return resolved
+    def error(self, message):
+        raise ConfigInvalidError(f"{message} (set by a MIRSS_* variable or the config file)")
 
 
-def _pitch_config(opts) -> pitch.PitchConfig:
-    cfg = pitch.PitchConfig()
-    if opts.get("pitch_frame") is not None:
-        cfg.frame_seconds = opts["pitch_frame"]
-    if opts.get("pitch_hop") is not None:
-        cfg.hop_seconds = opts["pitch_hop"]
-    if opts.get("pitch_threshold") is not None:
-        cfg.threshold = opts["pitch_threshold"]
-    if opts.get("pitch_fmin") is not None:
-        cfg.fmin_hz = opts["pitch_fmin"]
-    if opts.get("pitch_fmax") is not None:
-        cfg.fmax_hz = opts["pitch_fmax"]
-    return cfg
+def _merge_settings(args, argv: list[str]):
+    """Parse again with the config file's, then the environment's settings
+    as flags in front of the user's: argparse keeps the last value it sees."""
+    path = args.config or os.environ.get("MIRSS_CONFIG")
+    leading = _config_flags(path) if path else []
+    env = {key: os.environ.get(f"MIRSS_{key.upper()}") for key in _SETTINGS}
+    leading += [f"{_flag(key)}={value}" for key, value in env.items() if value is not None]
+    if leading:
+        verb = argv.index(args.command) + 1
+        args = build_parser(_SettingsParser).parse_args(
+            argv[:verb] + leading + argv[verb:])
+    if args.jobs is not None and args.jobs < 1:
+        raise ConfigInvalidError(f"jobs must be at least 1, got {args.jobs}")
+    return args
 
 
 def _ensure_seed(value: int | None) -> int:
@@ -105,22 +102,13 @@ def _ensure_seed(value: int | None) -> int:
 
 def _add_shared_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", help="key=value config file (or MIRSS_CONFIG)")
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--jobs", type=int, default=None,
-                   help="worker pool size, at least 1 (default: CPUs)")
-    p.add_argument("--pitch-threshold", dest="pitch_threshold", type=float, default=None)
-    p.add_argument("--pitch-fmin", dest="pitch_fmin", type=float, default=None)
-    p.add_argument("--pitch-fmax", dest="pitch_fmax", type=float, default=None)
-    p.add_argument("--pitch-frame", dest="pitch_frame", type=float, default=None)
-    p.add_argument("--pitch-hop", dest="pitch_hop", type=float, default=None)
-    p.add_argument("--units", choices=("hz", "semitones"), default=None,
-                   help="pitch units for trend scoring (default hz)")
+    for key, spec in _SETTINGS.items():
+        p.add_argument(_flag(key), **spec)
 
 
 def cmd_separate(args) -> int:
-    opts = _resolve_options(args)
     models = backends.registry_load(args.registry)
-    seed = _ensure_seed(opts["seed"])
+    seed = _ensure_seed(args.seed)
     refs = (args.ref_a, args.ref_b) if args.ref_a and args.ref_b else None
     result = pipeline.separate_song(
         args.song,
@@ -129,11 +117,14 @@ def cmd_separate(args) -> int:
         out_dir=args.out,
         model=args.model,
         seed=seed,
-        pitch_config=_pitch_config(opts),
-        units=opts["units"] or "hz",
+        pitch_config=pitch.PitchConfig(
+            frame_seconds=args.pitch_frame, hop_seconds=args.pitch_hop,
+            threshold=args.pitch_threshold, fmin_hz=args.pitch_fmin,
+            fmax_hz=args.pitch_fmax),
+        units=args.units,
         segment_seconds=args.segment_seconds,
         refs=refs,
-        jobs=opts["jobs"],
+        jobs=args.jobs,
     )
     report = result.report
     print(f"chosen model: {report['chosen']}"
@@ -154,8 +145,7 @@ def cmd_separate(args) -> int:
 
 
 def cmd_build_dataset(args) -> int:
-    opts = _resolve_options(args)
-    seed = _ensure_seed(opts["seed"])
+    seed = _ensure_seed(args.seed)
     entries = dataset.load_stem_manifest(args.manifest)
     scheme = dataset.PairingScheme(
         kind=dataset.SELF_HARMONIC if args.scheme == "self" else dataset.DUET,
@@ -200,7 +190,6 @@ def _evaluate_pair(root: Path, estimates: Path, record: dict):
 
 
 def cmd_evaluate(args) -> int:
-    opts = _resolve_options(args)
     doc = dataset.load_manifest(args.dataset)
     root = Path(args.dataset)
     if not root.is_dir():
@@ -213,7 +202,7 @@ def cmd_evaluate(args) -> int:
         print(f"no pairs in split {args.split!r}", file=sys.stderr)
         return EXIT_CONFIG
 
-    jobs = opts["jobs"] or os.cpu_count() or 1
+    jobs = args.jobs or os.cpu_count() or 1
     with ThreadPoolExecutor(max_workers=jobs) as pool:
         results = list(pool.map(
             lambda r: _evaluate_pair(root, estimates, r), records))
@@ -395,8 +384,8 @@ def cmd_selftest(args) -> int:
     return EXIT_OK if not failed else 1
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+def build_parser(parser_class=argparse.ArgumentParser) -> argparse.ArgumentParser:
+    parser = parser_class(
         prog="singersep",
         description="Two-stage singer separation with pitch-trend model selection.")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -475,17 +464,16 @@ def _parse_ratios(text: str) -> tuple[float, float, float]:
 
 
 def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
     args = build_parser().parse_args(argv)
     try:
+        if "config" in vars(args):  # every verb but selftest
+            args = _merge_settings(args, argv)
         return args.func(args)
-    except (MalformedRegistryError, PairingImpossibleError, ValueError,
-            FileNotFoundError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except BackendFailureError as exc:
+    except (BackendFailureError, ContractViolationError) as exc:
         print(f"backend failure: {exc}", file=sys.stderr)
         return EXIT_BACKEND
-    except SingerSepError as exc:
+    except (SingerSepError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

@@ -42,7 +42,7 @@ class DegenerateInputError(SingerSepError):
 # --- pitch ---
 
 class ConfigInvalidError(SingerSepError):
-    """Pitch tracker configuration is unusable (frame too short for fmin)."""
+    """A run setting or the pitch tracker configuration is unusable."""
 
 
 class MalformedCsvError(SingerSepError):

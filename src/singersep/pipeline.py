@@ -14,7 +14,7 @@ from .backends import STAGE1, STAGE2, CandidateModel, run_backend
 from .errors import MalformedRegistryError
 from .metrics import pit_evaluate
 from .pitch import PitchConfig
-from .selection import SelectionResult, TrendScore, frames_per_block, select_model
+from .selection import SelectionResult, TrendScore, check_units, frames_per_block, select_model
 
 
 @dataclass
@@ -51,7 +51,6 @@ def separate_song(song_path,
                   units: str = "hz",
                   segment_seconds: float | None = None,
                   refs: tuple[str, str] | None = None,
-                  keep_candidates: bool = True,
                   jobs: int | None = None) -> RunResult:
     """Separate one song and write stems plus ``report.json`` to out_dir.
 
@@ -63,7 +62,8 @@ def separate_song(song_path,
     stage1, candidates = split_registry(models, stage1_id)
     if model is not None and model not in {c.model_id for c in candidates}:
         raise MalformedRegistryError(f"--model {model!r} is not a stage-2 candidate")
-    # reject a bad pitch config or block length before any backend runs
+    # reject bad units, pitch config or block length before any backend runs
+    check_units(units)
     cfg = pitch_config or PitchConfig()
     cfg.validate(CANONICAL_RATE)
     frames_per_block(segment_seconds, cfg)
@@ -118,7 +118,7 @@ def separate_song(song_path,
             entry = asdict(score)
             entry["outputs"] = None
             model_id = entry["model_id"]
-            if keep_candidates and model_id in candidate_outputs:
+            if model_id in candidate_outputs:
                 cdir = out / "candidates" / model_id
                 cdir.mkdir(parents=True, exist_ok=True)
                 a_path, b_path = cdir / "a.wav", cdir / "b.wav"

@@ -40,7 +40,8 @@ class PitchConfig:
     """Tracker parameters. Defaults: 40 ms frames, 10 ms hop, range 55-1000 Hz.
 
     Every field must be finite, the threshold positive and the silence
-    floor non-negative; the frame must cover at least two periods of fmin_hz.
+    floor non-negative; the frame must cover at least two periods of fmin_hz,
+    and at least one whole-sample period must lie between fmin_hz and fmax_hz.
     """
 
     frame_seconds: float = 0.040
@@ -55,6 +56,10 @@ class PitchConfig:
 
     def hop_length(self, rate: int) -> int:
         return int(round(self.hop_seconds * rate))
+
+    def lag_range(self, rate: int) -> tuple[int, int]:
+        """Shortest and longest candidate period in samples, (tau_min, tau_max)."""
+        return max(2, math.ceil(rate / self.fmax_hz)), int(rate / self.fmin_hz)
 
     def validate(self, rate: int) -> None:
         non_finite = [f"{k}={v}" for k, v in vars(self).items()
@@ -79,6 +84,11 @@ class PitchConfig:
             raise ConfigInvalidError(
                 f"frame of {frame} samples covers under two periods of "
                 f"fmin {self.fmin_hz} Hz at {rate} Hz")
+        tau_min, tau_max = self.lag_range(rate)
+        if tau_min > tau_max:
+            raise ConfigInvalidError(
+                f"no whole-sample period lies in {self.fmin_hz}..{self.fmax_hz} Hz "
+                f"at {rate} Hz (lags {tau_min}..{tau_max})")
 
 
 @dataclass
@@ -143,8 +153,7 @@ def track_pitch(w: Waveform, config: PitchConfig | None = None) -> PitchTrack:
 def _block_pitches(frames: np.ndarray, rate: int, cfg: PitchConfig) -> np.ndarray:
     """Pitch in Hz (0 = unvoiced) of each row of a (frames, frame_len) block."""
     n_frames, frame_len = frames.shape
-    tau_max = int(rate / cfg.fmin_hz)
-    tau_min = max(2, int(math.ceil(rate / cfg.fmax_hz)))
+    tau_min, tau_max = cfg.lag_range(rate)
     window = frame_len - tau_max
     lags = np.arange(tau_max + 1)
 

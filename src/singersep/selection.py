@@ -36,6 +36,9 @@ log = logging.getLogger(__name__)
 # Strictly above any achievable finite score (frames x fmax is orders less).
 PENALTY_SCORE = 1e12
 
+# Pitch units trends can be scored in.
+UNITS = ("hz", "semitones")
+
 
 @dataclass
 class TrendScore:
@@ -126,6 +129,12 @@ def frames_per_block(segment_seconds: float | None,
     return max(3, int(round(frames)))
 
 
+def check_units(units: str) -> None:
+    """Reject pitch units other than those in UNITS."""
+    if units not in UNITS:
+        raise ValueError(f"unknown pitch units {units!r}")
+
+
 def score_candidate(outputs: tuple[Waveform, Waveform],
                     pitch_config: PitchConfig | None = None,
                     units: str = "hz",
@@ -138,8 +147,7 @@ def score_candidate(outputs: tuple[Waveform, Waveform],
     penalizes the whole candidate.
     """
     cfg = pitch_config or PitchConfig()
-    if units not in ("hz", "semitones"):
-        raise ValueError(f"unknown pitch units {units!r}")
+    check_units(units)
     block = frames_per_block(segment_seconds, cfg)
     ta = track_pitch(outputs[0], cfg)
     tb = track_pitch(outputs[1], cfg)
@@ -166,6 +174,7 @@ def select_model(mixed_vocal: Waveform,
     surviving candidate is penalized, the argmin is still returned with
     ``all_penalized`` set.
     """
+    check_units(units)
     if not candidates:
         raise BackendFailureError("no stage-2 candidates to select from")
 

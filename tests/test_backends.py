@@ -155,6 +155,17 @@ class TestExternalCommand:
         with pytest.raises(BackendFailureError, match="stub blew up"):
             run_backend(stub_cmd("fail"), synth.sine(250.0, 0.5), workdir=tmp_path)
 
+    @pytest.mark.parametrize("program", ["missing", "no-shebang"])
+    def test_command_that_cannot_start(self, tmp_path, program):
+        exe = tmp_path / program
+        if program == "no-shebang":
+            exe.write_text("echo separated\n")
+            exe.chmod(0o755)  # executable, but not a format the kernel runs
+        backend = SeparationBackend(kind=KIND_EXTERNAL, stage=STAGE2,
+                                    command=f"{exe} {{input}} {{out_a}} {{out_b}}")
+        with pytest.raises(BackendFailureError, match="could not start"):
+            run_backend(backend, synth.sine(250.0, 0.5), workdir=tmp_path)
+
     def test_missing_output_file(self, stub_cmd, tmp_path):
         with pytest.raises(BackendFailureError, match="out_a"):
             run_backend(stub_cmd("missing"), synth.sine(250.0, 0.5),

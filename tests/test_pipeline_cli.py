@@ -1,5 +1,7 @@
 import json
 import sys
+import textwrap
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -10,6 +12,7 @@ from singersep.backends import STAGE1, STAGE2, registry_load
 from singersep.dataset import mix_at_snr
 from singersep.metrics import SENTINEL_DB
 from singersep.pipeline import separate_song
+from singersep.selection import select_model
 
 from conftest import make_duet_refs, write_registry, write_toy_stems
 
@@ -30,6 +33,27 @@ def duet_setup(tmp_path):
     ])
     return {"song": song, "registry": registry, "refs": (pa, pb),
             "ref_waves": (ref_a, ref_b), "mix": mix}
+
+
+@pytest.fixture
+def marker_setup(duet_setup, tmp_path):
+    """duet_setup's registry plus a stage-2 command that only touches a marker file."""
+    marker = tmp_path / "backend-ran"
+    touch = (f'{sys.executable} -c "import pathlib, sys; '
+             f'pathlib.Path(sys.argv[1]).touch()" {marker} '
+             "{input} {out_a} {out_b}")
+    entries = json.loads(duet_setup["registry"].read_text())
+    entries.insert(1, {"model_id": "marker", "stage": STAGE2,
+                       "command": touch})
+    registry = write_registry(tmp_path / "marker-registry.json", entries)
+    return registry, marker
+
+
+def assert_clean_exit(rc, err, code):
+    """Exit ``code`` with a one-line diagnosis on stderr and no traceback."""
+    assert rc == code
+    assert err.startswith(("error: ", "backend failure: "))
+    assert "Traceback" not in err
 
 
 class TestSeparateSong:
@@ -95,6 +119,20 @@ class TestSeparateSong:
             separate_song(duet_setup["song"],
                           registry_load(duet_setup["registry"]),
                           stage1_id="nope", out_dir=tmp_path / "out")
+
+    @pytest.mark.parametrize("model", [None, "marker"])
+    def test_unknown_units_rejected_before_any_backend(
+            self, duet_setup, marker_setup, tmp_path, model):
+        registry, marker = marker_setup
+        models = registry_load(registry)
+        with pytest.raises(ValueError, match="cents"):
+            separate_song(duet_setup["song"], models, stage1_id="stage1-pass",
+                          out_dir=tmp_path / "out", model=model, units="cents")
+        candidates = [m for m in models if m.backend.stage == STAGE2]
+        with pytest.raises(ValueError, match="cents"):
+            select_model(duet_setup["mix"], candidates, workdir=tmp_path,
+                         units="cents")
+        assert not marker.exists()
 
 
 class TestCliSeparate:
@@ -187,17 +225,11 @@ class TestCliSeparate:
         ("--pitch-hop", "nan"),
         ("--pitch-frame", "nan"),
         ("--pitch-fmax", "inf"),
+        ("--pitch-fmax", "55.1"),  # no whole-sample period in 55..55.1 Hz
     ])
     def test_bad_pitch_config_exits_2_before_any_backend(
-            self, duet_setup, tmp_path, capsys, flag, value):
-        marker = tmp_path / "backend-ran"
-        touch = (f'{sys.executable} -c "import pathlib, sys; '
-                 f'pathlib.Path(sys.argv[1]).touch()" {marker} '
-                 "{input} {out_a} {out_b}")
-        entries = json.loads(duet_setup["registry"].read_text())
-        entries.insert(1, {"model_id": "marker", "stage": STAGE2,
-                           "command": touch})
-        registry = write_registry(tmp_path / "marker-registry.json", entries)
+            self, duet_setup, marker_setup, tmp_path, capsys, flag, value):
+        registry, marker = marker_setup
         rc = cli.main([
             "separate", str(duet_setup["song"]), "--registry", str(registry),
             "--stage1", "stage1-pass", "--out", str(tmp_path / "bad-pitch"),
@@ -237,6 +269,136 @@ class TestCliSeparate:
             "--stage1", "stage1-pass", "--out", str(tmp_path / "o4"),
             "--model", "missing", "--seed", "3"])
         assert rc == 2
+
+
+# stage-1 command whose outputs are half as long as its input
+HALF_LENGTH_STAGE1 = textwrap.dedent("""\
+    import sys, wave
+
+    inp, out_vocal, out_accomp = sys.argv[1:4]
+    with wave.open(inp, "rb") as fh:
+        params = fh.getparams()
+        raw = fh.readframes(fh.getnframes() // 2)
+    for path in (out_vocal, out_accomp):
+        with wave.open(path, "wb") as out:
+            out.setparams(params)
+            out.writeframes(raw)
+""")
+
+
+def separate_argv(setup, out, *extra, song=None, registry=None):
+    return ["separate", str(song or setup["song"]),
+            "--registry", str(registry or setup["registry"]),
+            "--stage1", "stage1-pass", "--out", str(out), "--seed", "3", *extra]
+
+
+def swap_stage1(setup, tmp_path, command):
+    """setup's registry with its stage-1 entry replaced by an external command."""
+    entries = json.loads(setup["registry"].read_text())
+    entries[0] = {"model_id": "stage1-pass", "stage": STAGE1, "command": command}
+    return write_registry(tmp_path / "stage1-registry.json", entries)
+
+
+class TestCliExitCodes:
+    def test_song_path_is_directory_exits_2(self, duet_setup, tmp_path, capsys):
+        rc = cli.main(separate_argv(duet_setup, tmp_path / "out", song=tmp_path))
+        assert_clean_exit(rc, capsys.readouterr().err, 2)
+
+    def test_out_is_existing_file_exits_2(self, duet_setup, tmp_path, capsys):
+        out = tmp_path / "taken"
+        out.write_text("not a directory\n")
+        rc = cli.main(separate_argv(duet_setup, out))
+        assert_clean_exit(rc, capsys.readouterr().err, 2)
+
+    def test_stage1_contract_violation_exits_3(self, duet_setup, tmp_path, capsys):
+        script = tmp_path / "half.py"
+        script.write_text(HALF_LENGTH_STAGE1)
+        registry = swap_stage1(duet_setup, tmp_path,
+                               f"{sys.executable} {script} "
+                               "{input} {out_vocal} {out_accomp}")
+        rc = cli.main(separate_argv(duet_setup, tmp_path / "out", registry=registry))
+        err = capsys.readouterr().err
+        assert_clean_exit(rc, err, 3)
+        assert "length" in err
+
+    def test_stage1_that_cannot_start_exits_3(self, duet_setup, tmp_path, capsys):
+        registry = swap_stage1(duet_setup, tmp_path,
+                               f"{tmp_path / 'no-such-separator'} "
+                               "{input} {out_vocal} {out_accomp}")
+        rc = cli.main(separate_argv(duet_setup, tmp_path / "out", registry=registry))
+        err = capsys.readouterr().err
+        assert_clean_exit(rc, err, 3)
+        assert "could not start" in err
+
+    def test_candidate_that_cannot_start_is_excluded(self, duet_setup, tmp_path):
+        entries = json.loads(duet_setup["registry"].read_text())
+        entries.append({"model_id": "missing", "stage": STAGE2,
+                        "command": f"{tmp_path / 'no-such-separator'} "
+                                   "{input} {out_a} {out_b}"})
+        registry = write_registry(tmp_path / "missing-registry.json", entries)
+        out = tmp_path / "out"
+        assert cli.main(separate_argv(duet_setup, out, registry=registry)) == 0
+        report = json.loads((out / "report.json").read_text())
+        assert report["chosen"] == "clean"
+        errors = {c["model_id"]: c["error"] for c in report["candidates"]}
+        assert errors["missing"] is not None and errors["clean"] is None
+
+    @pytest.mark.parametrize("bypass", [[], ["--model", "marker"]])
+    def test_bad_env_units_exits_2_before_any_backend(
+            self, duet_setup, marker_setup, tmp_path, capsys, monkeypatch, bypass):
+        registry, marker = marker_setup
+        monkeypatch.setenv("MIRSS_UNITS", "cents")
+        out = tmp_path / "out"
+        rc = cli.main(separate_argv(duet_setup, out, *bypass, registry=registry))
+        err = capsys.readouterr().err
+        assert_clean_exit(rc, err, 2)
+        assert "cents" in err
+        assert not marker.exists() and not out.exists()
+
+    def test_unknown_config_key_exits_2(self, duet_setup, tmp_path, capsys):
+        cfg = tmp_path / "mirss.cfg"
+        cfg.write_text("pitch_fmn = 400\n")
+        out = tmp_path / "out"
+        rc = cli.main(separate_argv(duet_setup, out, "--config", str(cfg)))
+        err = capsys.readouterr().err
+        assert_clean_exit(rc, err, 2)
+        assert "pitch_fmn" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("key, field, config, env, flag", [
+        ("seed", "seed", 1, 2, 3),
+        ("jobs", "jobs", 1, 2, 3),
+        ("pitch_threshold", "threshold", 0.1, 0.2, 0.3),
+        ("pitch_fmin", "fmin_hz", 60.0, 70.0, 80.0),
+        ("pitch_fmax", "fmax_hz", 900.0, 800.0, 700.0),
+        ("pitch_frame", "frame_seconds", 0.05, 0.06, 0.07),
+        ("pitch_hop", "hop_seconds", 0.01, 0.02, 0.03),
+        ("units", "units", "hz", "semitones", "hz"),
+    ])
+    def test_env_beats_config_and_flag_beats_env(
+            self, duet_setup, tmp_path, monkeypatch, key, field, config, env, flag):
+        seen = []
+
+        def record(*args, **kwargs):
+            kwargs.update(vars(kwargs.pop("pitch_config")))
+            seen.append(kwargs[field])
+            return SimpleNamespace(report={
+                "chosen": "clean", "selection_bypassed": False,
+                "candidates": [], "evaluation": None})
+
+        monkeypatch.setattr(cli.pipeline, "separate_song", record)
+        monkeypatch.delenv("MIRSS_CONFIG", raising=False)
+        monkeypatch.delenv(f"MIRSS_{key.upper()}", raising=False)
+        cfg = tmp_path / "mirss.cfg"
+        cfg.write_text(f"{key} = {config}\n")
+        argv = ["separate", str(duet_setup["song"]),
+                "--registry", str(duet_setup["registry"]), "--stage1", "stage1-pass",
+                "--out", str(tmp_path / "out"), "--config", str(cfg)]
+        assert cli.main(argv) == 0
+        monkeypatch.setenv(f"MIRSS_{key.upper()}", str(env))
+        assert cli.main(argv) == 0
+        assert cli.main(argv + [f"--{key.replace('_', '-')}", str(flag)]) == 0
+        assert seen == [config, env, flag]
 
 
 class TestCliBuildDataset:

@@ -214,6 +214,12 @@ class TestPitchConfig:
         with pytest.raises(ConfigInvalidError, match="silence_rms"):
             PitchConfig(silence_rms=-1e-4).validate(CANONICAL_RATE)
 
+    def test_range_without_a_whole_sample_period_rejected(self):
+        # 8000/101 = 79.2 and 8000/100.5 = 79.6: no integer lag in between
+        with pytest.raises(ConfigInvalidError, match="whole-sample period"):
+            PitchConfig(fmin_hz=100.5, fmax_hz=101.0).validate(CANONICAL_RATE)
+        PitchConfig(fmin_hz=100.0, fmax_hz=101.0).validate(CANONICAL_RATE)  # lag 80
+
 
 class TestLoadPitchTrack:
     def test_basic_rows(self, tmp_path):
