@@ -182,8 +182,9 @@ def segment(w: Waveform, seconds: float, song_id: str = "",
 
     A trailing remainder shorter than one chunk is dropped.
     """
-    if seconds <= 0:
-        raise InvalidWaveformError(f"segment length must be positive, got {seconds}")
+    if not 0 < seconds < math.inf:
+        raise InvalidWaveformError(
+            f"segment length must be positive and finite, got {seconds}")
     chunk = int(round(seconds * w.sample_rate))
     if chunk <= 0:
         raise InvalidWaveformError("segment length rounds to zero samples")

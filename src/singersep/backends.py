@@ -45,8 +45,8 @@ KIND_ORACLE = "oracle"
 KIND_PASSTHROUGH = "passthrough"
 _KINDS = (KIND_EXTERNAL, KIND_ORACLE, KIND_PASSTHROUGH)
 
-_PLACEHOLDERS = {STAGE1: {"input", "out_vocal", "out_accomp"},
-                 STAGE2: {"input", "out_a", "out_b"}}
+# Each stage's output placeholders, in channel order.
+_OUTPUTS = {STAGE1: ("out_vocal", "out_accomp"), STAGE2: ("out_a", "out_b")}
 
 
 def _check_template(command: str, stage: str) -> None:
@@ -58,7 +58,7 @@ def _check_template(command: str, stage: str) -> None:
                   if name is not None]
     except ValueError as exc:
         raise MalformedRegistryError(f"bad command template {command!r}: {exc}")
-    allowed = _PLACEHOLDERS[stage]
+    allowed = {"input", *_OUTPUTS[stage]}
     for name, spec, conv in fields:
         if name not in allowed or spec or conv:
             raise MalformedRegistryError(
@@ -134,18 +134,14 @@ def _run_external(backend: SeparationBackend, input_w: Waveform,
     scratch = base / f"backend-{uuid.uuid4().hex}"
     scratch.mkdir()
     in_path = scratch / "input.wav"
-    if backend.stage == STAGE2:
-        slots = {"out_a": scratch / "out_a.wav", "out_b": scratch / "out_b.wav"}
-    else:
-        slots = {"out_vocal": scratch / "out_vocal.wav",
-                 "out_accomp": scratch / "out_accomp.wav"}
+    slots = {name: scratch / f"{name}.wav" for name in _OUTPUTS[backend.stage]}
     write_wav(input_w, in_path)
 
     argv = [token.format(input=in_path, **slots)
             for token in shlex.split(backend.command)]
     cmd = shlex.join(argv)
     try:
-        proc = subprocess.run(argv, capture_output=True, text=True)
+        proc = subprocess.run(argv, capture_output=True, text=True, errors="replace")
     except OSError as exc:
         raise BackendFailureError(f"command could not start: {cmd}: {exc}")
     if proc.returncode != 0:

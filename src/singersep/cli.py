@@ -31,6 +31,9 @@ EXIT_CONFIG = 2
 EXIT_BACKEND = 3
 EXIT_INCOMPLETE = 4
 
+# evaluate's metric columns, in CSV order after pair_id
+_METRIC_COLUMNS = ("si_snr_db", "si_snri_db", "sdr_db", "sdri_db")
+
 # Run settings shared by separate, build-dataset and evaluate. Each key is
 # also read from MIRSS_<KEY> and from a `key = value` line of the config file.
 _SETTINGS = {
@@ -150,12 +153,10 @@ def cmd_build_dataset(args) -> int:
     scheme = dataset.PairingScheme(
         kind=dataset.SELF_HARMONIC if args.scheme == "self" else dataset.DUET,
         repeats=args.repeats)
-    lo, hi = args.snr
-    ratios = tuple(args.ratios)
-    doc = dataset.build_dataset(entries, scheme, snr_range=(lo, hi), seed=seed,
+    doc = dataset.build_dataset(entries, scheme, snr_range=args.snr, seed=seed,
                                 out_dir=args.out,
                                 segment_seconds=args.segment_seconds,
-                                ratios=ratios)
+                                ratios=args.ratios)
     print(f"{'Split':<8}{'Pairs':>8}   Duration")
     total_pairs, total_secs = 0, 0.0
     for split in dataset.SPLITS:
@@ -182,11 +183,14 @@ def _evaluate_pair(root: Path, estimates: Path, record: dict):
     est_b = estimates / f"{pair_id}_b.wav"
     if not est_a.exists() or not est_b.exists():
         return pair_id, None
-    refs = (audio.read_wav(root / record["paths"]["src_a"]),
-            audio.read_wav(root / record["paths"]["src_b"]))
-    ests = (audio.read_wav(est_a), audio.read_wav(est_b))
-    mix = audio.read_wav(root / record["paths"]["mix"])
-    return pair_id, metrics.pit_evaluate(refs, ests, mix)
+    try:
+        refs = (audio.read_wav(root / record["paths"]["src_a"]),
+                audio.read_wav(root / record["paths"]["src_b"]))
+        ests = (audio.read_wav(est_a), audio.read_wav(est_b))
+        mix = audio.read_wav(root / record["paths"]["mix"])
+        return pair_id, metrics.pit_evaluate(refs, ests, mix)
+    except SingerSepError as exc:
+        raise type(exc)(f"pair {pair_id}: {exc}") from exc
 
 
 def cmd_evaluate(args) -> int:
@@ -199,8 +203,7 @@ def cmd_evaluate(args) -> int:
     records = [r for r in doc["pairs"]
                if args.split == "all" or r["split"] == args.split]
     if not records:
-        print(f"no pairs in split {args.split!r}", file=sys.stderr)
-        return EXIT_CONFIG
+        raise ConfigInvalidError(f"no pairs in split {args.split!r}")
 
     jobs = args.jobs or os.cpu_count() or 1
     with ThreadPoolExecutor(max_workers=jobs) as pool:
@@ -214,26 +217,19 @@ def cmd_evaluate(args) -> int:
             missing.append(pair_id)
             continue
         mean = result.mean
-        rows.append({
-            "pair_id": pair_id,
-            "si_snr_db": mean.si_snr_db,
-            "si_snri_db": mean.si_snri_db,
-            "sdr_db": mean.sdr_db,
-            "sdri_db": mean.sdri_db,
-        })
+        rows.append({"pair_id": pair_id,
+                     **{k: getattr(mean, k) for k in _METRIC_COLUMNS}})
         print(f"{pair_id}: SI-SNRi {mean.si_snri_db:.4f} dB, "
               f"SDRi {mean.sdri_db:.4f} dB")
 
     if rows:
         means = {k: min(float(np.mean([r[k] for r in rows])), metrics.SENTINEL_DB)
-                 for k in ("si_snr_db", "si_snri_db", "sdr_db", "sdri_db")}
+                 for k in _METRIC_COLUMNS}
         print(f"mean over {len(rows)} pairs: "
               f"SI-SNRi {means['si_snri_db']:.4f} dB, SDRi {means['sdri_db']:.4f} dB")
         csv_path = Path(args.csv) if args.csv else estimates / "evaluation.csv"
         with open(csv_path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.DictWriter(
-                fh, fieldnames=["pair_id", "si_snr_db", "si_snri_db",
-                                "sdr_db", "sdri_db"])
+            writer = csv.DictWriter(fh, fieldnames=["pair_id", *_METRIC_COLUMNS])
             writer.writeheader()
             writer.writerows(rows)
             writer.writerow({"pair_id": "mean", **means})
@@ -439,15 +435,11 @@ def build_parser(parser_class=argparse.ArgumentParser) -> argparse.ArgumentParse
 
 
 def _parse_range(text: str) -> tuple[float, float]:
-    sep = ":" if ":" in text else ".."
-    lo, _, hi = text.partition(sep)
+    lo, _, hi = text.partition(":")
     try:
-        lo_f, hi_f = float(lo), float(hi)
+        return float(lo), float(hi)
     except ValueError:
         raise argparse.ArgumentTypeError(f"expected LO:HI, got {text!r}")
-    if lo_f > hi_f:
-        raise argparse.ArgumentTypeError(f"range lo {lo_f} > hi {hi_f}")
-    return lo_f, hi_f
 
 
 def _parse_ratios(text: str) -> tuple[float, float, float]:

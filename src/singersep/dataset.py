@@ -10,7 +10,8 @@ mixture/source WAV triples plus a ``dataset.json`` manifest (schema
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -60,32 +61,11 @@ class PairingScheme:
 
 
 @dataclass
-class PairMeta:
-    song_a: str
-    singer_a: str
-    segment_a: int
-    song_b: str
-    singer_b: str
-    segment_b: int
-    pairing_scheme: str
-
-    def to_dict(self) -> dict:
-        return {
-            "song_a": self.song_a, "singer_a": self.singer_a,
-            "segment_a": self.segment_a,
-            "song_b": self.song_b, "singer_b": self.singer_b,
-            "segment_b": self.segment_b,
-            "pairing_scheme": self.pairing_scheme,
-        }
-
-
-@dataclass
 class MixPair:
     mixture: Waveform
     source_a: Waveform
     source_b: Waveform
     snr_db: float
-    meta: PairMeta | None = None
 
 
 def split_by_singer(entries: list[StemEntry],
@@ -98,8 +78,9 @@ def split_by_singer(entries: list[StemEntry],
     every non-empty split receives at least one singer. Singer-disjointness
     is exact by construction.
     """
-    if any(r < 0 for r in ratios) or abs(sum(ratios) - 1.0) > 1e-9:
-        raise ValueError(f"ratios must be non-negative and sum to 1, got {ratios}")
+    if not all(0 <= r < math.inf for r in ratios) or abs(sum(ratios) - 1.0) > 1e-9:
+        raise ValueError(
+            f"ratios must be finite, non-negative and sum to 1, got {ratios}")
 
     groups: dict[str, list[StemEntry]] = {}
     for e in entries:
@@ -123,8 +104,7 @@ def split_by_singer(entries: list[StemEntry],
                  for i in range(3)]
         dest = min(active, key=lambda i: (fills[i], i))
         for e in groups[sid]:
-            out.append(StemEntry(e.song_id, e.singer_id, e.vocal_path,
-                                 split=SPLITS[dest]))
+            out.append(replace(e, split=SPLITS[dest]))
         filled[dest] += len(groups[sid])
     return out
 
@@ -154,17 +134,17 @@ def pair_segments(segments_by_singer: dict[str, list[Segment]],
 
     ordered = sorted((s for segs in segments_by_singer.values() for s in segs),
                      key=seg_key)
+    by_singer = {sid: sorted(segs, key=seg_key)
+                 for sid, segs in segments_by_singer.items()}
     rng = np.random.default_rng(seed)
     pairs: list[tuple[Segment, Segment]] = []
     for _ in range(scheme.repeats):
         for seg_a in ordered:
             if scheme.kind == DUET:
                 others = [sid for sid in singers if sid != seg_a.singer_id]
-                partner_singer = others[int(rng.integers(len(others)))]
-                pool = sorted(segments_by_singer[partner_singer], key=seg_key)
+                pool = by_singer[others[int(rng.integers(len(others)))]]
             else:
-                pool = [s for s in sorted(segments_by_singer[seg_a.singer_id],
-                                          key=seg_key)
+                pool = [s for s in by_singer[seg_a.singer_id]
                         if seg_key(s) != seg_key(seg_a)]
             seg_b = pool[int(rng.integers(len(pool)))]
             pairs.append((seg_a, seg_b))
@@ -245,8 +225,8 @@ def build_dataset(manifest: list[StemEntry],
     the manifest dict (also written to ``out_dir/dataset.json``).
     """
     lo, hi = snr_range
-    if lo > hi:
-        raise ValueError(f"snr range lo {lo} > hi {hi}")
+    if not -math.inf < lo <= hi < math.inf:
+        raise ValueError(f"snr range must be finite with lo <= hi, got {lo}:{hi}")
 
     # one seed drives everything: independent child streams per purpose
     children = np.random.SeedSequence(seed).spawn(3)
@@ -280,9 +260,7 @@ def build_dataset(manifest: list[StemEntry],
             continue
         segs_by_singer: dict[str, list[Segment]] = {}
         for e in split_entries:
-            w = read_wav(e.vocal_path)
-            if w.sample_rate != CANONICAL_RATE:
-                w = resample(w, CANONICAL_RATE)
+            w = resample(read_wav(e.vocal_path), CANONICAL_RATE)
             for s in segment(w, segment_seconds, song_id=e.song_id,
                              singer_id=e.singer_id):
                 segs_by_singer.setdefault(e.singer_id, []).append(s)
@@ -295,14 +273,8 @@ def build_dataset(manifest: list[StemEntry],
 
         for i, ((seg_a, seg_b), snr) in enumerate(zip(pairs, snrs)):
             pair_id = f"{split}-{i:06d}"
-            mixed = mix_at_snr(seg_a.audio, seg_b.audio, float(snr))
-            mixed.meta = PairMeta(
-                song_a=seg_a.song_id, singer_a=seg_a.singer_id,
-                segment_a=seg_a.index,
-                song_b=seg_b.song_id, singer_b=seg_b.singer_id,
-                segment_b=seg_b.index,
-                pairing_scheme=scheme.kind)
-            _write_pair(mixed, out / split / pair_id)
+            _write_pair(mix_at_snr(seg_a.audio, seg_b.audio, float(snr)),
+                        out / split / pair_id)
             pair_records.append({
                 "pair_id": pair_id,
                 "split": split,
@@ -312,7 +284,11 @@ def build_dataset(manifest: list[StemEntry],
                     "src_a": f"{split}/{pair_id}/srcA.wav",
                     "src_b": f"{split}/{pair_id}/srcB.wav",
                 },
-                **mixed.meta.to_dict(),
+                "song_a": seg_a.song_id, "singer_a": seg_a.singer_id,
+                "segment_a": seg_a.index,
+                "song_b": seg_b.song_id, "singer_b": seg_b.singer_id,
+                "segment_b": seg_b.index,
+                "pairing_scheme": scheme.kind,
             })
         summary[split] = {
             "pairs": len(pairs),

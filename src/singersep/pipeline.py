@@ -14,7 +14,7 @@ from .backends import STAGE1, STAGE2, CandidateModel, run_backend
 from .errors import MalformedRegistryError
 from .metrics import pit_evaluate
 from .pitch import PitchConfig
-from .selection import SelectionResult, TrendScore, check_units, frames_per_block, select_model
+from .selection import SelectionResult, TrendScore, check_scoring, select_model
 
 
 @dataclass
@@ -22,8 +22,6 @@ class RunResult:
     """In-memory outcome of a separation run, pre-quantization."""
 
     report: dict
-    vocal_a: Waveform
-    vocal_b: Waveform
     accompaniment: Waveform
     mixed_vocal: Waveform
 
@@ -63,20 +61,22 @@ def separate_song(song_path,
     if model is not None and model not in {c.model_id for c in candidates}:
         raise MalformedRegistryError(f"--model {model!r} is not a stage-2 candidate")
     # reject bad units, pitch config or block length before any backend runs
-    check_units(units)
-    cfg = pitch_config or PitchConfig()
-    cfg.validate(CANONICAL_RATE)
-    frames_per_block(segment_seconds, cfg)
+    check_scoring(pitch_config or PitchConfig(), units, segment_seconds)
 
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     written: list[Path] = []
 
+    def write(w: Waveform, path: Path) -> str:
+        """Write a WAV, remember it for rollback; return its report path."""
+        path.parent.mkdir(parents=True, exist_ok=True)
+        write_wav(w, path)
+        written.append(path)
+        return str(path.relative_to(out))
+
     try:
         t_start = time.monotonic()
-        song = read_wav(song_path)
-        if song.sample_rate != CANONICAL_RATE:
-            song = resample(song, CANONICAL_RATE)
+        song = resample(read_wav(song_path), CANONICAL_RATE)
 
         t_stage1 = time.monotonic()
         mixed_vocal, accompaniment = run_backend(stage1.backend, song,
@@ -102,16 +102,12 @@ def separate_song(song_path,
         candidate_outputs = selection.outputs_by_model
         selection_seconds = time.monotonic() - t_select
 
-        paths = {
-            "vocal_a": out / "vocal_a.wav",
-            "vocal_b": out / "vocal_b.wav",
-            "accompaniment": out / "accompaniment.wav",
-        }
         vocal_a, vocal_b = candidate_outputs[selection.chosen]
-        write_wav(vocal_a, paths["vocal_a"]); written.append(paths["vocal_a"])
-        write_wav(vocal_b, paths["vocal_b"]); written.append(paths["vocal_b"])
-        write_wav(accompaniment, paths["accompaniment"])
-        written.append(paths["accompaniment"])
+        outputs = {
+            "vocal_a": write(vocal_a, out / "vocal_a.wav"),
+            "vocal_b": write(vocal_b, out / "vocal_b.wav"),
+            "accompaniment": write(accompaniment, out / "accompaniment.wav"),
+        }
 
         candidate_entries = []
         for score in selection.scores:
@@ -120,15 +116,9 @@ def separate_song(song_path,
             model_id = entry["model_id"]
             if model_id in candidate_outputs:
                 cdir = out / "candidates" / model_id
-                cdir.mkdir(parents=True, exist_ok=True)
-                a_path, b_path = cdir / "a.wav", cdir / "b.wav"
                 ca, cb = candidate_outputs[model_id]
-                write_wav(ca, a_path); written.append(a_path)
-                write_wav(cb, b_path); written.append(b_path)
-                entry["outputs"] = {
-                    "a": str(a_path.relative_to(out)),
-                    "b": str(b_path.relative_to(out)),
-                }
+                entry["outputs"] = {"a": write(ca, cdir / "a.wav"),
+                                    "b": write(cb, cdir / "b.wav")}
             candidate_entries.append(entry)
 
         evaluation = None
@@ -147,7 +137,7 @@ def separate_song(song_path,
             "chosen": selection.chosen,
             "all_penalized": selection.all_penalized,
             "selection_bypassed": model is not None,
-            "outputs": {k: str(v.relative_to(out)) for k, v in paths.items()},
+            "outputs": outputs,
             "evaluation": evaluation,
             "seed": seed,
             "timings": {
@@ -161,8 +151,8 @@ def separate_song(song_path,
             json.dump(report, fh, indent=2, sort_keys=True)
             fh.write("\n")
         shutil.rmtree(out / "tmp", ignore_errors=True)
-        return RunResult(report=report, vocal_a=vocal_a, vocal_b=vocal_b,
-                         accompaniment=accompaniment, mixed_vocal=mixed_vocal)
+        return RunResult(report=report, accompaniment=accompaniment,
+                         mixed_vocal=mixed_vocal)
     except Exception:
         for path in written:
             path.unlink(missing_ok=True)

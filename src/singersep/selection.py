@@ -111,17 +111,20 @@ class SelectionResult:
     all_penalized: bool = False
 
 
-def frames_per_block(segment_seconds: float | None,
-                     cfg: PitchConfig) -> int | None:
-    """Blocked-scoring length: round(segment_seconds / hop) frames, at least 3.
+def check_scoring(cfg: PitchConfig, units: str,
+                  segment_seconds: float | None) -> int | None:
+    """Check the scoring settings; return the block length in frames.
 
-    None (whole-input scoring) passes through. The pitch config is
-    validated first, since its hop is the divisor; a length that is not
-    positive and finite raises ConfigInvalidError.
+    Units must be one of UNITS and the pitch config valid at the canonical
+    rate. With ``segment_seconds`` set, it must be positive and finite, and
+    the block is round(segment_seconds / hop) frames, at least 3; None
+    (whole-input scoring) passes through.
     """
+    if units not in UNITS:
+        raise ValueError(f"unknown pitch units {units!r}")
+    cfg.validate(CANONICAL_RATE)
     if segment_seconds is None:
         return None
-    cfg.validate(CANONICAL_RATE)
     frames = segment_seconds / cfg.hop_seconds
     if not 0 < frames < math.inf:
         raise ConfigInvalidError(
@@ -129,31 +132,21 @@ def frames_per_block(segment_seconds: float | None,
     return max(3, int(round(frames)))
 
 
-def check_units(units: str) -> None:
-    """Reject pitch units other than those in UNITS."""
-    if units not in UNITS:
-        raise ValueError(f"unknown pitch units {units!r}")
-
-
-def score_candidate(outputs: tuple[Waveform, Waveform],
-                    pitch_config: PitchConfig | None = None,
-                    units: str = "hz",
-                    segment_seconds: float | None = None) -> TrendScore:
+def score_candidate(outputs: tuple[Waveform, Waveform], cfg: PitchConfig,
+                    units: str, block_frames: int | None) -> TrendScore:
     """Pitch-track a candidate's two output channels and score the trends.
 
-    With ``segment_seconds`` set, the trends are scored in fixed-length
-    frame blocks (see ``trend_distance``): the mask never bridges a block
-    boundary, and a block where either channel is fully unvoiced
-    penalizes the whole candidate.
+    The settings are those ``check_scoring`` accepted. With ``block_frames``
+    set, the trends are scored in fixed-length frame blocks (see
+    ``trend_distance``): the mask never bridges a block boundary, and a
+    block where either channel is fully unvoiced penalizes the whole
+    candidate.
     """
-    cfg = pitch_config or PitchConfig()
-    check_units(units)
-    block = frames_per_block(segment_seconds, cfg)
     ta = track_pitch(outputs[0], cfg)
     tb = track_pitch(outputs[1], cfg)
     if units == "semitones":
         ta, tb = to_semitones(ta), to_semitones(tb)
-    return trend_distance(ta, tb, block_frames=block)
+    return trend_distance(ta, tb, block_frames=block_frames)
 
 
 def select_model(mixed_vocal: Waveform,
@@ -174,7 +167,8 @@ def select_model(mixed_vocal: Waveform,
     surviving candidate is penalized, the argmin is still returned with
     ``all_penalized`` set.
     """
-    check_units(units)
+    cfg = pitch_config or PitchConfig()
+    block_frames = check_scoring(cfg, units, segment_seconds)
     if not candidates:
         raise BackendFailureError("no stage-2 candidates to select from")
 
@@ -185,8 +179,7 @@ def select_model(mixed_vocal: Waveform,
             log.warning("candidate %s failed: %s", cand.model_id, exc)
             return TrendScore(model_id=cand.model_id, score=PENALTY_SCORE,
                               penalized=True, error=str(exc)), None
-        result = score_candidate(pair, pitch_config, units=units,
-                                 segment_seconds=segment_seconds)
+        result = score_candidate(pair, cfg, units, block_frames)
         return replace(result, model_id=cand.model_id), pair
 
     max_workers = jobs or min(len(candidates), os.cpu_count() or 1)

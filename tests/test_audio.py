@@ -1,3 +1,4 @@
+import math
 import struct
 
 import numpy as np
@@ -209,6 +210,11 @@ class TestSegment:
     def test_remainder_dropped(self):
         segs = segment(synth.sine(200.0, 9.9), 10.0)
         assert segs == []
+
+    @pytest.mark.parametrize("seconds", [0.0, -1.0, math.inf, math.nan])
+    def test_length_not_positive_and_finite_rejected(self, seconds):
+        with pytest.raises(InvalidWaveformError, match="positive and finite"):
+            segment(synth.sine(200.0, 1.0), seconds)
 
     def test_chunks_are_prefix(self):
         w = synth.white_noise(3.7, seed=5)

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -78,6 +80,11 @@ class TestSplitBySinger:
     def test_bad_ratios(self):
         with pytest.raises(ValueError):
             split_by_singer(_entries(5), (0.5, 0.1, 0.1), seed=0)
+
+    @pytest.mark.parametrize("ratios", [(math.nan, 0.5, 0.5), (0.5, 0.5, math.nan)])
+    def test_non_finite_ratios_rejected(self, ratios):
+        with pytest.raises(ValueError, match="finite"):
+            split_by_singer(_entries(5), ratios, seed=0)
 
 
 def _toy_segments(n_singers, per_singer, seconds=10.0):
@@ -203,6 +210,14 @@ class TestBuildDataset:
         doc = build_dataset(entries, PairingScheme(DUET), snr_range=(0.0, 0.0),
                             seed=1, out_dir=tmp_path / "ds")
         assert all(rec["snr_db"] == 0.0 for rec in doc["pairs"])
+
+    @pytest.mark.parametrize("snr_range", [
+        (-math.inf, math.inf), (math.inf, math.inf), (math.nan, 0.0), (5.0, -5.0)])
+    def test_bad_snr_range_rejected(self, tmp_path, snr_range):
+        with pytest.raises(ValueError, match="snr range"):
+            build_dataset(_entries(4), PairingScheme(DUET), snr_range=snr_range,
+                          out_dir=tmp_path / "ds")
+        assert not (tmp_path / "ds").exists()
 
     def test_rebuild_is_byte_identical(self, tmp_path):
         # 8 singers so every split draws at least two (duet needs them)

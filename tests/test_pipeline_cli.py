@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from singersep import cli, synth
-from singersep.audio import read_wav, write_wav
+from singersep.audio import Waveform, read_wav, write_wav
 from singersep.backends import STAGE1, STAGE2, registry_load
 from singersep.dataset import mix_at_snr
 from singersep.metrics import SENTINEL_DB
@@ -343,6 +343,20 @@ class TestCliExitCodes:
         errors = {c["model_id"]: c["error"] for c in report["candidates"]}
         assert errors["missing"] is not None and errors["clean"] is None
 
+    def test_candidate_with_non_utf8_stderr_is_excluded(self, duet_setup, tmp_path):
+        entries = json.loads(duet_setup["registry"].read_text())
+        entries.append({"model_id": "garbled", "stage": STAGE2,
+                        "command": f'{sys.executable} -c "import sys; '
+                                   "sys.stderr.buffer.write(bytes([255, 254])); "
+                                   'sys.exit(1)" {input} {out_a} {out_b}'})
+        registry = write_registry(tmp_path / "garbled-registry.json", entries)
+        out = tmp_path / "out"
+        assert cli.main(separate_argv(duet_setup, out, registry=registry)) == 0
+        report = json.loads((out / "report.json").read_text())
+        assert report["chosen"] == "clean"
+        errors = {c["model_id"]: c["error"] for c in report["candidates"]}
+        assert errors["garbled"] is not None and errors["clean"] is None
+
     @pytest.mark.parametrize("bypass", [[], ["--model", "marker"]])
     def test_bad_env_units_exits_2_before_any_backend(
             self, duet_setup, marker_setup, tmp_path, capsys, monkeypatch, bypass):
@@ -465,6 +479,30 @@ class TestCliBuildDataset:
         doc = json.loads((tmp_path / "cfg2" / "dataset.json").read_text())
         assert doc["seed"] == 13
 
+    @pytest.mark.parametrize("flag, value", [
+        ("--segment-seconds", "inf"),
+        ("--snr", "-inf:inf"),
+        ("--snr", "inf:inf"),
+        ("--snr", "5:-5"),
+        ("--ratios", "nan,0.5,0.5"),
+    ])
+    def test_bad_value_exits_2(self, tmp_path, capsys, flag, value):
+        manifest = write_toy_stems(tmp_path, n_singers=3, seconds=2.0)
+        out = tmp_path / "ds"
+        rc = cli.main(["build-dataset", "--manifest", str(manifest),
+                       "--scheme", "duet", "--out", str(out), "--seed", "1",
+                       f"{flag}={value}"])
+        assert_clean_exit(rc, capsys.readouterr().err, 2)
+        assert not (out / "dataset.json").exists()
+
+    def test_snr_range_takes_only_colon_form(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["build-dataset", "--manifest", str(tmp_path / "stems.json"),
+                      "--scheme", "duet", "--out", str(tmp_path / "ds"),
+                      "--snr=-5..5"])
+        assert exc.value.code == 2
+        assert "LO:HI" in capsys.readouterr().err
+
 
 @pytest.fixture
 def built_dataset(tmp_path):
@@ -535,6 +573,31 @@ class TestCliEvaluate:
         assert rc == 4
         err = capsys.readouterr().err
         assert doc["pairs"][1]["pair_id"] in err
+
+    def test_split_without_pairs_exits_2(self, built_dataset, tmp_path, capsys):
+        root, _ = built_dataset
+        rc = cli.main(["evaluate", "--dataset", str(root),
+                       "--estimates", str(tmp_path), "--split", "train"])
+        err = capsys.readouterr().err
+        assert_clean_exit(rc, err, 2)
+        assert "'train'" in err
+
+    def test_metric_error_names_the_pair(self, built_dataset, tmp_path, capsys):
+        root, doc = built_dataset
+        est = tmp_path / "short"
+        est.mkdir()
+        bad = doc["pairs"][-1]["pair_id"]
+        for rec in doc["pairs"]:
+            for ch, key in (("a", "src_a"), ("b", "src_b")):
+                src = read_wav(root / rec["paths"][key])
+                if rec["pair_id"] == bad:
+                    src = Waveform(src.samples[:-5], src.sample_rate)
+                write_wav(src, est / f"{rec['pair_id']}_{ch}.wav")
+        rc = cli.main(["evaluate", "--dataset", str(root),
+                       "--estimates", str(est)])
+        err = capsys.readouterr().err
+        assert_clean_exit(rc, err, 2)
+        assert f"pair {bad}: length mismatch" in err
 
 
 class TestCliSelftest:

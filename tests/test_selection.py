@@ -1,3 +1,6 @@
+import math
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -5,6 +8,7 @@ from hypothesis import strategies as st
 
 from singersep import synth
 from singersep.backends import (
+    KIND_EXTERNAL,
     KIND_ORACLE,
     STAGE2,
     CandidateModel,
@@ -17,9 +21,10 @@ from singersep.errors import (
     FrameMismatchError,
     TooShortError,
 )
-from singersep.pitch import PitchTrack
+from singersep.pitch import PitchConfig, PitchTrack
 from singersep.selection import (
     PENALTY_SCORE,
+    check_scoring,
     select_model,
     trend,
     trend_distance,
@@ -298,3 +303,28 @@ class TestSelectModel:
     def test_no_candidates_raises(self):
         with pytest.raises(BackendFailureError):
             select_model(synth.sine(220.0, 1.0), [])
+
+    @pytest.mark.parametrize("bad", [
+        {"units": "cents"},
+        {"pitch_config": PitchConfig(fmin_hz=100.5, fmax_hz=101.0)},
+        {"segment_seconds": math.inf},
+    ])
+    def test_bad_settings_rejected_before_any_backend(self, tmp_path, bad):
+        marker = tmp_path / "backend-ran"
+        touch = CandidateModel("marker", SeparationBackend(
+            kind=KIND_EXTERNAL, stage=STAGE2,
+            command=(f'{sys.executable} -c "import pathlib, sys; '
+                     f'pathlib.Path(sys.argv[1]).touch()" {marker} '
+                     "{input} {out_a} {out_b}")))
+        with pytest.raises((ValueError, ConfigInvalidError)):
+            select_model(synth.sine(220.0, 1.0), [touch], workdir=tmp_path,
+                         **bad)
+        assert not marker.exists()
+
+
+class TestCheckScoring:
+    def test_block_length_in_frames(self):
+        cfg = PitchConfig()
+        assert check_scoring(cfg, "hz", None) is None
+        assert check_scoring(cfg, "semitones", 1.0) == round(1.0 / cfg.hop_seconds)
+        assert check_scoring(cfg, "hz", 1e-6) == 3
