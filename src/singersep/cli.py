@@ -34,8 +34,8 @@ EXIT_INCOMPLETE = 4
 # evaluate's metric columns, in CSV order after pair_id
 _METRIC_COLUMNS = ("si_snr_db", "si_snri_db", "sdr_db", "sdri_db")
 
-# Run settings shared by separate, build-dataset and evaluate. Each key is
-# also read from MIRSS_<KEY> and from a `key = value` line of the config file.
+# Run settings. A verb takes only those it declares (build_parser), also from
+# MIRSS_<KEY> and config lines, so one environment and config serve all verbs.
 _SETTINGS = {
     "seed": {"type": int},
     "jobs": {"type": int, "help": "worker pool size, at least 1 (default: CPUs)"},
@@ -53,9 +53,9 @@ def _flag(key: str) -> str:
     return f"--{key.replace('_', '-')}"
 
 
-def _config_flags(path) -> list[str]:
-    """The ``key = value`` lines of a config file as flags; '#' starts a comment."""
-    flags = []
+def _config_settings(path) -> list[tuple[str, str]]:
+    """The ``key = value`` lines of a config file; '#' starts a comment."""
+    settings = []
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
@@ -67,8 +67,8 @@ def _config_flags(path) -> list[str]:
             if key not in _SETTINGS:
                 raise ConfigInvalidError(
                     f"{path}:{lineno}: unknown key {key!r} (known: {', '.join(_SETTINGS)})")
-            flags.append(f"{_flag(key)}={value}")
-    return flags
+            settings.append((key, value))
+    return settings
 
 
 class _SettingsParser(argparse.ArgumentParser):
@@ -83,9 +83,10 @@ def _merge_settings(args, argv: list[str]):
     """Parse again with the config file's, then the environment's settings
     as flags in front of the user's: argparse keeps the last value it sees."""
     path = args.config or os.environ.get("MIRSS_CONFIG")
-    leading = _config_flags(path) if path else []
-    env = {key: os.environ.get(f"MIRSS_{key.upper()}") for key in _SETTINGS}
-    leading += [f"{_flag(key)}={value}" for key, value in env.items() if value is not None]
+    settings = _config_settings(path) if path else []
+    settings += [(key, os.environ.get(f"MIRSS_{key.upper()}")) for key in _SETTINGS]
+    leading = [f"{_flag(key)}={value}" for key, value in settings
+               if key in vars(args) and value is not None]
     if leading:
         verb = argv.index(args.command) + 1
         args = build_parser(_SettingsParser).parse_args(
@@ -103,30 +104,31 @@ def _ensure_seed(value: int | None) -> int:
     return drawn
 
 
-def _add_shared_flags(p: argparse.ArgumentParser) -> None:
+def _add_settings(p: argparse.ArgumentParser, *keys: str) -> None:
     p.add_argument("--config", help="key=value config file (or MIRSS_CONFIG)")
-    for key, spec in _SETTINGS.items():
-        p.add_argument(_flag(key), **spec)
+    for key in keys:
+        p.add_argument(_flag(key), **_SETTINGS[key])
 
 
 def cmd_separate(args) -> int:
+    refs = [ref for ref in (args.ref_a, args.ref_b) if ref is not None]
+    if len(refs) == 1:
+        raise ConfigInvalidError("--ref-a and --ref-b must be given together")
     models = backends.registry_load(args.registry)
-    seed = _ensure_seed(args.seed)
-    refs = (args.ref_a, args.ref_b) if args.ref_a and args.ref_b else None
     result = pipeline.separate_song(
         args.song,
         models,
         stage1_id=args.stage1,
         out_dir=args.out,
         model=args.model,
-        seed=seed,
+        seed=args.seed,
         pitch_config=pitch.PitchConfig(
             frame_seconds=args.pitch_frame, hop_seconds=args.pitch_hop,
             threshold=args.pitch_threshold, fmin_hz=args.pitch_fmin,
             fmax_hz=args.pitch_fmax),
         units=args.units,
         segment_seconds=args.segment_seconds,
-        refs=refs,
+        refs=tuple(refs) or None,
         jobs=args.jobs,
     )
     report = result.report
@@ -397,10 +399,11 @@ def build_parser(parser_class=argparse.ArgumentParser) -> argparse.ArgumentParse
                    help="score trends in blocks of this length instead of whole-input")
     p.add_argument("--ref-a", default=None, help="ground-truth vocal A for evaluation")
     p.add_argument("--ref-b", default=None, help="ground-truth vocal B for evaluation")
-    _add_shared_flags(p)
+    _add_settings(p, *_SETTINGS)
     p.set_defaults(func=cmd_separate)
 
-    p = sub.add_parser("build-dataset", help="build training mixtures from stems")
+    p = sub.add_parser("build-dataset", help="build training mixtures from stems",
+                       description="Build mixtures from stems, serially: --jobs is unused.")
     p.add_argument("--manifest", required=True,
                    help="JSON array of {song_id, singer_id, vocal_path}")
     p.add_argument("--scheme", choices=("duet", "self"), required=True)
@@ -411,7 +414,7 @@ def build_parser(parser_class=argparse.ArgumentParser) -> argparse.ArgumentParse
     p.add_argument("--segment-seconds", type=float, default=10.0)
     p.add_argument("--ratios", type=_parse_ratios, default=(0.8, 0.1, 0.1),
                    metavar="TRAIN,VALID,TEST")
-    _add_shared_flags(p)
+    _add_settings(p, "seed", "jobs")
     p.set_defaults(func=cmd_build_dataset)
 
     p = sub.add_parser("evaluate", help="score estimates against a built dataset")
@@ -422,13 +425,11 @@ def build_parser(parser_class=argparse.ArgumentParser) -> argparse.ArgumentParse
     p.add_argument("--split", choices=("train", "valid", "test", "all"),
                    default="test")
     p.add_argument("--csv", default=None, help="output CSV path")
-    _add_shared_flags(p)
+    _add_settings(p, "jobs")
     p.set_defaults(func=cmd_evaluate)
 
     p = sub.add_parser("selftest", help="run the bundled synthetic fixture suite")
     p.add_argument("--json", action="store_true", help="machine-readable results")
-    p.add_argument("--seed", type=int, default=None,
-                   help="accepted for interface uniformity; the suite is fixed")
     p.set_defaults(func=cmd_selftest)
 
     return parser

@@ -221,8 +221,9 @@ def build_dataset(manifest: list[StemEntry],
                   ratios: tuple[float, float, float] = (0.8, 0.1, 0.1)) -> dict:
     """Build mixture pairs for every split and write WAVs plus the manifest.
 
-    Entries without a split assignment are split by singer first. Returns
-    the manifest dict (also written to ``out_dir/dataset.json``).
+    Entries pin their split all together or not at all; unpinned ones are
+    split by singer first. Returns the manifest dict (also written to
+    ``out_dir/dataset.json``).
     """
     lo, hi = snr_range
     if not -math.inf < lo <= hi < math.inf:
@@ -235,7 +236,18 @@ def build_dataset(manifest: list[StemEntry],
         int(children[1].generate_state(1)[0]),
         children[2])
 
-    if any(e.split is None for e in manifest):
+    pinned = [e for e in manifest if e.split is not None]
+    for e in pinned:
+        if e.split not in SPLITS:
+            raise ValueError(
+                f"stem entry {e.song_id!r} of singer {e.singer_id!r}: unknown split "
+                f"{e.split!r} (expected one of {', '.join(SPLITS)})")
+    if 0 < len(pinned) < len(manifest):
+        e = next(e for e in manifest if e.split is None)
+        raise ValueError(
+            f"{len(pinned)} of {len(manifest)} stem entries pin a split but "
+            f"{e.song_id!r} of singer {e.singer_id!r} does not; pin every entry or none")
+    if len(pinned) < len(manifest):
         entries = split_by_singer(manifest, ratios=ratios, seed=split_seed)
     else:
         entries = manifest

@@ -267,6 +267,25 @@ class TestBuildDataset:
             build_dataset(entries, PairingScheme(DUET), seed=0,
                           out_dir=tmp_path / "ds")
 
+    @pytest.mark.parametrize("bad", ["Train", "dev", 1])
+    def test_unknown_split_name_rejected(self, tmp_path, bad):
+        entries = _entries(3)
+        for e in entries:
+            e.split = "train"
+        entries[1].split = bad
+        with pytest.raises(ValueError, match=f"'singer-1'.*unknown split {bad!r}"):
+            build_dataset(entries, PairingScheme(DUET), out_dir=tmp_path / "ds")
+        assert not (tmp_path / "ds").exists()
+
+    def test_partly_pinned_manifest_rejected(self, tmp_path):
+        entries = _entries(4)
+        entries[0].split = "test"
+        entries[1].split = "train"
+        with pytest.raises(ValueError, match="2 of 4 .*'singer-2' does not; "
+                                             "pin every entry or none"):
+            build_dataset(entries, PairingScheme(DUET), out_dir=tmp_path / "ds")
+        assert not (tmp_path / "ds").exists()
+
     def test_duet_pairs_cross_singer_in_manifest(self, tmp_path):
         manifest = write_toy_stems(tmp_path, n_singers=3, seconds=20.0, split="train")
         entries = load_stem_manifest(manifest)

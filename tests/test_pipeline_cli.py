@@ -1,6 +1,9 @@
+import argparse
 import json
+import re
 import sys
 import textwrap
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -155,6 +158,17 @@ class TestCliSeparate:
             "--model", "leaky", "--seed", "3"])
         assert rc == 0
         assert "selection bypassed" in capsys.readouterr().out
+
+    def test_seed_recorded_as_given(self, duet_setup, tmp_path, capsys, monkeypatch):
+        monkeypatch.delenv("MIRSS_SEED", raising=False)
+        out = tmp_path / "no-seed"
+        rc = cli.main([
+            "separate", str(duet_setup["song"]),
+            "--registry", str(duet_setup["registry"]),
+            "--stage1", "stage1-pass", "--out", str(out)])
+        assert rc == 0
+        assert "drew seed" not in capsys.readouterr().out
+        assert json.loads((out / "report.json").read_text())["seed"] is None
 
     def test_missing_stage1_exits_2(self, duet_setup, tmp_path):
         rc = cli.main([
@@ -369,6 +383,18 @@ class TestCliExitCodes:
         assert "cents" in err
         assert not marker.exists() and not out.exists()
 
+    @pytest.mark.parametrize("given", ["--ref-a", "--ref-b"])
+    def test_one_reference_alone_exits_2_before_any_backend(
+            self, duet_setup, marker_setup, tmp_path, capsys, given):
+        registry, marker = marker_setup
+        out = tmp_path / "out"
+        rc = cli.main(separate_argv(duet_setup, out, given, str(duet_setup["refs"][0]),
+                                    registry=registry))
+        err = capsys.readouterr().err
+        assert_clean_exit(rc, err, 2)
+        assert "--ref-a and --ref-b must be given together" in err
+        assert not marker.exists() and not out.exists()
+
     def test_unknown_config_key_exits_2(self, duet_setup, tmp_path, capsys):
         cfg = tmp_path / "mirss.cfg"
         cfg.write_text("pitch_fmn = 400\n")
@@ -503,6 +529,23 @@ class TestCliBuildDataset:
         assert exc.value.code == 2
         assert "LO:HI" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("pin, message", [
+        ("Train", "'singer-1': unknown split 'Train'"),
+        (None, "'singer-1' does not; pin every entry or none"),
+    ])
+    def test_bad_split_pin_exits_2(self, tmp_path, capsys, pin, message):
+        manifest = write_toy_stems(tmp_path, n_singers=3, seconds=2.0, split="train")
+        rows = json.loads(manifest.read_text())
+        rows[1]["split"] = pin
+        manifest.write_text(json.dumps(rows))
+        out = tmp_path / "ds"
+        rc = cli.main(["build-dataset", "--manifest", str(manifest),
+                       "--scheme", "duet", "--out", str(out), "--seed", "1"])
+        err = capsys.readouterr().err
+        assert_clean_exit(rc, err, 2)
+        assert message in err
+        assert not out.exists()
+
 
 @pytest.fixture
 def built_dataset(tmp_path):
@@ -516,15 +559,20 @@ def built_dataset(tmp_path):
     return root, doc
 
 
+def write_oracle_estimates(root, doc, est):
+    """Each pair's sources written as its estimates; returns the directory."""
+    est.mkdir()
+    for rec in doc["pairs"]:
+        for ch, key in (("a", "src_a"), ("b", "src_b")):
+            src = read_wav(root / rec["paths"][key])
+            write_wav(src, est / f"{rec['pair_id']}_{ch}.wav")
+    return est
+
+
 class TestCliEvaluate:
     def test_oracle_estimates_hit_sentinel(self, built_dataset, tmp_path, capsys):
         root, doc = built_dataset
-        est = tmp_path / "est"
-        est.mkdir()
-        for rec in doc["pairs"]:
-            for ch, key in (("a", "src_a"), ("b", "src_b")):
-                src = read_wav(root / rec["paths"][key])
-                write_wav(src, est / f"{rec['pair_id']}_{ch}.wav")
+        est = write_oracle_estimates(root, doc, tmp_path / "est")
         rc = cli.main(["evaluate", "--dataset", str(root),
                        "--estimates", str(est)])
         assert rc == 0
@@ -598,6 +646,116 @@ class TestCliEvaluate:
         err = capsys.readouterr().err
         assert_clean_exit(rc, err, 2)
         assert f"pair {bad}: length mismatch" in err
+
+
+# the run settings each verb declares
+VERB_SETTINGS = {
+    "separate": set(cli._SETTINGS),
+    "build-dataset": {"seed", "jobs"},
+    "evaluate": {"jobs"},
+    "selftest": set(),
+}
+
+
+def verb_argv(verb, tmp_path):
+    """A complete command line for ``verb``; its input paths need not exist."""
+    return {
+        "build-dataset": ["build-dataset", "--manifest", str(tmp_path / "stems.json"),
+                          "--scheme", "duet", "--out", str(tmp_path / "ds")],
+        "evaluate": ["evaluate", "--dataset", str(tmp_path / "ds"),
+                     "--estimates", str(tmp_path / "est")],
+        "selftest": ["selftest"],
+    }[verb]
+
+
+class TestCliSettingsPerVerb:
+    def test_readme_settings_table_matches_parsers(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(
+            encoding="utf-8")
+        rows = re.findall(r"^\| `(\w+)` \| `(\w+)` \| `([\w-]+)` \| (.+) \|$",
+                          readme, re.M)
+        assert [key for key, *_ in rows] == list(cli._SETTINGS)
+        documented = {}
+        for key, env, flag, verbs in rows:
+            assert (env, flag) == (f"MIRSS_{key.upper()}", cli._flag(key))
+            for verb in re.findall(r"`([\w-]+)`", verbs):
+                documented.setdefault(verb, set()).add(key)
+        sub = next(a for a in cli.build_parser()._actions
+                   if isinstance(a, argparse._SubParsersAction))
+        declared = {verb: {key for key in cli._SETTINGS
+                           if cli._flag(key) in p._option_string_actions}
+                    for verb, p in sub.choices.items()}
+        assert declared == VERB_SETTINGS
+        assert documented == {verb: keys for verb, keys in declared.items() if keys}
+
+    @pytest.mark.parametrize("verb, key", [
+        (verb, key) for verb, keys in VERB_SETTINGS.items()
+        for key in cli._SETTINGS if key not in keys])
+    def test_undeclared_setting_flag_exits_2(self, tmp_path, capsys, verb, key):
+        value = "hz" if key == "units" else "3"
+        with pytest.raises(SystemExit) as exc:
+            cli.main(verb_argv(verb, tmp_path) + [cli._flag(key), value])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {cli._flag(key)} {value}" in \
+            capsys.readouterr().err
+        assert not (tmp_path / "ds").exists()
+
+    @pytest.mark.parametrize("var, value", [
+        ("MIRSS_PITCH_FMIN", "abc"), ("MIRSS_UNITS", "cents")])
+    def test_unread_env_settings_ignored(self, built_dataset, tmp_path, monkeypatch,
+                                         var, value):
+        monkeypatch.setenv(var, value)
+        stems = tmp_path / "other"
+        stems.mkdir()
+        manifest = write_toy_stems(stems, n_singers=2, seconds=10.0, split="train")
+        assert cli.main(["build-dataset", "--manifest", str(manifest), "--scheme",
+                         "duet", "--out", str(tmp_path / "ds2"), "--seed", "1"]) == 0
+        root, doc = built_dataset
+        est = write_oracle_estimates(root, doc, tmp_path / "est")
+        assert cli.main(["evaluate", "--dataset", str(root),
+                         "--estimates", str(est)]) == 0
+
+    def test_one_config_file_serves_every_verb(self, duet_setup, built_dataset,
+                                               tmp_path, monkeypatch):
+        cfg = tmp_path / "mirss.cfg"
+        cfg.write_text("seed = 5\njobs = 1\npitch_fmin = 70\n")
+        monkeypatch.setenv("MIRSS_CONFIG", str(cfg))
+        for key in cli._SETTINGS:
+            monkeypatch.delenv(f"MIRSS_{key.upper()}", raising=False)
+        seen = {}
+
+        def record(*args, **kwargs):
+            seen.update(kwargs)
+            return SimpleNamespace(report={
+                "chosen": "clean", "selection_bypassed": False,
+                "candidates": [], "evaluation": None})
+
+        monkeypatch.setattr(cli.pipeline, "separate_song", record)
+        assert cli.main(["separate", str(duet_setup["song"]),
+                         "--registry", str(duet_setup["registry"]),
+                         "--stage1", "stage1-pass", "--out", str(tmp_path / "out")]) == 0
+        assert (seen["seed"], seen["jobs"], seen["pitch_config"].fmin_hz) == (5, 1, 70.0)
+
+        stems = tmp_path / "other"
+        stems.mkdir()
+        manifest = write_toy_stems(stems, n_singers=2, seconds=10.0, split="train")
+        assert cli.main(["build-dataset", "--manifest", str(manifest),
+                         "--scheme", "duet", "--out", str(tmp_path / "ds2")]) == 0
+        assert json.loads((tmp_path / "ds2" / "dataset.json").read_text())["seed"] == 5
+
+        root, doc = built_dataset
+        est = write_oracle_estimates(root, doc, tmp_path / "est")
+        assert cli.main(["evaluate", "--dataset", str(root),
+                         "--estimates", str(est)]) == 0
+
+    @pytest.mark.parametrize("verb", ["build-dataset", "evaluate"])
+    def test_unknown_config_key_exits_2_on_every_verb(self, tmp_path, capsys, verb):
+        cfg = tmp_path / "mirss.cfg"
+        cfg.write_text("pitch_fmn = 400\n")
+        rc = cli.main(verb_argv(verb, tmp_path) + ["--config", str(cfg)])
+        err = capsys.readouterr().err
+        assert_clean_exit(rc, err, 2)
+        assert "pitch_fmn" in err
 
 
 class TestCliSelftest:
