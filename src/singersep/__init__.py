@@ -10,8 +10,8 @@ from .audio import CANONICAL_RATE, Segment, Waveform, read_wav, resample, segmen
 from .backends import CandidateModel, OracleSpec, SeparationBackend, registry_load, run_backend
 from .dataset import MixPair, PairingScheme, StemEntry, build_dataset, mix_at_snr, pair_segments, split_by_singer
 from .metrics import SENTINEL_DB, EvalReport, improvement, pit_evaluate, sdr, si_snr
-from .pitch import PitchConfig, PitchTrack, load_pitch_track, track_pitch
-from .selection import PENALTY_SCORE, TrendScore, select_model, trend, trend_distance
+from .pitch import PitchConfig, PitchTrack, track_pitch
+from .selection import PENALTY_SCORE, TrendScore, select_model, trend_distance
 
 __version__ = "0.1.0"
 
@@ -33,7 +33,6 @@ __all__ = [
     "Waveform",
     "build_dataset",
     "improvement",
-    "load_pitch_track",
     "mix_at_snr",
     "pair_segments",
     "pit_evaluate",
@@ -47,7 +46,6 @@ __all__ = [
     "si_snr",
     "split_by_singer",
     "track_pitch",
-    "trend",
     "trend_distance",
     "write_wav",
 ]

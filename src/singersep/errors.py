@@ -45,19 +45,7 @@ class ConfigInvalidError(SingerSepError):
     """A run setting or the pitch tracker configuration is unusable."""
 
 
-class MalformedCsvError(SingerSepError):
-    """Pitch CSV has non-numeric or malformed rows."""
-
-
-class FrameCountMismatchError(SingerSepError):
-    """Loaded pitch track length disagrees with the expected frame count."""
-
-
 # --- trend scoring ---
-
-class TooShortError(SingerSepError):
-    """Pitch track too short to difference."""
-
 
 class FrameMismatchError(SingerSepError):
     """Pitch tracks disagree in frame count or hop."""

@@ -13,9 +13,6 @@ energies from a cumulative sum of squares and the correlation r(tau) from
 one FFT per frame. The pick runs on whole arrays, with no loop over lags
 or frames. Frames go through in fixed blocks of ``BLOCK_FRAMES``, so the
 working memory stays flat with input length.
-
-Externally computed tracks (e.g. from a neural pitch model) can be imported
-from CSV with ``load_pitch_track`` and used interchangeably.
 """
 
 from __future__ import annotations
@@ -27,7 +24,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .audio import CANONICAL_RATE, Waveform
-from .errors import ConfigInvalidError, FrameCountMismatchError, MalformedCsvError
+from .errors import ConfigInvalidError
 
 DEFAULT_FMIN_HZ = 55.0
 DEFAULT_FMAX_HZ = 1000.0
@@ -206,62 +203,6 @@ def _block_pitches(frames: np.ndarray, rate: int, cfg: PitchConfig) -> np.ndarra
     pitches = np.zeros(n_frames)
     pitches[voiced] = np.clip(rate / refined[voiced], cfg.fmin_hz, cfg.fmax_hz)
     return pitches
-
-
-def load_pitch_track(path, expected_frames: int | None = None,
-                     hop_seconds: float = 0.010,
-                     confidence_floor: float = 0.5) -> PitchTrack:
-    """Load a "time_sec,frequency_hz[,confidence]" CSV as a PitchTrack.
-
-    Rows with confidence under the floor (when the column exists) are
-    zeroed; the track is resampled onto the pipeline hop by nearest-time
-    lookup. With ``expected_frames`` given, a discrepancy of more than two
-    frames raises FrameCountMismatchError.
-    """
-    times, freqs = [], []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            fields = [f.strip() for f in line.split(",")]
-            if len(fields) not in (2, 3):
-                raise MalformedCsvError(f"{path}:{lineno}: expected 2 or 3 columns")
-            try:
-                row = [float(f) for f in fields]
-            except ValueError:
-                if lineno == 1:
-                    continue  # optional header
-                raise MalformedCsvError(f"{path}:{lineno}: non-numeric row {fields!r}")
-            t, f = row[0], row[1]
-            if len(row) == 3 and row[2] < confidence_floor:
-                f = 0.0
-            times.append(t)
-            freqs.append(max(f, 0.0))
-
-    if not times:
-        raise MalformedCsvError(f"{path}: no data rows")
-
-    order = np.argsort(times)
-    times_arr = np.asarray(times)[order]
-    freqs_arr = np.asarray(freqs)[order]
-
-    implied = int(round(times_arr[-1] / hop_seconds)) + 1
-    if expected_frames is not None:
-        if abs(implied - expected_frames) > 2:
-            raise FrameCountMismatchError(
-                f"{path}: csv implies {implied} frames, expected {expected_frames}")
-        n_out = expected_frames
-    else:
-        n_out = implied
-
-    grid = np.arange(n_out) * hop_seconds
-    idx = np.searchsorted(times_arr, grid)
-    idx = np.clip(idx, 0, len(times_arr) - 1)
-    left = np.clip(idx - 1, 0, len(times_arr) - 1)
-    pick_left = np.abs(times_arr[left] - grid) <= np.abs(times_arr[idx] - grid)
-    nearest = np.where(pick_left, left, idx)
-    return PitchTrack(freqs_arr[nearest], hop_seconds)
 
 
 def to_semitones(track: PitchTrack) -> PitchTrack:

@@ -27,7 +27,6 @@ from .errors import (
     ConfigInvalidError,
     ContractViolationError,
     FrameMismatchError,
-    TooShortError,
 )
 from .pitch import PitchConfig, PitchTrack, to_semitones, track_pitch
 
@@ -47,13 +46,6 @@ class TrendScore:
     contributing_frames: int = 0
     penalized: bool = False
     error: str | None = None
-
-
-def trend(p: PitchTrack) -> np.ndarray:
-    """Frame-to-frame pitch difference v_i = p_{i+1} - p_i, zeros included."""
-    if len(p) < 2:
-        raise TooShortError(f"need at least 2 frames, got {len(p)}")
-    return np.diff(p.pitches_hz)
 
 
 def trend_distance(pa: PitchTrack, pb: PitchTrack,

@@ -9,15 +9,10 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from singersep import synth
 from singersep.audio import CANONICAL_RATE, Waveform
-from singersep.errors import (
-    ConfigInvalidError,
-    FrameCountMismatchError,
-    MalformedCsvError,
-)
+from singersep.errors import ConfigInvalidError
 from singersep.pitch import (
     PitchConfig,
     PitchTrack,
-    load_pitch_track,
     num_frames,
     to_semitones,
     track_pitch,
@@ -219,73 +214,6 @@ class TestPitchConfig:
         with pytest.raises(ConfigInvalidError, match="whole-sample period"):
             PitchConfig(fmin_hz=100.5, fmax_hz=101.0).validate(CANONICAL_RATE)
         PitchConfig(fmin_hz=100.0, fmax_hz=101.0).validate(CANONICAL_RATE)  # lag 80
-
-
-class TestLoadPitchTrack:
-    def test_basic_rows(self, tmp_path):
-        path = tmp_path / "p.csv"
-        path.write_text("0.00,440,0.9\n0.01,441,0.9\n")
-        track = load_pitch_track(path)
-        np.testing.assert_array_equal(track.pitches_hz, [440.0, 441.0])
-        assert track.hop_seconds == 0.010
-
-    def test_low_confidence_zeroed(self, tmp_path):
-        path = tmp_path / "p.csv"
-        path.write_text("0.00,440,0.9\n0.01,441,0.2\n")
-        track = load_pitch_track(path)
-        np.testing.assert_array_equal(track.pitches_hz, [440.0, 0.0])
-
-    def test_two_column_csv_keeps_all(self, tmp_path):
-        path = tmp_path / "p.csv"
-        path.write_text("0.00,440\n0.01,441\n0.02,442\n")
-        track = load_pitch_track(path)
-        np.testing.assert_array_equal(track.pitches_hz, [440.0, 441.0, 442.0])
-
-    def test_header_row_skipped(self, tmp_path):
-        path = tmp_path / "p.csv"
-        path.write_text("time,frequency,confidence\n0.00,300,0.8\n0.01,301,0.8\n")
-        track = load_pitch_track(path)
-        np.testing.assert_array_equal(track.pitches_hz, [300.0, 301.0])
-
-    def test_non_numeric_interior_row(self, tmp_path):
-        path = tmp_path / "p.csv"
-        path.write_text("0.00,440,0.9\nnot,a,number\n")
-        with pytest.raises(MalformedCsvError):
-            load_pitch_track(path)
-
-    def test_wrong_column_count(self, tmp_path):
-        path = tmp_path / "p.csv"
-        path.write_text("0.0,1,2,3\n")
-        with pytest.raises(MalformedCsvError):
-            load_pitch_track(path)
-
-    def test_empty_file(self, tmp_path):
-        path = tmp_path / "p.csv"
-        path.write_text("")
-        with pytest.raises(MalformedCsvError):
-            load_pitch_track(path)
-
-    def test_frame_count_mismatch(self, tmp_path):
-        path = tmp_path / "p.csv"
-        path.write_text("0.00,440\n0.01,441\n")
-        with pytest.raises(FrameCountMismatchError):
-            load_pitch_track(path, expected_frames=10)
-
-    def test_frame_count_within_slack(self, tmp_path):
-        path = tmp_path / "p.csv"
-        path.write_text("\n".join(f"{0.01 * i:.2f},{200 + i}" for i in range(10)))
-        track = load_pitch_track(path, expected_frames=12)
-        assert len(track) == 12
-        # trailing frames fall back to the nearest (last) row
-        assert track.pitches_hz[-1] == 209.0
-
-    def test_nearest_time_resampling(self, tmp_path):
-        # 5 ms source hop onto the 10 ms pipeline grid
-        path = tmp_path / "p.csv"
-        rows = [f"{0.005 * i:.3f},{100 + i}" for i in range(8)]
-        path.write_text("\n".join(rows))
-        track = load_pitch_track(path)
-        np.testing.assert_array_equal(track.pitches_hz[:4], [100, 102, 104, 106])
 
 
 class TestSemitones:

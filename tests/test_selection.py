@@ -19,14 +19,12 @@ from singersep.errors import (
     BackendFailureError,
     ConfigInvalidError,
     FrameMismatchError,
-    TooShortError,
 )
 from singersep.pitch import PitchConfig, PitchTrack
 from singersep.selection import (
     PENALTY_SCORE,
     check_scoring,
     select_model,
-    trend,
     trend_distance,
 )
 
@@ -79,21 +77,6 @@ def brute_force_blocked_trend_distance(pa, pb, block):
 
 def _track(values, hop=0.010):
     return PitchTrack(np.asarray(values, dtype=float), hop, 1.0, 2000.0)
-
-
-class TestTrend:
-    def test_literal_differences(self):
-        np.testing.assert_array_equal(trend(_track([100, 110, 120])), [10.0, 10.0])
-
-    def test_constant_is_zero(self):
-        np.testing.assert_array_equal(trend(_track([180] * 5)), np.zeros(4))
-
-    def test_single_frame_too_short(self):
-        with pytest.raises(TooShortError):
-            trend(_track([200]))
-
-    def test_zeros_kept_raw(self):
-        np.testing.assert_array_equal(trend(_track([100, 0, 100])), [-100.0, 100.0])
 
 
 class TestTrendDistance:
