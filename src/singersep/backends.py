@@ -14,6 +14,8 @@ contain spaces. All exchanged audio is mono 8 kHz WAV.
 from __future__ import annotations
 
 import json
+import math
+import numbers
 import shlex
 import shutil
 import string
@@ -48,6 +50,9 @@ _KINDS = (KIND_EXTERNAL, KIND_ORACLE, KIND_PASSTHROUGH)
 # Each stage's output placeholders, in channel order.
 _OUTPUTS = {STAGE1: ("out_vocal", "out_accomp"), STAGE2: ("out_a", "out_b")}
 
+# A failing command's stderr is cut to its last this many characters.
+STDERR_TAIL = 2000
+
 
 def _check_template(command: str, stage: str) -> None:
     """Reject a command template that would fail to split or substitute."""
@@ -79,9 +84,27 @@ class OracleSpec:
     noise_seed: int = 0
 
     def __post_init__(self):
-        if not (0.0 <= self.leak < 0.5):
-            raise MalformedRegistryError(
-                f"oracle leak must be in [0, 0.5), got {self.leak}")
+        checks = {
+            "ref_a": (isinstance(self.ref_a, str), "a path string"),
+            "ref_b": (isinstance(self.ref_b, str), "a path string"),
+            "swap": (isinstance(self.swap, bool), "true or false"),
+            "leak": (_number(self.leak) and 0.0 <= self.leak < 0.5,
+                     "a number in [0, 0.5)"),
+            "noise_snr_db": (self.noise_snr_db is None or _number(self.noise_snr_db),
+                             "null or a finite number"),
+            "noise_seed": (_number(self.noise_seed, numbers.Integral)
+                           and self.noise_seed >= 0, "a non-negative integer"),
+        }
+        for name, (ok, wanted) in checks.items():
+            if not ok:
+                raise MalformedRegistryError(
+                    f"oracle {name} must be {wanted}, got {getattr(self, name)!r}")
+
+
+def _number(value, kind=numbers.Real) -> bool:
+    """A finite number of the given kind; bools are not numbers here."""
+    return (isinstance(value, kind) and not isinstance(value, bool)
+            and math.isfinite(value))
 
 
 @dataclass
@@ -92,6 +115,9 @@ class SeparationBackend:
     oracle: OracleSpec | None = None
 
     def __post_init__(self):
+        if self.command is not None and not isinstance(self.command, str):
+            raise MalformedRegistryError(
+                f"command must be a string, got {self.command!r}")
         if self.kind not in _KINDS:
             raise MalformedRegistryError(f"unknown backend kind {self.kind!r}")
         if self.stage not in _STAGES:
@@ -146,7 +172,8 @@ def _run_external(backend: SeparationBackend, input_w: Waveform,
         raise BackendFailureError(f"command could not start: {cmd}: {exc}")
     if proc.returncode != 0:
         raise BackendFailureError(
-            f"command exited {proc.returncode}: {cmd}\nstderr: {proc.stderr.strip()}")
+            f"command exited {proc.returncode}: {cmd}\n"
+            f"stderr: {proc.stderr.strip()[-STDERR_TAIL:]}")
     outs = []
     for name, path in slots.items():
         if not path.exists():
@@ -215,16 +242,19 @@ def _parse_entry(entry: dict, index: int) -> CandidateModel:
         raise MalformedRegistryError(f"entry {index} missing {exc}")
     kind = entry.get("kind", KIND_EXTERNAL)
     oracle = None
-    if kind == KIND_ORACLE:
-        spec = entry.get("oracle")
-        if not isinstance(spec, dict):
-            raise MalformedRegistryError(f"entry {index}: oracle kind needs an oracle object")
-        try:
-            oracle = OracleSpec(**spec)
-        except TypeError as exc:
-            raise MalformedRegistryError(f"entry {index}: bad oracle spec: {exc}")
-    backend = SeparationBackend(kind=kind, stage=stage,
-                                command=entry.get("command"), oracle=oracle)
+    try:
+        if kind == KIND_ORACLE:
+            spec = entry.get("oracle")
+            if not isinstance(spec, dict):
+                raise MalformedRegistryError("oracle kind needs an oracle object")
+            try:
+                oracle = OracleSpec(**spec)
+            except TypeError as exc:
+                raise MalformedRegistryError(f"bad oracle spec: {exc}")
+        backend = SeparationBackend(kind=kind, stage=stage,
+                                    command=entry.get("command"), oracle=oracle)
+    except MalformedRegistryError as exc:
+        raise MalformedRegistryError(f"entry {index} ({model_id!r}): {exc}") from None
     return CandidateModel(model_id=str(model_id), backend=backend)
 
 

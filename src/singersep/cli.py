@@ -327,23 +327,34 @@ def _selftest_checks(tmp: Path):
         exact = np.array_equal(vocal.samples + accomp.samples, w.samples)
         return exact, "vocal + accompaniment == input" if exact else "mismatch"
 
-    def oracle_selection():
+    def duet():
+        """A 3 s synthetic duet's mix, and the paths of its voices and mix."""
         ref_a = synth.vibrato_sine(200.0, 3.0, depth_hz=3.0)
         ref_b = synth.vibrato_sine(310.0, 3.0, depth_hz=3.0)
-        pa, pb = tmp / "oa.wav", tmp / "ob.wav"
-        audio.write_wav(ref_a, pa)
-        audio.write_wav(ref_b, pb)
         mix = dataset.mix_at_snr(ref_a, ref_b, 0.0).mixture
-        cands = [
-            backends.CandidateModel("clean", backends.SeparationBackend(
-                kind=backends.KIND_ORACLE, stage=backends.STAGE2,
-                oracle=backends.OracleSpec(str(pa), str(pb), leak=0.0))),
-            backends.CandidateModel("leaky", backends.SeparationBackend(
-                kind=backends.KIND_ORACLE, stage=backends.STAGE2,
-                oracle=backends.OracleSpec(str(pa), str(pb), leak=0.4))),
-        ]
+        paths = tmp / "oa.wav", tmp / "ob.wav", tmp / "omix.wav"
+        for w, path in zip((ref_a, ref_b, mix), paths):
+            audio.write_wav(w, path)
+        return mix, *paths
+
+    def oracle(model_id, ref_a, ref_b, leak=0.0):
+        return backends.CandidateModel(model_id, backends.SeparationBackend(
+            kind=backends.KIND_ORACLE, stage=backends.STAGE2,
+            oracle=backends.OracleSpec(str(ref_a), str(ref_b), leak=leak)))
+
+    def oracle_selection():
+        mix, pa, pb, _ = duet()
+        cands = [oracle("clean", pa, pb), oracle("leaky", pa, pb, leak=0.4)]
         result = selection.select_model(mix, cands, workdir=tmp)
         return result.chosen == "clean", f"chose {result.chosen}"
+
+    def copy_penalized():
+        mix, pa, pb, pmix = duet()
+        cands = [oracle("clean", pa, pb), oracle("copy", pmix, pmix)]
+        result = selection.select_model(mix, cands, workdir=tmp)
+        copy = next(s for s in result.scores if s.model_id == "copy")
+        return result.chosen == "clean" and copy.score == selection.PENALTY_SCORE, \
+            f"chose {result.chosen}, copy of the mix scored {copy.score:g}"
 
     return [
         ("wav_roundtrip", wav_roundtrip),
@@ -358,6 +369,7 @@ def _selftest_checks(tmp: Path):
         ("pit_swap", pit_swap),
         ("passthrough_conservation", passthrough_conservation),
         ("oracle_selection", oracle_selection),
+        ("copy_penalized", copy_penalized),
     ]
 
 

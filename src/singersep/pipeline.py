@@ -3,8 +3,8 @@ trend-based selection, output stems, and a run report."""
 
 from __future__ import annotations
 
+import contextlib
 import json
-import shutil
 import time
 from dataclasses import asdict, dataclass
 from pathlib import Path
@@ -55,7 +55,9 @@ def separate_song(song_path,
     With ``model`` set, selection is bypassed and only that candidate runs
     (the others still appear in the report with null scores). ``refs``
     optionally names the two ground-truth vocal files for evaluation.
-    Partial outputs are removed if the run fails.
+    Partial outputs are removed if the run fails. A failed external
+    backend's scratch directory under ``out_dir/tmp`` is kept, since its
+    error names it; ``tmp`` itself is removed only if it ends up empty.
     """
     stage1, candidates = split_registry(models, stage1_id)
     if model is not None and model not in {c.model_id for c in candidates}:
@@ -150,7 +152,8 @@ def separate_song(song_path,
         with open(report_path, "w", encoding="utf-8") as fh:
             json.dump(report, fh, indent=2, sort_keys=True)
             fh.write("\n")
-        shutil.rmtree(out / "tmp", ignore_errors=True)
+        with contextlib.suppress(OSError):  # kept with a failed backend's scratch
+            (out / "tmp").rmdir()
         return RunResult(report=report, accompaniment=accompaniment,
                          mixed_vocal=mixed_vocal)
     except Exception:

@@ -14,6 +14,7 @@ from singersep.backends import (
     KIND_PASSTHROUGH,
     STAGE1,
     STAGE2,
+    STDERR_TAIL,
     OracleSpec,
     SeparationBackend,
     registry_load,
@@ -154,6 +155,17 @@ class TestExternalCommand:
     def test_nonzero_exit_carries_stderr(self, stub_cmd, tmp_path):
         with pytest.raises(BackendFailureError, match="stub blew up"):
             run_backend(stub_cmd("fail"), synth.sine(250.0, 0.5), workdir=tmp_path)
+
+    def test_stderr_cut_to_its_tail(self, tmp_path):
+        backend = SeparationBackend(kind=KIND_EXTERNAL, stage=STAGE2, command=(
+            f'{sys.executable} -c "import sys; '
+            "sys.stderr.write('x' * 2 ** 20 + 'last words'); sys.exit(1)\" "
+            "{input} {out_a} {out_b}"))
+        with pytest.raises(BackendFailureError) as exc:
+            run_backend(backend, synth.sine(250.0, 0.5), workdir=tmp_path)
+        stderr = str(exc.value).split("\nstderr: ", 1)[1]
+        assert len(stderr) == STDERR_TAIL
+        assert stderr.endswith("x" * 100 + "last words")
 
     @pytest.mark.parametrize("program", ["missing", "no-shebang"])
     def test_command_that_cannot_start(self, tmp_path, program):

@@ -1,6 +1,8 @@
 import argparse
 import json
+import math
 import re
+import shlex
 import sys
 import textwrap
 from pathlib import Path
@@ -9,6 +11,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+import singersep
 from singersep import cli, synth
 from singersep.audio import Waveform, read_wav, write_wav
 from singersep.backends import STAGE1, STAGE2, registry_load
@@ -439,6 +442,90 @@ class TestCliExitCodes:
         assert cli.main(argv) == 0
         assert cli.main(argv + [f"--{key.replace('_', '-')}", str(flag)]) == 0
         assert seen == [config, env, flag]
+
+    @pytest.mark.parametrize("field, value", [
+        ("command", 5),
+        ("command", ["run", "{input}", "{out_a}", "{out_b}"]),
+        ("ref_a", 99),
+        ("ref_b", None),
+        ("swap", "yes"),
+        ("leak", True),
+        ("leak", "0.1"),
+        ("noise_snr_db", "loud"),
+        ("noise_snr_db", math.nan),
+        ("noise_seed", "x"),
+        ("noise_seed", -1),
+        ("noise_seed", 1.5),
+    ])
+    def test_malformed_registry_field_exits_2_before_any_backend(
+            self, duet_setup, marker_setup, tmp_path, capsys, field, value):
+        registry, marker = marker_setup
+        entries = json.loads(registry.read_text())
+        by_id = {entry["model_id"]: entry for entry in entries}
+        if field == "command":
+            by_id["marker"]["command"] = value
+        else:
+            by_id["clean"]["oracle"][field] = value
+        out = tmp_path / "out"
+        rc = cli.main(separate_argv(duet_setup, out,
+                                    registry=write_registry(registry, entries)))
+        err = capsys.readouterr().err
+        assert_clean_exit(rc, err, 2)
+        assert "entry" in err and field in err
+        assert not marker.exists() and not out.exists()
+
+
+def add_candidate(setup, tmp_path, model_id, command):
+    """setup's registry plus one external stage-2 candidate."""
+    entries = json.loads(setup["registry"].read_text())
+    entries.append({"model_id": model_id, "stage": STAGE2, "command": command})
+    return write_registry(tmp_path / f"{model_id}-registry.json", entries)
+
+
+# copies its input to both outputs: the mix, returned as two "voices"
+COPY_COMMAND = (f'{sys.executable} -c "import shutil, sys; '
+                "shutil.copy(sys.argv[1], sys.argv[2]); "
+                'shutil.copy(sys.argv[1], sys.argv[3])" {input} {out_a} {out_b}')
+
+
+class TestCliScratch:
+    def test_copy_of_the_mix_loses_and_no_scratch_is_left(self, duet_setup, tmp_path):
+        registry = add_candidate(duet_setup, tmp_path, "copy", COPY_COMMAND)
+        out = tmp_path / "out"
+        assert cli.main(separate_argv(duet_setup, out, registry=registry)) == 0
+        report = json.loads((out / "report.json").read_text())
+        assert report["chosen"] == "clean"
+        copy = next(c for c in report["candidates"] if c["model_id"] == "copy")
+        assert copy["penalized"] and copy["error"] is None
+        assert copy["outputs"] is not None
+        assert not (out / "tmp").exists()
+
+    def test_failed_candidate_keeps_the_scratch_its_error_cites(
+            self, duet_setup, tmp_path):
+        registry = add_candidate(duet_setup, tmp_path, "bad",
+                                 "false {input} {out_a} {out_b}")
+        out = tmp_path / "out"
+        assert cli.main(separate_argv(duet_setup, out, registry=registry)) == 0
+        report = json.loads((out / "report.json").read_text())
+        error = next(c["error"] for c in report["candidates"]
+                     if c["model_id"] == "bad")
+        command = error.splitlines()[0].split(": ", 1)[1]
+        scratch = Path(shlex.split(command)[1]).parent
+        assert scratch.parent == out / "tmp"
+        assert (scratch / "input.wav").is_file()
+
+
+class TestPublicApi:
+    def test_every_exported_name_resolves(self):
+        assert [name for name in singersep.__all__
+                if not hasattr(singersep, name)] == []
+
+    def test_readme_library_imports_run(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(
+            encoding="utf-8")
+        block = re.search(r"^## Library\n\n```python\n(.*?)^```", readme,
+                          re.M | re.S).group(1)
+        exec(compile(block, "README.md", "exec"), {})
 
 
 class TestCliBuildDataset:

@@ -7,6 +7,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from singersep import synth
+from singersep.audio import Waveform, write_wav
 from singersep.backends import (
     KIND_EXTERNAL,
     KIND_ORACLE,
@@ -15,6 +16,7 @@ from singersep.backends import (
     OracleSpec,
     SeparationBackend,
 )
+from singersep.dataset import mix_at_snr
 from singersep.errors import (
     BackendFailureError,
     ConfigInvalidError,
@@ -22,8 +24,12 @@ from singersep.errors import (
 )
 from singersep.pitch import PitchConfig, PitchTrack
 from singersep.selection import (
+    DUPLICATE_MAX_LAG,
+    DUPLICATE_SIMILARITY,
     PENALTY_SCORE,
+    channel_similarity,
     check_scoring,
+    score_candidate,
     select_model,
     trend_distance,
 )
@@ -206,6 +212,71 @@ class TestBlockedTrendDistance:
         t = _track([100, 110, 120, 130])
         with pytest.raises(ConfigInvalidError):
             trend_distance(t, t, block_frames=2)
+
+
+def _delayed(x, lag):
+    """``x`` delayed by ``lag`` samples (advanced when negative), zero-filled."""
+    out = np.zeros_like(x)
+    if lag >= 0:
+        out[lag:] = x[:x.size - lag]
+    else:
+        out[:lag] = x[-lag:]
+    return out
+
+
+class TestDuplicateChannels:
+    @pytest.mark.parametrize("copy", [
+        lambda x: x,
+        lambda x: 0.3 * x,
+        lambda x: -x,
+        lambda x: _delayed(x, 40),
+        lambda x: _delayed(-0.5 * x, -DUPLICATE_MAX_LAG),
+    ], ids=["plain", "scaled", "negated", "delayed-40", "advanced-80-scaled-negated"])
+    def test_copies_penalized_without_tracking(self, tmp_path, copy):
+        (ref_a, _), (ref_b, _) = make_duet_refs(tmp_path, seed=21, seconds=3.0)
+        mix = ref_a.samples + ref_b.samples
+        pair = (Waveform(mix, ref_a.sample_rate), Waveform(copy(mix), ref_a.sample_rate))
+        score = score_candidate(pair, PitchConfig(), "hz", None)
+        assert score.penalized and score.score == PENALTY_SCORE
+        assert score.contributing_frames == 0
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), size=st.integers(1, 3000),
+           scale=st.floats(1e-3, 1e3) | st.floats(-1e3, -1e-3),
+           lag=st.integers(-DUPLICATE_MAX_LAG, DUPLICATE_MAX_LAG))
+    def test_any_scaled_shifted_copy_scores_one(self, seed, size, scale, lag):
+        x = np.random.default_rng(seed).uniform(-1.0, 1.0, size)
+        limit = (size - 1) // 2  # shorter inputs try fewer lags
+        lag = max(-limit, min(limit, lag))
+        assert channel_similarity(x, scale * _delayed(x, lag)) == pytest.approx(1.0)
+
+    def test_oracle_leak_matches_closed_form(self):
+        # uncorrelated equal-power voices: 2a(1-a) / (a^2 + (1-a)^2)
+        rng = np.random.default_rng(5)
+        a, b = rng.standard_normal((2, 48000))
+        for leak, expected in ((0.2, 0.4706), (0.4, 0.9231), (0.45, 0.9802)):
+            got = channel_similarity((1 - leak) * a + leak * b,
+                                     (1 - leak) * b + leak * a)
+            assert got == pytest.approx(expected, abs=0.01)
+            assert got < DUPLICATE_SIMILARITY
+
+    def test_silent_channel_scores_zero(self):
+        x = synth.vibrato_sine(220.0, 1.0).samples
+        assert channel_similarity(x, np.zeros_like(x)) == 0.0
+        assert channel_similarity(np.zeros_like(x), x) == 0.0
+
+    def test_copy_of_the_mix_loses_to_the_clean_oracle(self, tmp_path):
+        (ref_a, pa), (ref_b, pb) = make_duet_refs(tmp_path, seed=6, seconds=4.0)
+        mix = mix_at_snr(ref_a, ref_b, 0.0).mixture
+        mix_path = tmp_path / "mix.wav"
+        write_wav(mix, mix_path)
+        cands = [oracle_candidate("clean", pa, pb),
+                 oracle_candidate("copy", mix_path, mix_path)]
+        result = select_model(mix, cands, workdir=tmp_path)
+        assert result.chosen == "clean"
+        by_id = {s.model_id: s for s in result.scores}
+        assert by_id["copy"].penalized and by_id["copy"].error is None
+        assert not by_id["clean"].penalized
 
 
 class TestSelectModel:
