@@ -21,7 +21,6 @@ import shutil
 import string
 import subprocess
 import tempfile
-import uuid
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -155,10 +154,9 @@ def _reconcile(out: Waveform, input_w: Waveform, what: str) -> Waveform:
 
 def _run_external(backend: SeparationBackend, input_w: Waveform,
                   workdir) -> tuple[Waveform, Waveform]:
-    base = Path(workdir) if workdir is not None else Path(tempfile.gettempdir())
-    base.mkdir(parents=True, exist_ok=True)
-    scratch = base / f"backend-{uuid.uuid4().hex}"
-    scratch.mkdir()
+    if workdir is not None:
+        Path(workdir).mkdir(parents=True, exist_ok=True)
+    scratch = Path(tempfile.mkdtemp(prefix="backend-", dir=workdir))
     in_path = scratch / "input.wav"
     slots = {name: scratch / f"{name}.wav" for name in _OUTPUTS[backend.stage]}
     write_wav(input_w, in_path)

@@ -65,7 +65,12 @@ class MixPair:
     mixture: Waveform
     source_a: Waveform
     source_b: Waveform
-    snr_db: float
+
+
+def _check_ratios(ratios: tuple[float, float, float]) -> None:
+    if not all(0 <= r < math.inf for r in ratios) or abs(sum(ratios) - 1.0) > 1e-9:
+        raise ValueError(
+            f"ratios must be finite, non-negative and sum to 1, got {ratios}")
 
 
 def split_by_singer(entries: list[StemEntry],
@@ -78,10 +83,7 @@ def split_by_singer(entries: list[StemEntry],
     every non-empty split receives at least one singer. Singer-disjointness
     is exact by construction.
     """
-    if not all(0 <= r < math.inf for r in ratios) or abs(sum(ratios) - 1.0) > 1e-9:
-        raise ValueError(
-            f"ratios must be finite, non-negative and sum to 1, got {ratios}")
-
+    _check_ratios(ratios)
     groups: dict[str, list[StemEntry]] = {}
     for e in entries:
         groups.setdefault(e.singer_id, []).append(e)
@@ -179,8 +181,7 @@ def mix_at_snr(a: Waveform, b: Waveform, snr_db: float) -> MixPair:
         src_b /= peak
         mixture = src_a + src_b
     rate = a.sample_rate
-    return MixPair(Waveform(mixture, rate), Waveform(src_a, rate),
-                   Waveform(src_b, rate), float(snr_db))
+    return MixPair(Waveform(mixture, rate), Waveform(src_a, rate), Waveform(src_b, rate))
 
 
 def measured_snr_db(source_a: Waveform, source_b: Waveform) -> float:
@@ -228,6 +229,7 @@ def build_dataset(manifest: list[StemEntry],
     lo, hi = snr_range
     if not -math.inf < lo <= hi < math.inf:
         raise ValueError(f"snr range must be finite with lo <= hi, got {lo}:{hi}")
+    _check_ratios(ratios)
 
     # one seed drives everything: independent child streams per purpose
     children = np.random.SeedSequence(seed).spawn(3)
@@ -323,7 +325,9 @@ def build_dataset(manifest: list[StemEntry],
     return doc
 
 
-def load_manifest(path) -> dict:
+def load_manifest(path) -> tuple[dict, Path]:
+    """Read a built dataset's manifest, given it or its directory; return
+    the manifest and the directory its paths are relative to."""
     path = Path(path)
     if path.is_dir():
         path = path / "dataset.json"
@@ -331,7 +335,7 @@ def load_manifest(path) -> dict:
         doc = json.load(fh)
     if doc.get("schema") != MANIFEST_SCHEMA:
         raise ValueError(f"{path}: unknown manifest schema {doc.get('schema')!r}")
-    return doc
+    return doc, path.parent
 
 
 def load_stem_manifest(path) -> list[StemEntry]:

@@ -57,7 +57,7 @@ class BackendFailureError(SingerSepError):
     """Backend process failed or produced unreadable outputs."""
 
 
-class ContractViolationError(SingerSepError):
+class ContractViolationError(BackendFailureError):
     """Backend output violates the length/rate contract."""
 
 

@@ -28,12 +28,16 @@ def _as_array(x) -> np.ndarray:
     return np.asarray(x, dtype=np.float64)
 
 
-def si_snr(reference, estimate) -> float:
-    """Scale-invariant SNR of estimate against reference, in dB."""
-    ref = _as_array(reference)
-    est = _as_array(estimate)
+def _as_pair(reference, estimate) -> tuple[np.ndarray, np.ndarray]:
+    ref, est = _as_array(reference), _as_array(estimate)
     if ref.size != est.size:
         raise DegenerateInputError(f"length mismatch: {ref.size} vs {est.size}")
+    return ref, est
+
+
+def si_snr(reference, estimate) -> float:
+    """Scale-invariant SNR of estimate against reference, in dB."""
+    ref, est = _as_pair(reference, estimate)
     if ref.size < 2:
         raise DegenerateInputError("si_snr needs at least 2 samples")
     ref = ref - ref.mean()
@@ -54,10 +58,7 @@ def si_snr(reference, estimate) -> float:
 
 def sdr(reference, estimate) -> float:
     """Signal-to-distortion ratio as a plain energy ratio, in dB."""
-    ref = _as_array(reference)
-    est = _as_array(estimate)
-    if ref.size != est.size:
-        raise DegenerateInputError(f"length mismatch: {ref.size} vs {est.size}")
+    ref, est = _as_pair(reference, estimate)
     ref_energy = float(np.dot(ref, ref))
     if ref_energy == 0.0:
         raise DegenerateInputError("zero-energy reference")
@@ -103,8 +104,9 @@ class PitResult:
     mean: EvalReport
 
 
-def _capped_mean(a: float, b: float) -> float:
-    return min((a + b) / 2.0, SENTINEL_DB)
+def capped_mean(*values: float) -> float:
+    """Mean of the values, capped at the sentinel."""
+    return min(float(np.mean(values)), SENTINEL_DB)
 
 
 def pit_evaluate(references, estimates, mixture) -> PitResult:
@@ -122,7 +124,7 @@ def pit_evaluate(references, estimates, mixture) -> PitResult:
     best_mean = -np.inf
     for perm in permutations:
         vals = [si_snr(refs[perm[i]], ests[i]) for i in (0, 1)]
-        mean_val = _capped_mean(vals[0], vals[1])
+        mean_val = capped_mean(*vals)
         if mean_val > best_mean:
             best_mean = mean_val
             best = perm
@@ -139,10 +141,10 @@ def pit_evaluate(references, estimates, mixture) -> PitResult:
             permutation=dict(best),
         ))
     mean_report = EvalReport(
-        si_snr_db=_capped_mean(reports[0].si_snr_db, reports[1].si_snr_db),
-        si_snri_db=_capped_mean(reports[0].si_snri_db, reports[1].si_snri_db),
-        sdr_db=_capped_mean(reports[0].sdr_db, reports[1].sdr_db),
-        sdri_db=_capped_mean(reports[0].sdri_db, reports[1].sdri_db),
+        si_snr_db=capped_mean(reports[0].si_snr_db, reports[1].si_snr_db),
+        si_snri_db=capped_mean(reports[0].si_snri_db, reports[1].si_snri_db),
+        sdr_db=capped_mean(reports[0].sdr_db, reports[1].sdr_db),
+        sdri_db=capped_mean(reports[0].sdri_db, reports[1].sdri_db),
         permutation=dict(best),
     )
     return PitResult(per_source=(reports[0], reports[1]), mean=mean_report)

@@ -28,12 +28,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .audio import CANONICAL_RATE, Waveform
 from .backends import CandidateModel, run_backend
-from .errors import (
-    BackendFailureError,
-    ConfigInvalidError,
-    ContractViolationError,
-    FrameMismatchError,
-)
+from .errors import BackendFailureError, ConfigInvalidError, FrameMismatchError
 from .pitch import PitchConfig, PitchTrack, to_semitones, track_pitch
 
 log = logging.getLogger(__name__)
@@ -226,15 +221,14 @@ def select_model(mixed_vocal: Waveform,
     def run_one(cand: CandidateModel):
         try:
             pair = run_backend(cand.backend, mixed_vocal, workdir=workdir)
-        except (BackendFailureError, ContractViolationError) as exc:
+        except BackendFailureError as exc:
             log.warning("candidate %s failed: %s", cand.model_id, exc)
             return TrendScore(model_id=cand.model_id, score=PENALTY_SCORE,
                               penalized=True, error=str(exc)), None
         result = score_candidate(pair, cfg, units, block_frames)
         return replace(result, model_id=cand.model_id), pair
 
-    max_workers = jobs or min(len(candidates), os.cpu_count() or 1)
-    with ThreadPoolExecutor(max_workers=max_workers) as pool:
+    with ThreadPoolExecutor(max_workers=jobs or os.cpu_count() or 1) as pool:
         outcomes = list(pool.map(run_one, candidates))
 
     scores = [score for score, _ in outcomes]
