@@ -238,6 +238,12 @@ def _parse_entry(entry: dict, index: int) -> CandidateModel:
         stage = entry["stage"]
     except KeyError as exc:
         raise MalformedRegistryError(f"entry {index} missing {exc}")
+    # the id names the candidate's output directory
+    if (not isinstance(model_id, str) or model_id in ("", ".", "..")
+            or "/" in model_id or "\0" in model_id):
+        raise MalformedRegistryError(
+            f"entry {index}: model_id must be a non-empty string, one path "
+            f"component, got {model_id!r}")
     kind = entry.get("kind", KIND_EXTERNAL)
     oracle = None
     try:
@@ -253,7 +259,7 @@ def _parse_entry(entry: dict, index: int) -> CandidateModel:
                                     command=entry.get("command"), oracle=oracle)
     except MalformedRegistryError as exc:
         raise MalformedRegistryError(f"entry {index} ({model_id!r}): {exc}") from None
-    return CandidateModel(model_id=str(model_id), backend=backend)
+    return CandidateModel(model_id=model_id, backend=backend)
 
 
 def registry_load(path) -> list[CandidateModel]:

@@ -1,8 +1,8 @@
 """Command-line entry points: separate, build-dataset, evaluate, selftest.
 
 Run settings resolve as flags > MIRSS_<KEY> environment variables > config
-file (key=value lines). Exit codes: 0 success, 2 configuration error,
-3 backend failure, 4 evaluation incomplete.
+file (key=value lines). Exit codes: 0 success, 1 a failed selftest check,
+2 configuration error, 3 backend failure, 4 evaluation incomplete.
 """
 
 from __future__ import annotations

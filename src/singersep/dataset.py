@@ -339,7 +339,8 @@ def load_manifest(path) -> tuple[dict, Path]:
 
 
 def load_stem_manifest(path) -> list[StemEntry]:
-    """Read the input stem list: a JSON array of {song_id, singer_id, vocal_path}."""
+    """Read the input stem list: a JSON array of {song_id, singer_id, vocal_path}
+    objects whose values are strings, each with an optional split."""
     with open(path, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
     if not isinstance(doc, list):
@@ -347,12 +348,12 @@ def load_stem_manifest(path) -> list[StemEntry]:
     entries = []
     for i, row in enumerate(doc):
         try:
-            entries.append(StemEntry(
-                song_id=str(row["song_id"]),
-                singer_id=str(row["singer_id"]),
-                vocal_path=str(row["vocal_path"]),
-                split=row.get("split"),
-            ))
+            fields = {key: row[key] for key in ("song_id", "singer_id", "vocal_path")}
         except (TypeError, KeyError) as exc:
             raise ValueError(f"{path}: bad stem entry {i}: {exc}")
+        for key, value in fields.items():
+            if not isinstance(value, str):
+                raise ValueError(
+                    f"{path}: bad stem entry {i}: {key} must be a string, got {value!r}")
+        entries.append(StemEntry(**fields, split=row.get("split")))
     return entries

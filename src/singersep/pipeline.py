@@ -54,10 +54,12 @@ def separate_song(song_path,
 
     With ``model`` set, selection is bypassed and only that candidate runs
     (the others still appear in the report with null scores). ``refs``
-    optionally names the two ground-truth vocal files for evaluation.
-    Partial outputs are removed if the run fails. A failed external
-    backend's scratch directory under ``out_dir/tmp`` is kept, since its
-    error names it; ``tmp`` itself is removed only if it ends up empty.
+    optionally names the two ground-truth vocal files for evaluation; they
+    are read before any backend runs, and scored before anything is written.
+    If the run fails, the files it wrote and the directories it made are
+    removed. A failed external backend's scratch directory under
+    ``out_dir/tmp`` is kept, since its error names it; ``tmp`` itself is
+    removed only if it ends up empty.
     """
     stage1, candidates = split_registry(models, stage1_id)
     if model is not None and model not in {c.model_id for c in candidates}:
@@ -65,21 +67,29 @@ def separate_song(song_path,
     # reject bad units, pitch config or block length before any backend runs
     check_scoring(pitch_config or PitchConfig(), units, segment_seconds)
 
+    t_start = time.monotonic()
+    song = resample(read_wav(song_path), CANONICAL_RATE)
+    ref_waves = None if refs is None else (read_wav(refs[0]), read_wav(refs[1]))
+
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    made: list[Path] = []
     written: list[Path] = []
+
+    def makedirs(directory: Path) -> None:
+        """Make a directory and its missing parents, remembering them for rollback."""
+        made.extend(reversed([d for d in (directory, *directory.parents)
+                              if not d.exists()]))
+        directory.mkdir(parents=True, exist_ok=True)
 
     def write(w: Waveform, path: Path) -> str:
         """Write a WAV, remember it for rollback; return its report path."""
-        path.parent.mkdir(parents=True, exist_ok=True)
+        makedirs(path.parent)
         write_wav(w, path)
         written.append(path)
         return str(path.relative_to(out))
 
     try:
-        t_start = time.monotonic()
-        song = resample(read_wav(song_path), CANONICAL_RATE)
-
+        makedirs(out)
         t_stage1 = time.monotonic()
         mixed_vocal, accompaniment = run_backend(stage1.backend, song,
                                                  workdir=out / "tmp")
@@ -105,6 +115,14 @@ def separate_song(song_path,
         selection_seconds = time.monotonic() - t_select
 
         vocal_a, vocal_b = candidate_outputs[selection.chosen]
+        evaluation = None
+        if ref_waves is not None:
+            result = pit_evaluate(ref_waves, (vocal_a, vocal_b), mixed_vocal)
+            evaluation = {
+                "mean": result.mean.to_dict(),
+                "per_source": [r.to_dict() for r in result.per_source],
+            }
+
         outputs = {
             "vocal_a": write(vocal_a, out / "vocal_a.wav"),
             "vocal_b": write(vocal_b, out / "vocal_b.wav"),
@@ -122,15 +140,6 @@ def separate_song(song_path,
                 entry["outputs"] = {"a": write(ca, cdir / "a.wav"),
                                     "b": write(cb, cdir / "b.wav")}
             candidate_entries.append(entry)
-
-        evaluation = None
-        if refs is not None:
-            ref_a, ref_b = read_wav(refs[0]), read_wav(refs[1])
-            result = pit_evaluate((ref_a, ref_b), (vocal_a, vocal_b), mixed_vocal)
-            evaluation = {
-                "mean": result.mean.to_dict(),
-                "per_source": [r.to_dict() for r in result.per_source],
-            }
 
         report = {
             "input": str(song_path),
@@ -150,13 +159,19 @@ def separate_song(song_path,
         }
         report_path = out / "report.json"
         with open(report_path, "w", encoding="utf-8") as fh:
+            written.append(report_path)
             json.dump(report, fh, indent=2, sort_keys=True)
             fh.write("\n")
-        with contextlib.suppress(OSError):  # kept with a failed backend's scratch
-            (out / "tmp").rmdir()
         return RunResult(report=report, accompaniment=accompaniment,
                          mixed_vocal=mixed_vocal)
     except Exception:
         for path in written:
             path.unlink(missing_ok=True)
         raise
+    finally:
+        # rmdir takes only empty directories: tmp unless it keeps a failed
+        # backend's scratch, and those made here only after a failure, since
+        # a success leaves an output in each
+        for directory in (out / "tmp", *reversed(made)):
+            with contextlib.suppress(OSError):
+                directory.rmdir()

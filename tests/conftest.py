@@ -1,4 +1,5 @@
 import json
+import struct
 
 import numpy as np
 import pytest
@@ -19,6 +20,19 @@ def tmp_wav(tmp_path):
         return path
 
     return _write
+
+
+def write_float32_wav(path, floats, rate=8000, channels=1):
+    """Write a 32-bit float WAV, which the toolkit reads but never writes."""
+    payload = np.asarray(floats, dtype="<f4").tobytes()
+    header = struct.pack(
+        "<4sI4s4sIHHIIHH4sI",
+        b"RIFF", 36 + len(payload), b"WAVE",
+        b"fmt ", 16, 3, channels, rate,
+        rate * 4 * channels, 4 * channels, 32,
+        b"data", len(payload))
+    path.write_bytes(header + payload)
+    return path
 
 
 def make_duet_refs(tmp_path, seed, seconds=10.0, carrier_a=200.0, carrier_b=310.0):

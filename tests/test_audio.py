@@ -21,6 +21,8 @@ from singersep.errors import (
     UnsupportedEncodingError,
 )
 
+from conftest import write_float32_wav
+
 
 def _pcm16_file(path, ints, rate=8000, channels=1):
     payload = np.asarray(ints, dtype="<i2").tobytes()
@@ -29,18 +31,6 @@ def _pcm16_file(path, ints, rate=8000, channels=1):
         b"RIFF", 36 + len(payload), b"WAVE",
         b"fmt ", 16, 1, channels, rate,
         rate * 2 * channels, 2 * channels, 16,
-        b"data", len(payload))
-    path.write_bytes(header + payload)
-    return path
-
-
-def _float32_file(path, floats, rate=8000, channels=1):
-    payload = np.asarray(floats, dtype="<f4").tobytes()
-    header = struct.pack(
-        "<4sI4s4sIHHIIHH4sI",
-        b"RIFF", 36 + len(payload), b"WAVE",
-        b"fmt ", 16, 3, channels, rate,
-        rate * 4 * channels, 4 * channels, 32,
         b"data", len(payload))
     path.write_bytes(header + payload)
     return path
@@ -62,7 +52,7 @@ class TestReadWav:
         assert abs(w.samples[0] - 0.5) <= 1 / 32767
 
     def test_float32_payload(self, tmp_path):
-        path = _float32_file(tmp_path / "f.wav", [0.25, -0.75], rate=44100)
+        path = write_float32_wav(tmp_path / "f.wav", [0.25, -0.75], rate=44100)
         w = read_wav(path)
         assert w.sample_rate == 44100
         np.testing.assert_allclose(w.samples, [0.25, -0.75], atol=1e-7)

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from singersep import synth
-from singersep.audio import read_wav
+from singersep.audio import quantize_pcm16, read_wav
 from singersep.backends import (
     KIND_EXTERNAL,
     KIND_ORACLE,
@@ -45,6 +45,8 @@ STUB = textwrap.dedent("""\
         raw = raw[:-10]
     if mode == "offbyone":
         raw = raw[:-2]
+    if mode == "onelong":
+        raw = raw + raw[-2:]
     if mode == "wrongrate":
         rate = 4000
     for path, frames in ((out_a, raw), (out_b, b"\\x00" * len(raw))):
@@ -192,6 +194,11 @@ class TestExternalCommand:
         out_a, out_b = run_backend(stub_cmd("offbyone"), w, workdir=tmp_path)
         assert len(out_a) == len(w)
         assert out_a.samples[-1] == 0.0  # zero-padded tail
+
+    def test_length_one_over_trimmed(self, stub_cmd, tmp_path):
+        w = synth.sine(250.0, 0.5)
+        out_a, _ = run_backend(stub_cmd("onelong"), w, workdir=tmp_path)
+        np.testing.assert_array_equal(out_a.samples, quantize_pcm16(w.samples))
 
     def test_rate_mismatch_rejected(self, stub_cmd, tmp_path):
         with pytest.raises(ContractViolationError):

@@ -6,10 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from singersep import synth
-from singersep.audio import read_wav, segment
+from singersep.audio import Waveform, read_wav, segment
 from singersep.dataset import (
     DUET,
     SELF_HARMONIC,
+    MixPair,
     PairingScheme,
     StemEntry,
     build_dataset,
@@ -18,6 +19,7 @@ from singersep.dataset import (
     mix_at_snr,
     pair_segments,
     split_by_singer,
+    _write_pair,
 )
 from singersep.errors import (
     InsufficientSingersError,
@@ -186,6 +188,17 @@ class TestMixAtSnr:
         pair = mix_at_snr(a, b, -20.0)  # b scaled up well past 1.0
         assert pair.source_b.peak() <= 1.0
         assert measured_snr_db(pair.source_a, pair.source_b) == pytest.approx(-20.0, abs=1e-6)
+
+
+class TestWritePair:
+    def test_rescales_when_grid_rounding_passes_full_scale(self, tmp_path):
+        # each 0.5 rounds up to 16384 / 32767, so the sources' sum lands past 1
+        half = Waveform(np.full(100, 0.5), 8000)
+        _write_pair(MixPair(Waveform(np.ones(100), 8000), half, half), tmp_path)
+        mix, a, b = (np.rint(read_wav(tmp_path / name).samples * 32767)
+                     for name in ("mix.wav", "srcA.wav", "srcB.wav"))
+        assert mix.max() <= 32767 and a.max() < 16384
+        np.testing.assert_array_equal(mix, a + b)
 
 
 class TestBuildDataset:

@@ -20,7 +20,7 @@ from singersep.metrics import SENTINEL_DB
 from singersep.pipeline import separate_song
 from singersep.selection import select_model
 
-from conftest import make_duet_refs, write_registry, write_toy_stems
+from conftest import make_duet_refs, write_float32_wav, write_registry, write_toy_stems
 
 
 @pytest.fixture
@@ -474,6 +474,66 @@ class TestCliExitCodes:
         assert "entry" in err and field in err
         assert not marker.exists() and not out.exists()
 
+    @pytest.mark.parametrize("model_id", [
+        None, 5, "", ".", "..", "../escape", "{tmp}/abs_escape", "a/b"])
+    def test_model_id_not_one_path_component_exits_2_before_any_backend(
+            self, duet_setup, marker_setup, tmp_path, capsys, model_id):
+        registry, marker = marker_setup
+        if isinstance(model_id, str):
+            model_id = model_id.format(tmp=tmp_path)
+        entries = json.loads(registry.read_text())
+        entries[3]["model_id"] = model_id  # the leaky oracle
+        out = tmp_path / "out"
+        rc = cli.main(separate_argv(duet_setup, out,
+                                    registry=write_registry(registry, entries)))
+        err = capsys.readouterr().err
+        assert_clean_exit(rc, err, 2)
+        assert "entry 3: model_id must be" in err
+        assert not marker.exists() and not out.exists()
+        assert not (tmp_path / "abs_escape").exists()
+
+    def test_missing_reference_exits_2_before_any_backend(
+            self, duet_setup, marker_setup, tmp_path, capsys):
+        registry, marker = marker_setup
+        out = tmp_path / "out"
+        rc = cli.main(separate_argv(duet_setup, out,
+                                    "--ref-a", str(tmp_path / "no-such-ref.wav"),
+                                    "--ref-b", str(duet_setup["refs"][1]),
+                                    registry=registry))
+        err = capsys.readouterr().err
+        assert_clean_exit(rc, err, 2)
+        assert "no-such-ref.wav" in err
+        assert not marker.exists() and not out.exists()
+
+    def test_wrong_length_reference_exits_2_and_leaves_nothing(
+            self, duet_setup, tmp_path, capsys):
+        short = tmp_path / "short.wav"
+        write_wav(synth.sine(220.0, 1.0), short)
+        out = tmp_path / "out"
+        rc = cli.main(separate_argv(duet_setup, out, "--ref-a", str(short),
+                                    "--ref-b", str(duet_setup["refs"][1])))
+        err = capsys.readouterr().err
+        assert_clean_exit(rc, err, 2)
+        assert "length mismatch" in err
+        assert not out.exists()
+
+    def test_failed_write_rolls_back_every_output(self, duet_setup, tmp_path, capsys):
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / "candidates").write_text("in the way\n")  # fails after vocal_a.wav
+        rc = cli.main(separate_argv(duet_setup, out))
+        assert_clean_exit(rc, capsys.readouterr().err, 2)
+        assert [p.name for p in out.iterdir()] == ["candidates"]
+
+    def test_float_wav_holding_nan_exits_2_naming_it(self, duet_setup, tmp_path, capsys):
+        song = write_float32_wav(tmp_path / "nan song.wav", [0.1, math.nan, -0.1])
+        out = tmp_path / "out"
+        rc = cli.main(separate_argv(duet_setup, out, song=song))
+        err = capsys.readouterr().err
+        assert_clean_exit(rc, err, 2)
+        assert f"{song}: non-finite sample values" in err
+        assert not out.exists()
+
 
 def add_candidate(setup, tmp_path, model_id, command):
     """setup's registry plus one external stage-2 candidate."""
@@ -607,6 +667,54 @@ class TestCliBuildDataset:
                        f"{flag}={value}"])
         assert_clean_exit(rc, capsys.readouterr().err, 2)
         assert not (out / "dataset.json").exists()
+
+    @pytest.mark.parametrize("value", ["nan,0.5,0.5", "-1,1,1", "0.5,0.5,0.5"])
+    def test_ratios_checked_when_every_entry_pins_its_split(
+            self, tmp_path, capsys, value):
+        manifest = write_toy_stems(tmp_path, n_singers=2, seconds=2.0, split="train")
+        out = tmp_path / "ds"
+        rc = cli.main(["build-dataset", "--manifest", str(manifest),
+                       "--scheme", "duet", "--out", str(out), "--seed", "1",
+                       f"--ratios={value}"])
+        err = capsys.readouterr().err
+        assert_clean_exit(rc, err, 2)
+        assert err.startswith("error: ratios must be")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("value", ["1,2", "a,b,c"])
+    def test_ratios_need_three_numbers(self, tmp_path, capsys, value):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["build-dataset", "--manifest", str(tmp_path / "stems.json"),
+                      "--scheme", "duet", "--out", str(tmp_path / "ds"),
+                      "--ratios", value])
+        assert exc.value.code == 2
+        assert "--ratios" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key", ["song_id", "singer_id", "vocal_path"])
+    @pytest.mark.parametrize("value", [None, 5])
+    def test_non_string_stem_field_exits_2(self, tmp_path, capsys, key, value):
+        manifest = write_toy_stems(tmp_path, n_singers=3, seconds=2.0, split="train")
+        rows = json.loads(manifest.read_text())
+        rows[1][key] = value
+        manifest.write_text(json.dumps(rows))
+        out = tmp_path / "ds"
+        rc = cli.main(["build-dataset", "--manifest", str(manifest),
+                       "--scheme", "duet", "--out", str(out), "--seed", "1"])
+        err = capsys.readouterr().err
+        assert_clean_exit(rc, err, 2)
+        assert f"bad stem entry 1: {key} must be a string" in err
+        assert not out.exists()
+
+    def test_drawn_seed_printed_and_recorded(self, tmp_path, capsys, monkeypatch):
+        manifest = write_toy_stems(tmp_path, n_singers=2, seconds=2.0, split="train")
+        monkeypatch.delenv("MIRSS_SEED", raising=False)
+        monkeypatch.delenv("MIRSS_CONFIG", raising=False)
+        rc = cli.main(["build-dataset", "--manifest", str(manifest),
+                       "--scheme", "duet", "--out", str(tmp_path / "ds")])
+        assert rc == 0
+        drawn = re.search(r"no --seed given; drew seed (\d+)", capsys.readouterr().out)
+        doc = json.loads((tmp_path / "ds" / "dataset.json").read_text())
+        assert drawn and doc["seed"] == int(drawn.group(1))
 
     def test_snr_range_takes_only_colon_form(self, tmp_path, capsys):
         with pytest.raises(SystemExit) as exc:

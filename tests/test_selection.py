@@ -318,6 +318,17 @@ class TestSelectModel:
         assert by_id["degenerate"].penalized
         assert not by_id["honest"].penalized
 
+    def test_all_penalized_returns_argmin_by_model_id(self, tmp_path):
+        (ref_a, pa), _ = make_duet_refs(tmp_path, seed=3, seconds=3.0)
+        silent = tmp_path / "silent.wav"
+        write_wav(synth.silence(3.0), silent)
+        cands = [oracle_candidate("model-b", pa, silent),
+                 oracle_candidate("model-a", silent, pa)]
+        result = select_model(ref_a, cands, workdir=tmp_path)
+        assert result.chosen == "model-a"
+        assert result.all_penalized
+        assert all(s.score == PENALTY_SCORE for s in result.scores)
+
     def test_parallel_trends_beat_diverging(self, tmp_path):
         from singersep.audio import write_wav
         seconds = 4.0
