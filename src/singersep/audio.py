@@ -23,9 +23,18 @@ _KAISER_BETA = 8.6
 _TAPS_PER_PHASE = 64
 
 _PCM16_SCALE = 32767.0
+# One step of the 16-bit grid, in sample units.
+PCM16_LSB = 1.0 / _PCM16_SCALE
 
 _FMT_PCM = 1
 _FMT_IEEE_FLOAT = 3
+
+# Decodable encodings, by (format tag, bits per sample): the stored dtype
+# and the divisor that maps it into [-1, 1].
+_DECODERS = {
+    (_FMT_PCM, 16): ("<i2", _PCM16_SCALE),
+    (_FMT_IEEE_FLOAT, 32): ("<f4", 1.0),
+}
 
 
 @dataclass(eq=False)
@@ -103,16 +112,13 @@ def read_wav(path) -> Waveform:
     if channels < 1 or sample_rate <= 0:
         raise MalformedWavError(f"{path}: invalid fmt fields")
 
-    if audio_format == _FMT_PCM and bits == 16:
-        raw = np.frombuffer(payload, dtype="<i2", count=len(payload) // 2)
-        samples = raw.astype(np.float64) / _PCM16_SCALE
-    elif audio_format == _FMT_IEEE_FLOAT and bits == 32:
-        raw = np.frombuffer(payload, dtype="<f4", count=len(payload) // 4)
-        samples = raw.astype(np.float64)
-    else:
+    if (audio_format, bits) not in _DECODERS:
         raise UnsupportedEncodingError(
             f"{path}: format tag {audio_format} / {bits}-bit not supported "
             "(need 16-bit PCM or 32-bit float)")
+    dtype, scale = _DECODERS[audio_format, bits]
+    raw = np.frombuffer(payload, dtype=dtype, count=len(payload) // (bits // 8))
+    samples = raw.astype(np.float64) / scale
 
     frames = samples.size // channels
     samples = samples[:frames * channels].reshape(frames, channels).mean(axis=1)
@@ -134,8 +140,7 @@ def write_wav(w: Waveform, path) -> None:
         raise InvalidWaveformError(
             f"samples exceed [-1, 1] (peak {peak:.6f}); clip or normalize before writing")
 
-    ints = np.rint(np.clip(w.samples, -1.0, 1.0) * _PCM16_SCALE).astype("<i2")
-    payload = ints.tobytes()
+    payload = _pcm16_codes(w.samples).astype("<i2").tobytes()
     header = struct.pack(
         "<4sI4s4sIHHIIHH4sI",
         b"RIFF", 36 + len(payload), b"WAVE",
@@ -147,10 +152,14 @@ def write_wav(w: Waveform, path) -> None:
         fh.write(payload)
 
 
+def _pcm16_codes(samples: np.ndarray) -> np.ndarray:
+    """The 16-bit codes of samples clipped to [-1, 1], as floats."""
+    return np.rint(np.clip(samples, -1.0, 1.0) * _PCM16_SCALE)
+
+
 def quantize_pcm16(samples: np.ndarray) -> np.ndarray:
     """Snap samples to the 16-bit write grid (what a WAV round trip returns)."""
-    ints = np.rint(np.clip(samples, -1.0, 1.0) * _PCM16_SCALE)
-    return ints / _PCM16_SCALE
+    return _pcm16_codes(samples) / _PCM16_SCALE
 
 
 def resample(w: Waveform, target_rate: int) -> Waveform:

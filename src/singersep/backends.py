@@ -144,12 +144,8 @@ def _reconcile(out: Waveform, input_w: Waveform, what: str) -> Waveform:
     if abs(delta) > 1:
         raise ContractViolationError(
             f"{what}: length {len(out)} vs input {len(input_w)} (off by {delta})")
-    if delta > 0:
-        return Waveform(out.samples[:len(input_w)], out.sample_rate)
-    if delta < 0:
-        padded = np.concatenate([out.samples, np.zeros(-delta)])
-        return Waveform(padded, out.sample_rate)
-    return out
+    kept = out.samples[:len(input_w)]
+    return Waveform(np.pad(kept, (0, len(input_w) - len(kept))), out.sample_rate)
 
 
 def _run_external(backend: SeparationBackend, input_w: Waveform,

@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import logging
 import os
 import sys
 import tempfile
@@ -26,19 +27,18 @@ EXIT_CONFIG = 2
 EXIT_BACKEND = 3
 EXIT_INCOMPLETE = 4
 
-# evaluate's metric columns, in CSV order after pair_id
-_METRIC_COLUMNS = ("si_snr_db", "si_snri_db", "sdr_db", "sdri_db")
+# The pitch settings, each with the PitchConfig field it sets.
+_PITCH_FIELDS = {"pitch_threshold": "threshold", "pitch_fmin": "fmin_hz",
+                 "pitch_fmax": "fmax_hz", "pitch_frame": "frame_seconds",
+                 "pitch_hop": "hop_seconds"}
 
 # Run settings. A verb takes only those it declares (build_parser), also from
 # MIRSS_<KEY> and config lines, so one environment and config serve all verbs.
 _SETTINGS = {
     "seed": {"type": int},
     "jobs": {"type": int, "help": "worker pool size, at least 1 (default: CPUs)"},
-    "pitch_threshold": {"type": float, "default": pitch.PitchConfig.threshold},
-    "pitch_fmin": {"type": float, "default": pitch.PitchConfig.fmin_hz},
-    "pitch_fmax": {"type": float, "default": pitch.PitchConfig.fmax_hz},
-    "pitch_frame": {"type": float, "default": pitch.PitchConfig.frame_seconds},
-    "pitch_hop": {"type": float, "default": pitch.PitchConfig.hop_seconds},
+    **{key: {"type": float, "default": getattr(pitch.PitchConfig, field)}
+       for key, field in _PITCH_FIELDS.items()},
     "units": {"choices": selection.UNITS, "default": "hz",
               "help": "pitch units for trend scoring (default hz)"},
 }
@@ -118,9 +118,7 @@ def cmd_separate(args) -> int:
         model=args.model,
         seed=args.seed,
         pitch_config=pitch.PitchConfig(
-            frame_seconds=args.pitch_frame, hop_seconds=args.pitch_hop,
-            threshold=args.pitch_threshold, fmin_hz=args.pitch_fmin,
-            fmax_hz=args.pitch_fmax),
+            **{field: getattr(args, key) for key, field in _PITCH_FIELDS.items()}),
         units=args.units,
         segment_seconds=args.segment_seconds,
         refs=tuple(refs) or None,
@@ -211,17 +209,17 @@ def cmd_evaluate(args) -> int:
             continue
         mean = result.mean
         rows.append({"pair_id": pair_id,
-                     **{k: getattr(mean, k) for k in _METRIC_COLUMNS}})
+                     **{k: getattr(mean, k) for k in metrics.METRICS}})
         print(f"{pair_id}: SI-SNRi {mean.si_snri_db:.4f} dB, "
               f"SDRi {mean.sdri_db:.4f} dB")
 
     if rows:
-        means = {k: metrics.capped_mean(*(r[k] for r in rows)) for k in _METRIC_COLUMNS}
+        means = {k: metrics.capped_mean(*(r[k] for r in rows)) for k in metrics.METRICS}
         print(f"mean over {len(rows)} pairs: "
               f"SI-SNRi {means['si_snri_db']:.4f} dB, SDRi {means['sdri_db']:.4f} dB")
         csv_path = Path(args.csv) if args.csv else estimates / "evaluation.csv"
         with open(csv_path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.DictWriter(fh, fieldnames=["pair_id", *_METRIC_COLUMNS])
+            writer = csv.DictWriter(fh, fieldnames=["pair_id", *metrics.METRICS])
             writer.writeheader()
             writer.writerows(rows)
             writer.writerow({"pair_id": "mean", **means})
@@ -424,8 +422,7 @@ def build_parser(parser_class=argparse.ArgumentParser) -> argparse.ArgumentParse
                    help="dataset directory or dataset.json path")
     p.add_argument("--estimates", required=True,
                    help="directory of <pair_id>_a.wav / <pair_id>_b.wav files")
-    p.add_argument("--split", choices=("train", "valid", "test", "all"),
-                   default="test")
+    p.add_argument("--split", choices=(*dataset.SPLITS, "all"), default="test")
     p.add_argument("--csv", default=None, help="output CSV path")
     _add_settings(p, "jobs")
     p.set_defaults(func=cmd_evaluate)
@@ -456,6 +453,7 @@ def _parse_ratios(text: str) -> tuple[float, float, float]:
 
 
 def main(argv=None) -> int:
+    logging.basicConfig(format="%(levelname)s %(name)s: %(message)s")
     argv = sys.argv[1:] if argv is None else list(argv)
     args = build_parser().parse_args(argv)
     try:

@@ -18,6 +18,7 @@ import numpy as np
 
 from .audio import (
     CANONICAL_RATE,
+    PCM16_LSB,
     Segment,
     Waveform,
     quantize_pcm16,
@@ -38,6 +39,9 @@ SPLITS = ("train", "valid", "test")
 
 DUET = "duet"
 SELF_HARMONIC = "self_harmonic"
+
+# Each pair's files, by their key in a manifest record's "paths".
+_PAIR_FILES = {"mix": "mix.wav", "src_a": "srcA.wav", "src_b": "srcB.wav"}
 
 
 @dataclass
@@ -203,14 +207,13 @@ def _write_pair(pair: MixPair, pair_dir: Path) -> None:
     mix = a + b
     if np.any(np.abs(mix) > 1.0):
         # grid rounding can push the sum one LSB past full scale
-        scale = (1.0 - 4.0 / 32767.0) / float(np.max(np.abs(mix)))
+        scale = (1.0 - 4 * PCM16_LSB) / float(np.max(np.abs(mix)))
         a = quantize_pcm16(pair.source_a.samples * scale)
         b = quantize_pcm16(pair.source_b.samples * scale)
         mix = a + b
     pair_dir.mkdir(parents=True, exist_ok=True)
-    write_wav(Waveform(mix, rate), pair_dir / "mix.wav")
-    write_wav(Waveform(a, rate), pair_dir / "srcA.wav")
-    write_wav(Waveform(b, rate), pair_dir / "srcB.wav")
+    for key, samples in (("mix", mix), ("src_a", a), ("src_b", b)):
+        write_wav(Waveform(samples, rate), pair_dir / _PAIR_FILES[key])
 
 
 def build_dataset(manifest: list[StemEntry],
@@ -293,11 +296,8 @@ def build_dataset(manifest: list[StemEntry],
                 "pair_id": pair_id,
                 "split": split,
                 "snr_db": float(snr),
-                "paths": {
-                    "mix": f"{split}/{pair_id}/mix.wav",
-                    "src_a": f"{split}/{pair_id}/srcA.wav",
-                    "src_b": f"{split}/{pair_id}/srcB.wav",
-                },
+                "paths": {key: f"{split}/{pair_id}/{name}"
+                          for key, name in _PAIR_FILES.items()},
                 "song_a": seg_a.song_id, "singer_a": seg_a.singer_id,
                 "segment_a": seg_a.index,
                 "song_b": seg_b.song_id, "singer_b": seg_b.singer_id,

@@ -10,7 +10,7 @@ so reports stay serializable.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, asdict
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -35,6 +35,13 @@ def _as_pair(reference, estimate) -> tuple[np.ndarray, np.ndarray]:
     return ref, est
 
 
+def _ratio_db(signal_energy: float, noise_energy: float) -> float:
+    """The energy ratio in dB, or the sentinel when the noise is below the floor."""
+    if noise_energy < _RESIDUAL_FLOOR * signal_energy:
+        return SENTINEL_DB
+    return 10.0 * np.log10(signal_energy / noise_energy)
+
+
 def si_snr(reference, estimate) -> float:
     """Scale-invariant SNR of estimate against reference, in dB."""
     ref, est = _as_pair(reference, estimate)
@@ -49,11 +56,7 @@ def si_snr(reference, estimate) -> float:
         raise DegenerateInputError("zero-variance estimate")
     s_target = (float(np.dot(est, ref)) / ref_energy) * ref
     e = est - s_target
-    target_energy = float(np.dot(s_target, s_target))
-    noise_energy = float(np.dot(e, e))
-    if noise_energy < _RESIDUAL_FLOOR * target_energy:
-        return SENTINEL_DB
-    return 10.0 * np.log10(target_energy / noise_energy)
+    return _ratio_db(float(np.dot(s_target, s_target)), float(np.dot(e, e)))
 
 
 def sdr(reference, estimate) -> float:
@@ -63,10 +66,7 @@ def sdr(reference, estimate) -> float:
     if ref_energy == 0.0:
         raise DegenerateInputError("zero-energy reference")
     resid = ref - est
-    resid_energy = float(np.dot(resid, resid))
-    if resid_energy < _RESIDUAL_FLOOR * ref_energy:
-        return SENTINEL_DB
-    return 10.0 * np.log10(ref_energy / resid_energy)
+    return _ratio_db(ref_energy, float(np.dot(resid, resid)))
 
 
 def improvement(metric, reference, estimate, mixture) -> float:
@@ -98,6 +98,10 @@ class EvalReport:
         return d
 
 
+# EvalReport's metric fields, in report and CSV column order
+METRICS = tuple(f.name for f in fields(EvalReport) if f.name != "permutation")
+
+
 @dataclass
 class PitResult:
     per_source: tuple[EvalReport, EvalReport]
@@ -119,15 +123,9 @@ def pit_evaluate(references, estimates, mixture) -> PitResult:
     ests = [_as_array(e) for e in estimates]
     mix = _as_array(mixture)
 
-    permutations = ({0: 0, 1: 1}, {0: 1, 1: 0})
-    best = None
-    best_mean = -np.inf
-    for perm in permutations:
-        vals = [si_snr(refs[perm[i]], ests[i]) for i in (0, 1)]
-        mean_val = capped_mean(*vals)
-        if mean_val > best_mean:
-            best_mean = mean_val
-            best = perm
+    best = max(({0: 0, 1: 1}, {0: 1, 1: 0}),
+               key=lambda perm: capped_mean(*(si_snr(refs[perm[i]], ests[i])
+                                              for i in (0, 1))))
 
     reports = []
     for i in (0, 1):
@@ -141,10 +139,7 @@ def pit_evaluate(references, estimates, mixture) -> PitResult:
             permutation=dict(best),
         ))
     mean_report = EvalReport(
-        si_snr_db=capped_mean(reports[0].si_snr_db, reports[1].si_snr_db),
-        si_snri_db=capped_mean(reports[0].si_snri_db, reports[1].si_snri_db),
-        sdr_db=capped_mean(reports[0].sdr_db, reports[1].sdr_db),
-        sdri_db=capped_mean(reports[0].sdri_db, reports[1].sdri_db),
+        **{k: capped_mean(*(getattr(r, k) for r in reports)) for k in METRICS},
         permutation=dict(best),
     )
     return PitResult(per_source=(reports[0], reports[1]), mean=mean_report)

@@ -11,7 +11,7 @@ from pathlib import Path
 
 from .audio import CANONICAL_RATE, Waveform, read_wav, resample, write_wav
 from .backends import STAGE1, STAGE2, CandidateModel, run_backend
-from .errors import MalformedRegistryError
+from .errors import DegenerateInputError, MalformedRegistryError
 from .metrics import pit_evaluate
 from .pitch import PitchConfig
 from .selection import SelectionResult, TrendScore, check_scoring, select_model
@@ -39,6 +39,20 @@ def split_registry(models: list[CandidateModel], stage1_id: str):
     return stage1[0], candidates
 
 
+def _read_reference(path, song: Waveform) -> Waveform:
+    """Read a ground-truth vocal the way the song is read, rejecting one that
+    cannot be scored against it: another length at the canonical rate, or
+    zero variance."""
+    ref = resample(read_wav(path), CANONICAL_RATE)
+    if len(ref) != len(song):
+        raise DegenerateInputError(
+            f"{path}: length mismatch: {len(ref)} vs the song's {len(song)} "
+            f"samples at {CANONICAL_RATE} Hz")
+    if ref.samples.var() == 0.0:
+        raise DegenerateInputError(f"{path}: zero-variance reference")
+    return ref
+
+
 def separate_song(song_path,
                   models: list[CandidateModel],
                   stage1_id: str,
@@ -55,7 +69,9 @@ def separate_song(song_path,
     With ``model`` set, selection is bypassed and only that candidate runs
     (the others still appear in the report with null scores). ``refs``
     optionally names the two ground-truth vocal files for evaluation; they
-    are read before any backend runs, and scored before anything is written.
+    are read like the song and rejected unless they match its length and
+    are not silent, all before any backend runs, and scored before anything
+    is written.
     If the run fails, the files it wrote and the directories it made are
     removed. A failed external backend's scratch directory under
     ``out_dir/tmp`` is kept, since its error names it; ``tmp`` itself is
@@ -69,7 +85,7 @@ def separate_song(song_path,
 
     t_start = time.monotonic()
     song = resample(read_wav(song_path), CANONICAL_RATE)
-    ref_waves = None if refs is None else (read_wav(refs[0]), read_wav(refs[1]))
+    ref_waves = None if refs is None else tuple(_read_reference(p, song) for p in refs)
 
     out = Path(out_dir)
     made: list[Path] = []

@@ -59,6 +59,11 @@ class TrendScore:
     penalized: bool = False
     error: str | None = None
 
+    @classmethod
+    def penalty(cls, model_id: str = "", error: str | None = None) -> TrendScore:
+        """The penalty sentinel's record, with the backend error if one caused it."""
+        return cls(model_id=model_id, score=PENALTY_SCORE, penalized=True, error=error)
+
 
 def trend_distance(pa: PitchTrack, pb: PitchTrack,
                    block_frames: int | None = None) -> TrendScore:
@@ -89,7 +94,7 @@ def trend_distance(pa: PitchTrack, pb: PitchTrack,
     voiced_ab = np.vstack((a, b)) > 0
     voiced_per_block = np.logical_or.reduceat(voiced_ab, starts, axis=1)
     if not voiced_per_block[:, n - starts >= 3].all():
-        return TrendScore(model_id="", score=PENALTY_SCORE, penalized=True)
+        return TrendScore.penalty()
 
     va = np.diff(a)
     vb = np.diff(b)
@@ -187,7 +192,7 @@ def score_candidate(outputs: tuple[Waveform, Waveform], cfg: PitchConfig,
     """
     if channel_similarity(outputs[0].samples,
                           outputs[1].samples) >= DUPLICATE_SIMILARITY:
-        return TrendScore(model_id="", score=PENALTY_SCORE, penalized=True)
+        return TrendScore.penalty()
     ta = track_pitch(outputs[0], cfg)
     tb = track_pitch(outputs[1], cfg)
     if units == "semitones":
@@ -223,8 +228,7 @@ def select_model(mixed_vocal: Waveform,
             pair = run_backend(cand.backend, mixed_vocal, workdir=workdir)
         except BackendFailureError as exc:
             log.warning("candidate %s failed: %s", cand.model_id, exc)
-            return TrendScore(model_id=cand.model_id, score=PENALTY_SCORE,
-                              penalized=True, error=str(exc)), None
+            return TrendScore.penalty(cand.model_id, error=str(exc)), None
         result = score_candidate(pair, cfg, units, block_frames)
         return replace(result, model_id=cand.model_id), pair
 

@@ -1,4 +1,5 @@
 import math
+import re
 import struct
 
 import numpy as np
@@ -103,6 +104,37 @@ class TestReadWav:
         with pytest.raises(UnsupportedEncodingError):
             read_wav(path)
 
+    @pytest.mark.parametrize("chunks, message", [
+        # a fmt chunk of 8 bytes holds no format fields
+        ([(b"fmt ", b"\x01\x00" * 4)], "fmt chunk truncated"),
+        # a data chunk that claims 8 bytes where the file ends after 4
+        ([(b"fmt ", struct.pack("<HHIIHH", 1, 1, 8000, 16000, 2, 16)),
+          (b"data", b"\x00" * 4, 8)], "data chunk truncated"),
+        ([(b"fmt ", struct.pack("<HHIIHH", 1, 0, 8000, 0, 0, 16)),
+          (b"data", b"\x00" * 4)], "invalid fmt fields"),
+    ], ids=["short-fmt", "short-data", "zero-channels"])
+    def test_malformed_chunk_rejected(self, tmp_path, chunks, message):
+        body = b"WAVE"
+        for chunk_id, payload, *size in chunks:
+            body += struct.pack("<4sI", chunk_id, size[0] if size else len(payload))
+            body += payload
+        path = tmp_path / "bad.wav"
+        path.write_bytes(b"RIFF" + struct.pack("<I", len(body)) + body)
+        with pytest.raises(MalformedWavError, match=re.escape(f"{path}: {message}")):
+            read_wav(path)
+
+
+class TestWaveform:
+    @pytest.mark.parametrize("samples, rate, message", [
+        (np.zeros((2, 4)), 8000, "must be 1-D"),
+        (np.zeros(4), 0, "sample_rate must be positive, got 0"),
+        (np.zeros(4), -8000, "sample_rate must be positive, got -8000"),
+        ([0.0, math.nan], 8000, "non-finite samples"),
+    ])
+    def test_invalid_rejected(self, samples, rate, message):
+        with pytest.raises(InvalidWaveformError, match=message):
+            Waveform(samples, rate)
+
 
 class TestWriteWav:
     def test_roundtrip_sine(self, tmp_path):
@@ -174,6 +206,10 @@ class TestResample:
     def test_bad_rate(self):
         with pytest.raises(InvalidWaveformError):
             resample(synth.sine(100.0, 0.1), 0)
+
+    def test_empty_gives_empty_at_target_rate(self):
+        out = resample(Waveform(np.zeros(0), 44100), 8000)
+        assert len(out) == 0 and out.sample_rate == 8000
 
     @settings(max_examples=25, deadline=None)
     @given(st.floats(0.01, 1.0))

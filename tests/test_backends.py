@@ -129,6 +129,14 @@ class TestOracle:
         with pytest.raises(MalformedRegistryError):
             OracleSpec("a.wav", "b.wav", leak=0.5)
 
+    def test_references_of_different_lengths_fail(self, tmp_wav):
+        pa = tmp_wav(synth.sine(220.0, 1.0))
+        pb = tmp_wav(synth.sine(330.0, 0.5))
+        backend = SeparationBackend(kind=KIND_ORACLE, stage=STAGE2,
+                                    oracle=OracleSpec(str(pa), str(pb)))
+        with pytest.raises(BackendFailureError, match="disagree in length or rate"):
+            run_backend(backend, read_wav(pa))
+
 
 class TestPassthrough:
     def test_input_and_silence(self):
@@ -179,6 +187,15 @@ class TestExternalCommand:
                                     command=f"{exe} {{input}} {{out_a}} {{out_b}}")
         with pytest.raises(BackendFailureError, match="could not start"):
             run_backend(backend, synth.sine(250.0, 0.5), workdir=tmp_path)
+
+    def test_output_that_is_not_a_wav(self, tmp_path):
+        write_text = ('import sys; [open(p, "w").write("not audio") for p in sys.argv[1:]]')
+        backend = SeparationBackend(
+            kind=KIND_EXTERNAL, stage=STAGE2,
+            command=f"{sys.executable} -c '{write_text}' {{out_a}} {{out_b}} {{input}}")
+        with pytest.raises(BackendFailureError,
+                           match="unreadable out_a output: .*not a RIFF/WAVE file"):
+            run_backend(backend, synth.sine(220.0, 0.1), workdir=tmp_path)
 
     def test_missing_output_file(self, stub_cmd, tmp_path):
         with pytest.raises(BackendFailureError, match="out_a"):
@@ -295,6 +312,32 @@ class TestRegistry:
             {"model_id": "m", "stage": stage, "command": command}]))
         with pytest.raises(MalformedRegistryError):
             registry_load(path)
+
+    @pytest.mark.parametrize("doc, message", [
+        ({"schema": "mir-ss-registry/2", "models": []},
+         "unknown schema 'mir-ss-registry/2'"),
+        ({"models": {"m": {"stage": STAGE2}}}, "registry must be a list of entries"),
+        (["m"], "entry 0 is not an object"),
+        ([{"model_id": "o", "stage": STAGE2, "kind": KIND_ORACLE}],
+         "entry 0 ('o'): oracle kind needs an oracle object"),
+        ([{"model_id": "o", "stage": STAGE2, "kind": KIND_ORACLE,
+           "oracle": ["a.wav", "b.wav"]}],
+         "entry 0 ('o'): oracle kind needs an oracle object"),
+        ([{"model_id": "o", "stage": STAGE2, "kind": KIND_ORACLE,
+           "oracle": {"ref_a": "a.wav", "ref_b": "b.wav", "gain": 2}}],
+         "unexpected keyword argument 'gain'"),
+        ([{"model_id": "m", "stage": STAGE2, "kind": "neural"}],
+         "entry 0 ('m'): unknown backend kind 'neural'"),
+        ([{"model_id": "m", "stage": STAGE2}],
+         "entry 0 ('m'): external_command backend needs a command"),
+    ], ids=["schema", "models-not-list", "entry-not-object", "oracle-missing",
+            "oracle-not-object", "oracle-unknown-key", "kind", "command-missing"])
+    def test_malformed_document(self, tmp_path, doc, message):
+        path = tmp_path / "reg.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(MalformedRegistryError) as excinfo:
+            registry_load(path)
+        assert message in str(excinfo.value)
 
     def test_missing_fields(self, tmp_path):
         path = tmp_path / "reg.json"

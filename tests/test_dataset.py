@@ -118,6 +118,14 @@ class TestPairSegments:
             assert a.singer_id == b.singer_id
             assert a.index != b.index
 
+    @pytest.mark.parametrize("kind, repeats, message", [
+        ("trio", 1, "unknown pairing scheme 'trio'"),
+        (DUET, 0, "repeats must be >= 1, got 0"),
+    ])
+    def test_bad_scheme_rejected(self, kind, repeats, message):
+        with pytest.raises(ValueError, match=message):
+            PairingScheme(kind, repeats=repeats)
+
     def test_duet_needs_two_singers(self):
         with pytest.raises(PairingImpossibleError):
             pair_segments(_toy_segments(1, 4), PairingScheme(DUET), seed=0)
@@ -167,6 +175,10 @@ class TestMixAtSnr:
         a = synth.sine(220.0, 1.0)
         with pytest.raises(SilentSourceError):
             mix_at_snr(a, synth.silence(1.0), 0.0)
+
+    def test_inputs_of_different_lengths_rejected(self):
+        with pytest.raises(SilentSourceError, match="8000@8000 vs 4000@8000"):
+            mix_at_snr(synth.sine(220.0, 1.0), synth.sine(330.0, 0.5), 0.0)
 
     def test_mixture_decomposes_exactly(self):
         a = synth.sine(220.0, 1.0, amplitude=0.9)

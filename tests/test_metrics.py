@@ -42,6 +42,10 @@ class TestSiSnr:
         with pytest.raises(DegenerateInputError):
             si_snr(np.arange(4.0), np.arange(5.0))
 
+    def test_one_sample_rejected(self):
+        with pytest.raises(DegenerateInputError, match="at least 2 samples"):
+            si_snr(np.array([0.5]), np.array([0.5]))
+
     def test_monotonic_in_noise(self):
         rng = np.random.default_rng(11)
         ref = rng.standard_normal(2000)

@@ -2,7 +2,9 @@ import argparse
 import json
 import math
 import re
+import os
 import shlex
+import subprocess
 import sys
 import textwrap
 from pathlib import Path
@@ -13,7 +15,7 @@ import pytest
 
 import singersep
 from singersep import cli, synth
-from singersep.audio import Waveform, read_wav, write_wav
+from singersep.audio import Waveform, read_wav, resample, write_wav
 from singersep.backends import STAGE1, STAGE2, registry_load
 from singersep.dataset import mix_at_snr
 from singersep.metrics import SENTINEL_DB
@@ -517,6 +519,57 @@ class TestCliExitCodes:
         assert "length mismatch" in err
         assert not out.exists()
 
+    def test_references_resampled_like_the_song(self, duet_setup, tmp_path, capsys):
+        paths = []
+        for name, w in (("song", duet_setup["mix"]), ("ref_a", duet_setup["ref_waves"][0]),
+                        ("ref_b", duet_setup["ref_waves"][1])):
+            paths.append(tmp_path / f"{name}-44k.wav")
+            write_wav(resample(w, 44100), paths[-1])
+        out = tmp_path / "out"
+        rc = cli.main(separate_argv(duet_setup, out, "--ref-a", str(paths[1]),
+                                    "--ref-b", str(paths[2]), song=paths[0]))
+        assert rc == 0
+        assert re.search(r"^evaluation: SI-SNRi -?\d+\.\d{4} dB, SDRi -?\d+\.\d{4} dB$",
+                         capsys.readouterr().out, re.M)
+        report = json.loads((out / "report.json").read_text())
+        assert report["chosen"] == "clean"
+        assert math.isfinite(report["evaluation"]["mean"]["si_snri_db"])
+
+    @pytest.mark.parametrize("reference, message", [
+        (synth.sine(220.0, 1.0), "length mismatch: 8000 vs the song's 48000"),
+        (synth.silence(6.0), "zero-variance reference"),
+    ], ids=["short", "silent"])
+    def test_unscorable_reference_exits_2_naming_it_before_any_backend(
+            self, duet_setup, marker_setup, tmp_path, capsys, reference, message):
+        registry, marker = marker_setup
+        path = tmp_path / "bad ref.wav"
+        write_wav(reference, path)
+        out = tmp_path / "out"
+        rc = cli.main(separate_argv(duet_setup, out, "--ref-a", str(duet_setup["refs"][0]),
+                                    "--ref-b", str(path), registry=registry))
+        err = capsys.readouterr().err
+        assert_clean_exit(rc, err, 2)
+        assert f"{path}: {message}" in err
+        assert not marker.exists() and not out.exists()
+
+    @pytest.mark.parametrize("stage1, keep, message", [
+        ("clean", None, "'clean' is not a stage-1 backend (stage=stage2_two_vocals)"),
+        ("stage1-pass", STAGE1, "registry has no stage-2 candidates"),
+    ])
+    def test_registry_without_the_stages_it_needs_exits_2_before_any_backend(
+            self, duet_setup, marker_setup, tmp_path, capsys, stage1, keep, message):
+        registry, marker = marker_setup
+        entries = [e for e in json.loads(registry.read_text())
+                   if keep is None or e["stage"] == keep]
+        out = tmp_path / "out"
+        argv = separate_argv(duet_setup, out, registry=write_registry(registry, entries))
+        argv[argv.index("--stage1") + 1] = stage1
+        rc = cli.main(argv)
+        err = capsys.readouterr().err
+        assert_clean_exit(rc, err, 2)
+        assert message in err
+        assert not marker.exists() and not out.exists()
+
     def test_failed_write_rolls_back_every_output(self, duet_setup, tmp_path, capsys):
         out = tmp_path / "out"
         out.mkdir()
@@ -573,6 +626,20 @@ class TestCliScratch:
         scratch = Path(shlex.split(command)[1]).parent
         assert scratch.parent == out / "tmp"
         assert (scratch / "input.wav").is_file()
+
+    def test_failed_candidate_warning_names_level_and_logger(self, duet_setup, tmp_path):
+        registry = add_candidate(duet_setup, tmp_path, "bad",
+                                 "false {input} {out_a} {out_b}")
+        src = str(Path(singersep.__file__).resolve().parents[1])
+        env = {**os.environ,
+               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        proc = subprocess.run(
+            [sys.executable, "-m", "singersep",
+             *separate_argv(duet_setup, tmp_path / "out", registry=registry)],
+            capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert any(line.startswith("WARNING singersep.selection: candidate bad failed:")
+                   for line in proc.stderr.splitlines()), proc.stderr
 
 
 class TestPublicApi:
@@ -705,6 +772,21 @@ class TestCliBuildDataset:
         assert f"bad stem entry 1: {key} must be a string" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("rows, message", [
+        ({"stems": []}, "stem manifest must be a JSON array"),
+        (["singer-0.wav"], "bad stem entry 0: "),
+    ], ids=["not-array", "entry-not-object"])
+    def test_malformed_stem_manifest_exits_2(self, tmp_path, capsys, rows, message):
+        manifest = tmp_path / "stems.json"
+        manifest.write_text(json.dumps(rows))
+        out = tmp_path / "ds"
+        rc = cli.main(["build-dataset", "--manifest", str(manifest),
+                       "--scheme", "duet", "--out", str(out), "--seed", "1"])
+        err = capsys.readouterr().err
+        assert_clean_exit(rc, err, 2)
+        assert f"{manifest}: {message}" in err
+        assert not out.exists()
+
     def test_drawn_seed_printed_and_recorded(self, tmp_path, capsys, monkeypatch):
         manifest = write_toy_stems(tmp_path, n_singers=2, seconds=2.0, split="train")
         monkeypatch.delenv("MIRSS_SEED", raising=False)
@@ -816,6 +898,14 @@ class TestCliEvaluate:
         assert rc == 4
         err = capsys.readouterr().err
         assert doc["pairs"][1]["pair_id"] in err
+
+    def test_manifest_of_another_schema_exits_2(self, built_dataset, tmp_path, capsys):
+        root, doc = built_dataset
+        (root / "dataset.json").write_text(json.dumps({**doc, "schema": "mir-ss/2"}))
+        rc = cli.main(["evaluate", "--dataset", str(root), "--estimates", str(tmp_path)])
+        err = capsys.readouterr().err
+        assert_clean_exit(rc, err, 2)
+        assert f"{root / 'dataset.json'}: unknown manifest schema 'mir-ss/2'" in err
 
     def test_split_without_pairs_exits_2(self, built_dataset, tmp_path, capsys):
         root, _ = built_dataset
@@ -951,6 +1041,14 @@ class TestCliSettingsPerVerb:
         err = capsys.readouterr().err
         assert_clean_exit(rc, err, 2)
         assert "pitch_fmn" in err
+
+    def test_config_line_without_equals_exits_2(self, tmp_path, capsys):
+        cfg = tmp_path / "mirss.cfg"
+        cfg.write_text("# jobs\njobs 2\n")
+        rc = cli.main(verb_argv("evaluate", tmp_path) + ["--config", str(cfg)])
+        err = capsys.readouterr().err
+        assert_clean_exit(rc, err, 2)
+        assert f"{cfg}:2: expected key=value" in err
 
 
 class TestCliSelftest:

@@ -205,6 +205,25 @@ class TestPitchConfig:
         with pytest.raises(ConfigInvalidError, match="finite"):
             PitchConfig(**{field: value}).validate(CANONICAL_RATE)
 
+    @pytest.mark.parametrize("fields, message", [
+        ({"fmin_hz": 500.0, "fmax_hz": 500.0}, "need 0 < fmin < fmax, got 500.0..500.0"),
+        ({"fmin_hz": 600.0, "fmax_hz": 300.0}, "need 0 < fmin < fmax, got 600.0..300.0"),
+        ({"fmax_hz": 4000.0}, "fmax 4000.0 Hz at or above Nyquist of 8000 Hz"),
+        ({"threshold": 0.0}, "threshold must be positive"),
+        ({"hop_seconds": 0.00005}, "hop shorter than one sample"),
+    ])
+    def test_out_of_range_rejected(self, fields, message):
+        with pytest.raises(ConfigInvalidError, match=message):
+            PitchConfig(**fields).validate(CANONICAL_RATE)
+
+    @pytest.mark.parametrize("pitches, message", [
+        (np.full((2, 3), 220.0), "must be 1-D"),
+        ([220.0, -1.0, 0.0], "finite and non-negative"),
+    ])
+    def test_bad_track_rejected(self, pitches, message):
+        with pytest.raises(ConfigInvalidError, match=message):
+            PitchTrack(pitches, 0.01)
+
     def test_negative_silence_floor_rejected(self):
         with pytest.raises(ConfigInvalidError, match="silence_rms"):
             PitchConfig(silence_rms=-1e-4).validate(CANONICAL_RATE)
