@@ -6,21 +6,25 @@ Everything downstream works on ``Waveform`` values at a canonical rate of
 
 from __future__ import annotations
 
+import functools
 import math
 import struct
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.signal import firwin, resample_poly
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import InvalidWaveformError, MalformedWavError, UnsupportedEncodingError
 
 CANONICAL_RATE = 8000
 
-# Resampler design: windowed-sinc polyphase filter, Kaiser beta 8.6,
-# 64 taps per phase. Cutoff sits at the Nyquist of the slower rate.
+# Resampler design: windowed-sinc lowpass, Kaiser beta 8.6, cutoff at the
+# Nyquist of the slower rate. The filter spans this many sinc zero crossings,
+# so it has 64*max(up, down) + 1 taps (353 per output phase at 44.1k -> 8k).
 _KAISER_BETA = 8.6
-_TAPS_PER_PHASE = 64
+_ZERO_CROSSINGS = 64
+# runs of `up` outputs per matrix product: bounds the resampler's working memory
+_BLOCK_RUNS = 512
 
 _PCM16_SCALE = 32767.0
 # One step of the 16-bit grid, in sample units.
@@ -167,6 +171,11 @@ def resample(w: Waveform, target_rate: int) -> Waveform:
 
     Output duration matches the input within one output sample; tones below
     0.45x the slower of the two rates pass with negligible frequency error.
+    The rates reduce to ``up/down``; each run of ``up`` consecutive outputs
+    reads ``down`` new input samples, so a block of runs is one matrix
+    product of overlapping input rows with a kernel whose columns are the
+    output phases' sub-filters. Length and alignment are those of
+    ``scipy.signal.resample_poly`` with the same filter.
     """
     if target_rate <= 0:
         raise InvalidWaveformError(f"target_rate must be positive, got {target_rate}")
@@ -176,13 +185,59 @@ def resample(w: Waveform, target_rate: int) -> Waveform:
         return Waveform(np.zeros(0), target_rate)
 
     g = math.gcd(w.sample_rate, int(target_rate))
-    up, down = target_rate // g, w.sample_rate // g
-    max_ud = max(up, down)
-    ntaps = _TAPS_PER_PHASE * max_ud + 1
-    h = firwin(ntaps, 1.0 / max_ud, window=("kaiser", _KAISER_BETA))
-    out = resample_poly(w.samples, up, down, window=h)
+    up, down = int(target_rate) // g, w.sample_rate // g
+    lead, groups = _polyphase_kernels(up, down)
+    n_in = len(w)
+    n_out = -(-n_in * up // down)
+    runs = -(-n_out // up)
+    # padded-input samples one run reads, up to its last phase's last tap
+    reach = groups[-1][0] + groups[-1][1].shape[0]
+    # zeros before the input for the first outputs' taps, after it for the last run's
+    xpad = np.pad(w.samples, (lead, (runs - 1) * down + reach - n_in - lead))
+    out = np.empty((runs, up))
+    col = 0
+    for offset, kernel in groups:
+        rows = sliding_window_view(xpad[offset:], kernel.shape[0])[::down]
+        stop = col + kernel.shape[1]
+        for s in range(0, runs, _BLOCK_RUNS):
+            out[s:s + _BLOCK_RUNS, col:stop] = rows[s:s + _BLOCK_RUNS] @ kernel
+        col = stop
     # The filter can overshoot full scale by a hair on near-clipped input.
-    return Waveform(np.clip(out, -1.0, 1.0), int(target_rate))
+    return Waveform(np.clip(out.ravel()[:n_out], -1.0, 1.0), int(target_rate))
+
+
+@functools.lru_cache(maxsize=4)
+def _polyphase_kernels(up: int, down: int):
+    """The zero lead of the padded input and one kernel per group of phases.
+
+    Output ``t = r*up + j`` is ``sum_p x[r*down + p] * h[j*down + half - p*up]``
+    for the centred filter ``h`` of ``2*half + 1`` taps at DC gain ``up``.
+    Each group of phases is ``(offset, kernel)``: the kernel's columns hold
+    the group's phases' sub-filters, reversed, at their rows ``p`` counted
+    from the group's offset into the padded input. Phases go in groups of
+    ``ceil(ntaps/down)``, which keeps all kernels together within about
+    twice the filter's size at any rate pair.
+    """
+    max_ud = max(up, down)
+    ntaps = _ZERO_CROSSINGS * max_ud + 1
+    half = (ntaps - 1) // 2
+    m = np.arange(ntaps) - half
+    h = np.sinc(m / max_ud) * np.kaiser(ntaps, _KAISER_BETA)
+    h *= up / h.sum()
+
+    lead = half // up
+    size = min(up, -(-ntaps // down))
+    groups = []
+    for first in range(0, up, size):
+        phases = np.arange(first, min(first + size, up))
+        centre = phases * down + half
+        lo = -((ntaps - 1 - centre[0]) // up)  # first p with a tap of the group's first phase
+        hi = centre[-1] // up  # last p with a tap of the group's last phase
+        taps = centre[None, :] - np.arange(lo, hi + 1)[:, None] * up
+        inside = (taps >= 0) & (taps < ntaps)
+        kernel = np.where(inside, h[np.where(inside, taps, 0)], 0.0)
+        groups.append((lo + lead, kernel))
+    return lead, tuple(groups)
 
 
 def segment(w: Waveform, seconds: float, song_id: str = "",

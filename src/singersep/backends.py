@@ -125,8 +125,8 @@ class SeparationBackend:
             if not self.command:
                 raise MalformedRegistryError("external_command backend needs a command")
             _check_template(self.command, self.stage)
-        if self.kind == KIND_ORACLE and self.oracle is None:
-            raise MalformedRegistryError("oracle backend needs an oracle spec")
+        if self.kind == KIND_ORACLE and not isinstance(self.oracle, OracleSpec):
+            raise MalformedRegistryError("oracle kind needs an oracle object")
 
 
 @dataclass
@@ -241,14 +241,12 @@ def _parse_entry(entry: dict, index: int) -> CandidateModel:
             f"entry {index}: model_id must be a non-empty string, one path "
             f"component, got {model_id!r}")
     kind = entry.get("kind", KIND_EXTERNAL)
-    oracle = None
+    oracle = entry.get("oracle") if kind == KIND_ORACLE else None
     try:
-        if kind == KIND_ORACLE:
-            spec = entry.get("oracle")
-            if not isinstance(spec, dict):
-                raise MalformedRegistryError("oracle kind needs an oracle object")
+        # anything but an object is left to SeparationBackend to reject
+        if isinstance(oracle, dict):
             try:
-                oracle = OracleSpec(**spec)
+                oracle = OracleSpec(**oracle)
             except TypeError as exc:
                 raise MalformedRegistryError(f"bad oracle spec: {exc}")
         backend = SeparationBackend(kind=kind, stage=stage,

@@ -1,6 +1,11 @@
+import functools
 import math
+import os
 import re
 import struct
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,9 +13,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+import singersep
 from singersep import synth
 from singersep.audio import (
     Waveform,
+    _polyphase_kernels,
+    quantize_pcm16,
     read_wav,
     resample,
     segment,
@@ -220,6 +228,64 @@ class TestResample:
         b = alpha * resample(w, 8000).samples
         denom = np.max(np.abs(b)) or 1.0
         assert np.max(np.abs(a - b)) / denom <= 1e-6
+
+
+@functools.lru_cache(maxsize=None)
+def _scipy_filter(up, down):
+    signal = pytest.importorskip("scipy.signal")
+    max_ud = max(up, down)
+    return signal.firwin(64 * max_ud + 1, 1.0 / max_ud, window=("kaiser", 8.6))
+
+
+def _scipy_resample(x, rate, target_rate):
+    """The reference: scipy's polyphase resampler with the same filter, clipped."""
+    signal = pytest.importorskip("scipy.signal")
+    g = math.gcd(rate, target_rate)
+    up, down = target_rate // g, rate // g
+    out = signal.resample_poly(x, up, down, window=_scipy_filter(up, down))
+    return np.clip(out, -1.0, 1.0)
+
+
+class TestResampleMatchesScipy:
+    @pytest.mark.parametrize("rate, target_rate", [
+        (44100, 8000), (48000, 8000), (22050, 8000), (16000, 8000), (11025, 8000),
+        (8000, 16000), (8000, 44100), (44101, 8000), (8000, 44101), (7, 3), (3, 7),
+    ])
+    @settings(max_examples=15, deadline=None)
+    @given(data=st.data())
+    def test_equivalence(self, rate, target_rate, data):
+        down = rate // math.gcd(rate, target_rate)
+        n = data.draw(st.integers(1, 4 * min(down, 1000)), label="length")
+        seed = data.draw(st.integers(0, 2 ** 32 - 1), label="seed")
+        x = np.random.default_rng(seed).uniform(-1.0, 1.0, n)
+        ours = resample(Waveform(x, rate), target_rate).samples
+        theirs = _scipy_resample(x, rate, target_rate)
+        assert ours.shape == theirs.shape
+        assert np.max(np.abs(ours - theirs)) <= 1e-12
+
+    def test_20s_song_same_pcm16_codes(self):
+        w = synth.vibrato_sine(220.0, 20.0, rate=44100, amplitude=0.6)
+        x = w.samples + np.random.default_rng(3).uniform(-0.3, 0.3, len(w))
+        ours = resample(Waveform(x, 44100), 8000).samples
+        np.testing.assert_array_equal(quantize_pcm16(ours),
+                                      quantize_pcm16(_scipy_resample(x, 44100, 8000)))
+
+    def test_odd_rate_kernels_stay_near_filter_size(self):
+        _, groups = _polyphase_kernels(8000, 44101)
+        filter_bytes = (64 * 44101 + 1) * 8
+        assert sum(kernel.nbytes for _, kernel in groups) <= 3 * filter_bytes
+
+    def test_import_leaves_scipy_out(self):
+        src = str(Path(singersep.__file__).resolve().parents[1])
+        env = {**os.environ,
+               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, singersep, singersep.cli; "
+             "print([m for m in sys.modules if m.split('.')[0] == 'scipy'])"],
+            capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
 
 
 class TestSegment:

@@ -129,6 +129,13 @@ class TestOracle:
         with pytest.raises(MalformedRegistryError):
             OracleSpec("a.wav", "b.wav", leak=0.5)
 
+    @pytest.mark.parametrize("oracle", [None, {"ref_a": "a.wav", "ref_b": "b.wav"}],
+                             ids=["missing", "dict"])
+    def test_direct_construction_needs_a_spec(self, oracle):
+        with pytest.raises(MalformedRegistryError,
+                           match="oracle kind needs an oracle object"):
+            SeparationBackend(kind=KIND_ORACLE, stage=STAGE2, oracle=oracle)
+
     def test_references_of_different_lengths_fail(self, tmp_wav):
         pa = tmp_wav(synth.sine(220.0, 1.0))
         pb = tmp_wav(synth.sine(330.0, 0.5))
