@@ -110,7 +110,7 @@ def cmd_separate(args) -> int:
     if len(refs) == 1:
         raise ConfigInvalidError("--ref-a and --ref-b must be given together")
     models = backends.registry_load(args.registry)
-    result = pipeline.separate_song(
+    report = pipeline.separate_song(
         args.song,
         models,
         stage1_id=args.stage1,
@@ -124,7 +124,6 @@ def cmd_separate(args) -> int:
         refs=tuple(refs) or None,
         jobs=args.jobs,
     )
-    report = result.report
     print(f"chosen model: {report['chosen']}"
           + (" (selection bypassed)" if report["selection_bypassed"] else ""))
     for entry in report["candidates"]:

@@ -10,7 +10,7 @@ so reports stay serializable.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, fields
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -91,11 +91,6 @@ class EvalReport:
     sdr_db: float
     sdri_db: float
     permutation: dict[int, int]
-
-    def to_dict(self) -> dict:
-        d = asdict(self)
-        d["permutation"] = {str(k): v for k, v in self.permutation.items()}
-        return d
 
 
 # EvalReport's metric fields, in report and CSV column order

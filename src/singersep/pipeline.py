@@ -6,7 +6,7 @@ from __future__ import annotations
 import contextlib
 import json
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import asdict
 from pathlib import Path
 
 from .audio import CANONICAL_RATE, Waveform, read_wav, resample, write_wav
@@ -15,15 +15,6 @@ from .errors import DegenerateInputError, MalformedRegistryError
 from .metrics import pit_evaluate
 from .pitch import PitchConfig
 from .selection import SelectionResult, TrendScore, check_scoring, select_model
-
-
-@dataclass
-class RunResult:
-    """In-memory outcome of a separation run, pre-quantization."""
-
-    report: dict
-    accompaniment: Waveform
-    mixed_vocal: Waveform
 
 
 def split_registry(models: list[CandidateModel], stage1_id: str):
@@ -63,8 +54,9 @@ def separate_song(song_path,
                   units: str = "hz",
                   segment_seconds: float | None = None,
                   refs: tuple[str, str] | None = None,
-                  jobs: int | None = None) -> RunResult:
-    """Separate one song and write stems plus ``report.json`` to out_dir.
+                  jobs: int | None = None) -> dict:
+    """Separate one song, write stems plus ``report.json`` to out_dir, and
+    return the report as written.
 
     With ``model`` set, selection is bypassed and only that candidate runs
     (the others still appear in the report with null scores). ``refs``
@@ -80,7 +72,7 @@ def separate_song(song_path,
     stage1, candidates = split_registry(models, stage1_id)
     if model is not None and model not in {c.model_id for c in candidates}:
         raise MalformedRegistryError(f"--model {model!r} is not a stage-2 candidate")
-    # reject bad units, pitch config or block length before any backend runs
+    # reject bad units or block length before any backend runs
     check_scoring(pitch_config or PitchConfig(), units, segment_seconds)
 
     t_start = time.monotonic()
@@ -133,11 +125,7 @@ def separate_song(song_path,
         vocal_a, vocal_b = candidate_outputs[selection.chosen]
         evaluation = None
         if ref_waves is not None:
-            result = pit_evaluate(ref_waves, (vocal_a, vocal_b), mixed_vocal)
-            evaluation = {
-                "mean": result.mean.to_dict(),
-                "per_source": [r.to_dict() for r in result.per_source],
-            }
+            evaluation = asdict(pit_evaluate(ref_waves, (vocal_a, vocal_b), mixed_vocal))
 
         outputs = {
             "vocal_a": write(vocal_a, out / "vocal_a.wav"),
@@ -178,8 +166,7 @@ def separate_song(song_path,
             written.append(report_path)
             json.dump(report, fh, indent=2, sort_keys=True)
             fh.write("\n")
-        return RunResult(report=report, accompaniment=accompaniment,
-                         mixed_vocal=mixed_vocal)
+        return report
     except Exception:
         for path in written:
             path.unlink(missing_ok=True)

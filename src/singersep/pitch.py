@@ -32,13 +32,15 @@ DEFAULT_FMAX_HZ = 1000.0
 BLOCK_FRAMES = 256
 
 
-@dataclass
+@dataclass(frozen=True)
 class PitchConfig:
-    """Tracker parameters. Defaults: 40 ms frames, 10 ms hop, range 55-1000 Hz.
+    """Tracker parameters at CANONICAL_RATE. Defaults: 40 ms frames, 10 ms
+    hop, range 55-1000 Hz.
 
-    Every field must be finite, the threshold positive and the silence
-    floor non-negative; the frame must cover at least two periods of fmin_hz,
-    and at least one whole-sample period must lie between fmin_hz and fmax_hz.
+    Checked when made, so any config that exists is valid: every field must
+    be finite, the threshold positive and the silence floor non-negative;
+    the frame must cover at least two periods of fmin_hz, and at least one
+    whole-sample period must lie between fmin_hz and fmax_hz.
     """
 
     frame_seconds: float = 0.040
@@ -48,17 +50,22 @@ class PitchConfig:
     fmax_hz: float = DEFAULT_FMAX_HZ
     silence_rms: float = 1e-4
 
-    def frame_length(self, rate: int) -> int:
-        return int(round(self.frame_seconds * rate))
+    @property
+    def frame_length(self) -> int:
+        return int(round(self.frame_seconds * CANONICAL_RATE))
 
-    def hop_length(self, rate: int) -> int:
-        return int(round(self.hop_seconds * rate))
+    @property
+    def hop_length(self) -> int:
+        return int(round(self.hop_seconds * CANONICAL_RATE))
 
-    def lag_range(self, rate: int) -> tuple[int, int]:
+    @property
+    def lag_range(self) -> tuple[int, int]:
         """Shortest and longest candidate period in samples, (tau_min, tau_max)."""
-        return max(2, math.ceil(rate / self.fmax_hz)), int(rate / self.fmin_hz)
+        return (max(2, math.ceil(CANONICAL_RATE / self.fmax_hz)),
+                int(CANONICAL_RATE / self.fmin_hz))
 
-    def validate(self, rate: int) -> None:
+    def __post_init__(self):
+        rate = CANONICAL_RATE
         non_finite = [f"{k}={v}" for k, v in vars(self).items()
                       if not math.isfinite(v)]
         if non_finite:
@@ -74,14 +81,13 @@ class PitchConfig:
             raise ConfigInvalidError("threshold must be positive")
         if self.silence_rms < 0:
             raise ConfigInvalidError("silence_rms must not be negative")
-        if self.hop_length(rate) < 1:
+        if self.hop_length < 1:
             raise ConfigInvalidError("hop shorter than one sample")
-        frame = self.frame_length(rate)
-        if frame < 2 * rate / self.fmin_hz:
+        if self.frame_length < 2 * rate / self.fmin_hz:
             raise ConfigInvalidError(
-                f"frame of {frame} samples covers under two periods of "
+                f"frame of {self.frame_length} samples covers under two periods of "
                 f"fmin {self.fmin_hz} Hz at {rate} Hz")
-        tau_min, tau_max = self.lag_range(rate)
+        tau_min, tau_max = self.lag_range
         if tau_min > tau_max:
             raise ConfigInvalidError(
                 f"no whole-sample period lies in {self.fmin_hz}..{self.fmax_hz} Hz "
@@ -119,38 +125,30 @@ class PitchTrack:
         return float(np.count_nonzero(self.pitches_hz)) / len(self)
 
 
-def num_frames(num_samples: int, frame_length: int, hop_length: int) -> int:
-    if num_samples < frame_length:
-        return 0
-    return (num_samples - frame_length) // hop_length + 1
-
-
 def track_pitch(w: Waveform, config: PitchConfig | None = None) -> PitchTrack:
     """Run the difference-function tracker over a waveform at 8 kHz."""
     cfg = config or PitchConfig()
-    rate = w.sample_rate
-    if rate != CANONICAL_RATE:
+    if w.sample_rate != CANONICAL_RATE:
         raise ConfigInvalidError(
-            f"tracker expects {CANONICAL_RATE} Hz input, got {rate} Hz; resample first")
-    cfg.validate(rate)
-    frame_len = cfg.frame_length(rate)
-    hop = cfg.hop_length(rate)
+            f"tracker expects {CANONICAL_RATE} Hz input, got {w.sample_rate} Hz; "
+            "resample first")
+    frame_len = cfg.frame_length
     if len(w) < frame_len:
         raise ConfigInvalidError(
             f"input of {len(w)} samples is shorter than one {frame_len}-sample frame")
 
-    frames = sliding_window_view(w.samples, frame_len)[::hop]
+    frames = sliding_window_view(w.samples, frame_len)[::cfg.hop_length]
     pitches = np.empty(frames.shape[0])
     for start in range(0, frames.shape[0], BLOCK_FRAMES):
         block = frames[start:start + BLOCK_FRAMES]
-        pitches[start:start + block.shape[0]] = _block_pitches(block, rate, cfg)
+        pitches[start:start + block.shape[0]] = _block_pitches(block, cfg)
     return PitchTrack(pitches, cfg.hop_seconds)
 
 
-def _block_pitches(frames: np.ndarray, rate: int, cfg: PitchConfig) -> np.ndarray:
+def _block_pitches(frames: np.ndarray, cfg: PitchConfig) -> np.ndarray:
     """Pitch in Hz (0 = unvoiced) of each row of a (frames, frame_len) block."""
     n_frames, frame_len = frames.shape
-    tau_min, tau_max = cfg.lag_range(rate)
+    tau_min, tau_max = cfg.lag_range
     window = frame_len - tau_max
     lags = np.arange(tau_max + 1)
 
@@ -201,7 +199,7 @@ def _block_pitches(frames: np.ndarray, rate: int, cfg: PitchConfig) -> np.ndarra
     refined = tau + np.clip(shift, -1.0, 1.0)
 
     pitches = np.zeros(n_frames)
-    pitches[voiced] = np.clip(rate / refined[voiced], cfg.fmin_hz, cfg.fmax_hz)
+    pitches[voiced] = np.clip(CANONICAL_RATE / refined[voiced], cfg.fmin_hz, cfg.fmax_hz)
     return pitches
 
 

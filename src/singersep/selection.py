@@ -26,7 +26,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .audio import CANONICAL_RATE, Waveform
+from .audio import Waveform
 from .backends import CandidateModel, run_backend
 from .errors import BackendFailureError, ConfigInvalidError, FrameMismatchError
 from .pitch import PitchConfig, PitchTrack, to_semitones, track_pitch
@@ -162,14 +162,12 @@ def check_scoring(cfg: PitchConfig, units: str,
                   segment_seconds: float | None) -> int | None:
     """Check the scoring settings; return the block length in frames.
 
-    Units must be one of UNITS and the pitch config valid at the canonical
-    rate. With ``segment_seconds`` set, it must be positive and finite, and
-    the block is round(segment_seconds / hop) frames, at least 3; None
-    (whole-input scoring) passes through.
+    Units must be one of UNITS. With ``segment_seconds`` set, it must be
+    positive and finite, and the block is round(segment_seconds / hop)
+    frames, at least 3; None (whole-input scoring) passes through.
     """
     if units not in UNITS:
         raise ValueError(f"unknown pitch units {units!r}")
-    cfg.validate(CANONICAL_RATE)
     if segment_seconds is None:
         return None
     frames = segment_seconds / cfg.hop_seconds

@@ -371,7 +371,6 @@ class TestSelectModel:
 
     @pytest.mark.parametrize("bad", [
         {"units": "cents"},
-        {"pitch_config": PitchConfig(fmin_hz=100.5, fmax_hz=101.0)},
         {"segment_seconds": math.inf},
     ])
     def test_bad_settings_rejected_before_any_backend(self, tmp_path, bad):
