@@ -18,6 +18,10 @@ from .errors import InvalidWaveformError, MalformedWavError, UnsupportedEncoding
 
 CANONICAL_RATE = 8000
 
+# Highest sample rate read_wav accepts, the highest common hi-res rate. The
+# resampler's filter grows with the rate, so a header's rate must be bounded.
+MAX_SAMPLE_RATE = 768000
+
 # Resampler design: windowed-sinc lowpass, Kaiser beta 8.6, cutoff at the
 # Nyquist of the slower rate. The filter spans this many sinc zero crossings,
 # so it has 64*max(up, down) + 1 taps (353 per output phase at 44.1k -> 8k).
@@ -82,9 +86,10 @@ class Segment:
 def read_wav(path) -> Waveform:
     """Read a RIFF/WAVE file as a mono Waveform.
 
-    Accepts 16-bit PCM and 32-bit IEEE float data at any rate and channel
-    count; multi-channel input is averaged down to mono. Samples are mapped
-    into [-1, 1] (int16 via 1/32767, out-of-range float data is clamped).
+    Accepts 16-bit PCM and 32-bit IEEE float data at rates up to
+    MAX_SAMPLE_RATE and any channel count; multi-channel input is averaged
+    down to mono. Samples are mapped into [-1, 1] (int16 via 1/32767,
+    out-of-range float data is clamped).
     """
     with open(path, "rb") as fh:
         data = fh.read()
@@ -115,6 +120,10 @@ def read_wav(path) -> Waveform:
     audio_format, channels, sample_rate, _, _, bits = fmt
     if channels < 1 or sample_rate <= 0:
         raise MalformedWavError(f"{path}: invalid fmt fields")
+    if sample_rate > MAX_SAMPLE_RATE:
+        raise UnsupportedEncodingError(
+            f"{path}: sample rate {sample_rate} Hz is above the "
+            f"{MAX_SAMPLE_RATE} Hz maximum")
 
     if (audio_format, bits) not in _DECODERS:
         raise UnsupportedEncodingError(

@@ -160,14 +160,20 @@ def _run_external(backend: SeparationBackend, input_w: Waveform,
     argv = [token.format(input=in_path, **slots)
             for token in shlex.split(backend.command)]
     cmd = shlex.join(argv)
+    # no pipes: a background child that outlives the command cannot hold
+    # the run up, and stderr stays in the scratch kept on failure
+    stderr_path = scratch / "stderr.txt"
     try:
-        proc = subprocess.run(argv, capture_output=True, text=True, errors="replace")
+        with open(stderr_path, "wb") as stderr:
+            proc = subprocess.run(argv, stdin=subprocess.DEVNULL,
+                                  stdout=subprocess.DEVNULL, stderr=stderr)
     except OSError as exc:
         raise BackendFailureError(f"command could not start: {cmd}: {exc}")
     if proc.returncode != 0:
+        stderr_text = stderr_path.read_text(encoding="utf-8", errors="replace")
         raise BackendFailureError(
             f"command exited {proc.returncode}: {cmd}\n"
-            f"stderr: {proc.stderr.strip()[-STDERR_TAIL:]}")
+            f"stderr: {stderr_text.strip()[-STDERR_TAIL:]}")
     outs = []
     for name, path in slots.items():
         if not path.exists():
@@ -265,7 +271,7 @@ def registry_load(path) -> list[CandidateModel]:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise MalformedRegistryError(f"{path}: {exc}")
 
     if isinstance(doc, dict):

@@ -51,18 +51,22 @@ def _flag(key: str) -> str:
 def _config_settings(path) -> list[tuple[str, str]]:
     """The ``key = value`` lines of a config file; '#' starts a comment."""
     settings = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            key, sep, value = (part.strip() for part in line.partition("="))
-            if not sep:
-                raise ConfigInvalidError(f"{path}:{lineno}: expected key=value")
-            if key not in _SETTINGS:
-                raise ConfigInvalidError(
-                    f"{path}:{lineno}: unknown key {key!r} (known: {', '.join(_SETTINGS)})")
-            settings.append((key, value))
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            lines = fh.readlines()
+    except UnicodeDecodeError as exc:
+        raise ConfigInvalidError(f"{path}: {exc}") from None
+    for lineno, line in enumerate(lines, start=1):
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        key, sep, value = (part.strip() for part in line.partition("="))
+        if not sep:
+            raise ConfigInvalidError(f"{path}:{lineno}: expected key=value")
+        if key not in _SETTINGS:
+            raise ConfigInvalidError(
+                f"{path}:{lineno}: unknown key {key!r} (known: {', '.join(_SETTINGS)})")
+        settings.append((key, value))
     return settings
 
 
@@ -129,7 +133,7 @@ def cmd_separate(args) -> int:
     for entry in report["candidates"]:
         score = entry["score"]
         shown = "null" if score is None else f"{score:.4f}"
-        flags = " [penalized]" if entry["penalized"] else ""
+        flags = f" [penalized: {entry['reason']}]" if entry["penalized"] else ""
         flags += f" [failed: {entry['error']}]" if entry["error"] else ""
         print(f"  {entry['model_id']}: score={shown} "
               f"frames={entry['contributing_frames']}{flags}")

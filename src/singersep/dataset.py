@@ -325,24 +325,59 @@ def build_dataset(manifest: list[StemEntry],
     return doc
 
 
+def _read_json(path):
+    """A JSON document; one that does not parse, or is not UTF-8, raises
+    naming the file."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return json.load(fh)
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        raise ValueError(f"{path}: {exc}") from None
+
+
+def _record_problem(record) -> str | None:
+    """What is wrong with a manifest's pair record, or None."""
+    if not isinstance(record, dict):
+        return f"must be an object, got {type(record).__name__}"
+    if not isinstance(record.get("pair_id"), str):
+        return f"pair_id must be a string, got {record.get('pair_id')!r}"
+    if record.get("split") not in SPLITS:
+        return (f"split must be one of {', '.join(SPLITS)}, "
+                f"got {record.get('split')!r}")
+    paths = record.get("paths")
+    if not (isinstance(paths, dict)
+            and all(isinstance(paths.get(key), str) for key in _PAIR_FILES)):
+        return f"paths must hold string {', '.join(_PAIR_FILES)}"
+    return None
+
+
 def load_manifest(path) -> tuple[dict, Path]:
     """Read a built dataset's manifest, given it or its directory; return
-    the manifest and the directory its paths are relative to."""
+    the manifest and the directory its paths are relative to.
+
+    ``pairs`` must be a list of records, each with a string ``pair_id``, a
+    ``split`` in SPLITS and string ``paths`` for the mix and both sources.
+    """
     path = Path(path)
     if path.is_dir():
         path = path / "dataset.json"
-    with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
-    if doc.get("schema") != MANIFEST_SCHEMA:
-        raise ValueError(f"{path}: unknown manifest schema {doc.get('schema')!r}")
+    doc = _read_json(path)
+    schema = doc.get("schema") if isinstance(doc, dict) else None
+    if schema != MANIFEST_SCHEMA:
+        raise ValueError(f"{path}: unknown manifest schema {schema!r}")
+    if not isinstance(doc.get("pairs"), list):
+        raise ValueError(f"{path}: pairs must be a list of pair records")
+    for i, record in enumerate(doc["pairs"]):
+        problem = _record_problem(record)
+        if problem:
+            raise ValueError(f"{path}: pair record {i}: {problem}")
     return doc, path.parent
 
 
 def load_stem_manifest(path) -> list[StemEntry]:
     """Read the input stem list: a JSON array of {song_id, singer_id, vocal_path}
     objects whose values are strings, each with an optional split."""
-    with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
+    doc = _read_json(path)
     if not isinstance(doc, list):
         raise ValueError(f"{path}: stem manifest must be a JSON array")
     entries = []

@@ -16,6 +16,7 @@ from hypothesis.extra.numpy import arrays
 import singersep
 from singersep import synth
 from singersep.audio import (
+    MAX_SAMPLE_RATE,
     Waveform,
     _polyphase_kernels,
     quantize_pcm16,
@@ -39,13 +40,25 @@ def _pcm16_file(path, ints, rate=8000, channels=1):
         "<4sI4s4sIHHIIHH4sI",
         b"RIFF", 36 + len(payload), b"WAVE",
         b"fmt ", 16, 1, channels, rate,
-        rate * 2 * channels, 2 * channels, 16,
+        rate * 2 * channels % 2 ** 32, 2 * channels, 16,
         b"data", len(payload))
     path.write_bytes(header + payload)
     return path
 
 
 class TestReadWav:
+    def test_maximum_rate_reads(self, tmp_path):
+        w = read_wav(_pcm16_file(tmp_path / "max.wav", np.zeros(100),
+                                 rate=MAX_SAMPLE_RATE))
+        assert (w.sample_rate, len(w)) == (MAX_SAMPLE_RATE, 100)
+
+    @pytest.mark.parametrize("rate", [MAX_SAMPLE_RATE + 1, 2 ** 32 - 5])
+    def test_rate_above_maximum_rejected(self, tmp_path, rate):
+        path = _pcm16_file(tmp_path / "fast.wav", np.zeros(100), rate=rate)
+        with pytest.raises(UnsupportedEncodingError,
+                           match=re.escape(f"{path}: sample rate {rate} Hz")):
+            read_wav(path)
+
     def test_pcm16_scaling(self, tmp_path):
         path = _pcm16_file(tmp_path / "s.wav", [0, 16384])
         w = read_wav(path)

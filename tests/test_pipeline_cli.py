@@ -4,6 +4,7 @@ import math
 import re
 import os
 import shlex
+import struct
 import subprocess
 import sys
 import textwrap
@@ -366,6 +367,22 @@ class TestCliExitCodes:
         errors = {c["model_id"]: c["error"] for c in report["candidates"]}
         assert errors["garbled"] is not None and errors["clean"] is None
 
+    @pytest.mark.parametrize("rate", [768001, 2 ** 32 - 5])
+    def test_song_rate_above_maximum_exits_2_before_any_backend(
+            self, duet_setup, marker_setup, tmp_path, capsys, rate):
+        registry, marker = marker_setup
+        song = tmp_path / "fast.wav"
+        write_wav(synth.sine(220.0, 0.0125), song)  # 100 samples
+        header = bytearray(song.read_bytes())
+        header[24:28] = struct.pack("<I", rate)  # the fmt chunk's sample rate
+        song.write_bytes(bytes(header))
+        out = tmp_path / "out"
+        rc = cli.main(separate_argv(duet_setup, out, song=song, registry=registry))
+        err = capsys.readouterr().err
+        assert_clean_exit(rc, err, 2)
+        assert f"{song}: sample rate {rate} Hz is above the 768000 Hz maximum" in err
+        assert not marker.exists() and not out.exists()
+
     @pytest.mark.parametrize("bypass", [[], ["--model", "marker"]])
     def test_bad_env_units_exits_2_before_any_backend(
             self, duet_setup, marker_setup, tmp_path, capsys, monkeypatch, bypass):
@@ -629,6 +646,101 @@ class TestCliScratch:
         assert proc.returncode == 0, proc.stderr
         assert any(line.startswith("WARNING singersep.selection: candidate bad failed:")
                    for line in proc.stderr.splitlines()), proc.stderr
+
+
+class TestCliPenaltyReasons:
+    def test_each_penalty_names_its_reason(self, duet_setup, tmp_path, capsys):
+        entries = json.loads(duet_setup["registry"].read_text())
+        entries += [
+            # channel A is the input, channel B silence
+            {"model_id": "silent", "stage": STAGE2, "kind": "passthrough"},
+            {"model_id": "copy", "stage": STAGE2, "command": COPY_COMMAND},
+            {"model_id": "failing", "stage": STAGE2,
+             "command": "false {input} {out_a} {out_b}"},
+        ]
+        registry = write_registry(tmp_path / "reasons-registry.json", entries)
+        out = tmp_path / "out"
+        assert cli.main(separate_argv(duet_setup, out, registry=registry)) == 0
+        console = capsys.readouterr().out.splitlines()
+        report = json.loads((out / "report.json").read_text())
+        reasons = {c["model_id"]: c["reason"] for c in report["candidates"]}
+        assert reasons == {"clean": None, "leaky": None, "silent": "silent_channel",
+                           "copy": "duplicate_channels", "failing": "backend_failed"}
+        for model_id, reason in reasons.items():
+            line = next(line for line in console
+                        if line.startswith(f"  {model_id}: "))
+            assert ("[penalized: " in line) == (reason is not None)
+            if reason is not None:
+                assert f"[penalized: {reason}]" in line
+        failing = next(line for line in console if line.startswith("  failing: "))
+        assert "[penalized: backend_failed] [failed: command exited 1" in failing
+
+
+def _bad_document(tmp_path, case):
+    """The argv of a run that reads one malformed document, and its path."""
+    record = {"pair_id": "test-000000", "split": "test",
+              "paths": {"mix": "m.wav", "src_a": "a.wav", "src_b": "b.wav"}}
+    manifest = {"schema": "mir-ss/1", "pairs": [record]}
+    bad_record = {
+        "manifest-without-pairs": None,
+        "record-a-string": "test-000000",
+        "record-without-paths": {k: v for k, v in record.items() if k != "paths"},
+        "record-path-not-a-string": {**record, "paths": {**record["paths"], "mix": 3}},
+        "record-unknown-split": {**record, "split": "dev"},
+        "record-pair-id-not-a-string": {**record, "pair_id": 7},
+    }
+    evaluate = ["evaluate", "--dataset", str(tmp_path / "dataset.json"),
+                "--estimates", str(tmp_path)]
+    if case in bad_record:
+        if bad_record[case] is None:
+            del manifest["pairs"]
+        else:
+            manifest["pairs"] = [record, bad_record[case]]
+        path = tmp_path / "dataset.json"
+        path.write_text(json.dumps(manifest))
+        return evaluate, path
+    if case == "truncated-manifest":
+        path = tmp_path / "dataset.json"
+        path.write_text(json.dumps(manifest)[:-7])
+        return evaluate, path
+    if case == "invalid-stems":
+        path = tmp_path / "stems.json"
+        path.write_text('[{"song_id": ')
+        return ["build-dataset", "--manifest", str(path), "--scheme", "duet",
+                "--out", str(tmp_path / "ds")], path
+    if case == "non-utf8-registry":
+        path = tmp_path / "registry.json"
+        path.write_bytes(b'[{"model_id": "\xff"}]')
+        return ["separate", str(tmp_path / "song.wav"), "--registry", str(path),
+                "--stage1", "pass", "--out", str(tmp_path / "out")], path
+    assert case == "non-utf8-config"
+    path = tmp_path / "mirss.cfg"
+    path.write_bytes(b"seed = 3 # \xe9\n")
+    return [*evaluate, "--config", str(path)], path
+
+
+class TestCliDocuments:
+    @pytest.mark.parametrize("case, message", [
+        ("manifest-without-pairs", "pairs must be a list of pair records"),
+        ("record-a-string", "pair record 1: must be an object, got str"),
+        ("record-without-paths", "pair record 1: paths must hold string mix, src_a, src_b"),
+        ("record-path-not-a-string", "pair record 1: paths must hold string"),
+        ("record-unknown-split", "pair record 1: split must be one of train, valid, test"),
+        ("record-pair-id-not-a-string", "pair record 1: pair_id must be a string, got 7"),
+        ("truncated-manifest", "line 1 column"),
+        ("invalid-stems", "line 1 column"),
+        ("non-utf8-registry", "can't decode byte 0xff"),
+        ("non-utf8-config", "can't decode byte 0xe9"),
+    ])
+    def test_malformed_document_exits_2_naming_it(self, tmp_path, capsys, monkeypatch,
+                                                  case, message):
+        monkeypatch.delenv("MIRSS_CONFIG", raising=False)
+        argv, path = _bad_document(tmp_path, case)
+        rc = cli.main(argv)
+        err = capsys.readouterr().err
+        assert_clean_exit(rc, err, 2)
+        assert err.startswith(f"error: {path}: ")
+        assert message in err
 
 
 class TestPublicApi:

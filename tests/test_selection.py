@@ -1,5 +1,9 @@
 import math
+import os
+import shlex
+import signal
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -364,6 +368,31 @@ class TestSelectModel:
             oracle=OracleSpec(str(tmp_path / "nope.wav"), str(tmp_path / "nah.wav"))))
         with pytest.raises(BackendFailureError):
             select_model(synth.sine(220.0, 1.0), [broken], workdir=tmp_path)
+
+    def test_background_child_does_not_hold_the_run(self, tmp_path):
+        # the command exits at once, leaving a sleeper that would hold any
+        # pipe the runner gave it for 20 s
+        pid_file = tmp_path / "sleeper.pid"
+        sleeper = CandidateModel("sleeper", SeparationBackend(
+            kind=KIND_EXTERNAL, stage=STAGE2,
+            command=("sh -c 'sleep 20 & echo $! > \"$1\"; exit 1' sh "
+                     f"{shlex.quote(str(pid_file))} {{input}} {{out_a}} {{out_b}}")))
+        (ref_a, pa), (_, pb) = make_duet_refs(tmp_path, seed=4, seconds=3.0)
+        start = time.monotonic()
+        try:
+            result = select_model(ref_a, [sleeper, oracle_candidate("ok", pa, pb)],
+                                  workdir=tmp_path)
+            elapsed = time.monotonic() - start
+        finally:
+            if pid_file.exists():
+                try:
+                    os.kill(int(pid_file.read_text()), signal.SIGKILL)
+                except ProcessLookupError:
+                    pass
+        assert elapsed < 5.0
+        assert result.chosen == "ok"
+        excluded = next(s for s in result.scores if s.model_id == "sleeper")
+        assert excluded.reason == "backend_failed" and "exited 1" in excluded.error
 
     def test_no_candidates_raises(self):
         with pytest.raises(BackendFailureError):
