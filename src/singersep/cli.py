@@ -205,11 +205,13 @@ def cmd_evaluate(args) -> int:
             lambda r: _evaluate_pair(root, estimates, r), records))
 
     rows = []
+    sources = []
     missing = []
     for pair_id, result in results:  # already in input order
         if result is None:
             missing.append(pair_id)
             continue
+        sources.extend(result.per_source)
         mean = result.mean
         rows.append({"pair_id": pair_id,
                      **{k: getattr(mean, k) for k in metrics.METRICS}})
@@ -217,9 +219,14 @@ def cmd_evaluate(args) -> int:
               f"SDRi {mean.sdri_db:.4f} dB")
 
     if rows:
-        means = {k: metrics.capped_mean(*(r[k] for r in rows)) for k in metrics.METRICS}
+        means = {k: metrics.mean_below_sentinel(getattr(s, k) for s in sources)
+                 for k in metrics.METRICS}
         print(f"mean over {len(rows)} pairs: "
               f"SI-SNRi {means['si_snri_db']:.4f} dB, SDRi {means['sdri_db']:.4f} dB")
+        exact = sum(s.si_snri_db >= metrics.SENTINEL_DB for s in sources)
+        if exact:
+            print(f"{exact} of {len(sources)} sources reconstructed exactly, "
+                  "left out of the mean")
         csv_path = Path(args.csv) if args.csv else estimates / "evaluation.csv"
         with open(csv_path, "w", newline="", encoding="utf-8") as fh:
             writer = csv.DictWriter(fh, fieldnames=["pair_id", *metrics.METRICS])

@@ -21,6 +21,10 @@ SENTINEL_DB = 1e9
 
 _RESIDUAL_FLOOR = 1e-12
 
+# samples per block where si_snr centres the estimate; the block temporary
+# stays small beside the one full-length buffer
+_BLOCK = 1 << 15
+
 
 def _as_array(x) -> np.ndarray:
     if isinstance(x, Waveform):
@@ -42,31 +46,48 @@ def _ratio_db(signal_energy: float, noise_energy: float) -> float:
     return 10.0 * np.log10(signal_energy / noise_energy)
 
 
+def _dot(x: np.ndarray, y: np.ndarray) -> float:
+    """Inner product in numpy's own loop, which starts no BLAS threads."""
+    return float(np.einsum("i,i->", x, y))
+
+
 def si_snr(reference, estimate) -> float:
     """Scale-invariant SNR of estimate against reference, in dB."""
     ref, est = _as_pair(reference, estimate)
     if ref.size < 2:
         raise DegenerateInputError("si_snr needs at least 2 samples")
-    ref = ref - ref.mean()
-    est = est - est.mean()
-    ref_energy = float(np.dot(ref, ref))
-    if ref_energy == 0.0:
+    if ref.min() == ref.max():
         raise DegenerateInputError("zero-variance reference")
-    if float(np.dot(est, est)) == 0.0:
+    if est.min() == est.max():
         raise DegenerateInputError("zero-variance estimate")
-    s_target = (float(np.dot(est, ref)) / ref_energy) * ref
-    e = est - s_target
-    return _ratio_db(float(np.dot(s_target, s_target)), float(np.dot(e, e)))
+    # one full-length buffer: the centred reference, then in place the residual
+    # est - mean(est) - alpha * centred reference
+    est_mean = est.mean()
+    buf = ref - ref.mean()
+    ref_energy = _dot(buf, buf)
+    if ref_energy == 0.0:  # samples so small that their squares underflow
+        raise DegenerateInputError("zero-variance reference")
+    # est is centred a block at a time: products with an uncentred est lose
+    # alpha's precision when its mean dwarfs its variation
+    alpha = sum(_dot(buf[i:i + _BLOCK], est[i:i + _BLOCK] - est_mean)
+                for i in range(0, est.size, _BLOCK)) / ref_energy
+    buf *= -alpha
+    buf += est
+    buf -= est_mean
+    target_energy, resid_energy = alpha * alpha * ref_energy, _dot(buf, buf)
+    if target_energy + resid_energy == 0.0:  # the estimate's energy underflows
+        raise DegenerateInputError("zero-variance estimate")
+    return _ratio_db(target_energy, resid_energy)
 
 
 def sdr(reference, estimate) -> float:
     """Signal-to-distortion ratio as a plain energy ratio, in dB."""
     ref, est = _as_pair(reference, estimate)
-    ref_energy = float(np.dot(ref, ref))
+    ref_energy = _dot(ref, ref)
     if ref_energy == 0.0:
         raise DegenerateInputError("zero-energy reference")
     resid = ref - est
-    return _ratio_db(ref_energy, float(np.dot(resid, resid)))
+    return _ratio_db(ref_energy, _dot(resid, resid))
 
 
 def improvement(metric, reference, estimate, mixture) -> float:
@@ -106,6 +127,16 @@ class PitResult:
 def capped_mean(*values: float) -> float:
     """Mean of the values, capped at the sentinel."""
     return min(float(np.mean(values)), SENTINEL_DB)
+
+
+def mean_below_sentinel(values) -> float:
+    """Mean of the values below the sentinel, or the sentinel if none is.
+
+    Exact reconstructions are left out, so one of them cannot swamp the
+    finite values of the rest.
+    """
+    kept = [v for v in values if v < SENTINEL_DB]
+    return float(np.mean(kept)) if kept else SENTINEL_DB
 
 
 def pit_evaluate(references, estimates, mixture) -> PitResult:

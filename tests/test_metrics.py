@@ -6,11 +6,26 @@ from hypothesis import strategies as st
 from singersep.errors import DegenerateInputError
 from singersep.metrics import (
     SENTINEL_DB,
+    METRICS,
     improvement,
     pit_evaluate,
     sdr,
     si_snr,
 )
+
+
+def textbook_si_snr(ref, est):
+    """SI-SNR from two centred copies and the explicit projection."""
+    ref = ref - ref.mean()
+    est = est - est.mean()
+    target = (np.dot(est, ref) / np.dot(ref, ref)) * ref
+    noise = est - target
+    return 10 * np.log10(np.dot(target, target) / np.dot(noise, noise))
+
+
+def textbook_sdr(ref, est):
+    noise = ref - est
+    return 10 * np.log10(np.dot(ref, ref) / np.dot(noise, noise))
 
 
 class TestSiSnr:
@@ -37,6 +52,22 @@ class TestSiSnr:
     def test_zero_variance_estimate(self):
         with pytest.raises(DegenerateInputError):
             si_snr(np.arange(10.0), np.zeros(10))
+
+    @pytest.mark.parametrize("ref, est, which", [
+        # constants whose computed mean is not their value, so centring
+        # leaves a rounding-level signal instead of zeros
+        (np.full(3, 0.1), np.arange(3.0), "reference"),
+        (np.full(1000, 0.1), np.arange(1000.0), "reference"),
+        (np.arange(3.0), np.full(3, 0.1), "estimate"),
+        (np.arange(1000.0), np.full(1000, 0.1), "estimate"),
+        (np.full(3, 0.1), np.full(3, 0.1), "reference"),
+        # not constant, but the squares of the centred samples underflow to 0
+        (np.array([0.0, 1e-170, 0.0]), np.arange(3.0), "reference"),
+        (np.arange(3.0), np.array([0.0, 1e-170, 0.0]), "estimate"),
+    ])
+    def test_no_variance_rejected(self, ref, est, which):
+        with pytest.raises(DegenerateInputError, match=f"^zero-variance {which}$"):
+            si_snr(ref, est)
 
     def test_length_mismatch(self):
         with pytest.raises(DegenerateInputError):
@@ -146,3 +177,67 @@ class TestPitEvaluate:
         for rep in result.per_source:
             assert rep.si_snri_db > 0
             assert rep.sdri_db > 0
+
+
+@settings(max_examples=100, deadline=None)
+@given(n=st.integers(8, 20_000), scale=st.floats(1e-3, 1e3),
+       gain=st.floats(-10, 10), noise=st.floats(1e-3, 10),
+       dc_ref=st.floats(-2, 2), dc_est=st.floats(-2, 2),
+       seed=st.integers(0, 2 ** 31 - 1))
+def test_metrics_match_textbook_forms(n, scale, gain, noise, dc_ref, dc_est, seed):
+    # random lengths, scales and DC offsets; the noise keeps the true ratio
+    # far from the sentinel, so both forms return a finite value
+    rng = np.random.default_rng(seed)
+    signal = rng.standard_normal(n)
+    ref = scale * (signal + dc_ref)
+    est = scale * (gain * signal + noise * rng.standard_normal(n) + dc_est)
+    # 1e-12 relative, with a 1e-12 dB floor for values that cross 0 dB
+    assert si_snr(ref, est) == pytest.approx(textbook_si_snr(ref, est),
+                                             rel=1e-12, abs=1e-12)
+    assert sdr(ref, est) == pytest.approx(textbook_sdr(ref, est),
+                                          rel=1e-12, abs=1e-12)
+
+
+def pair_inputs(writeable=True, seed=8, n=1000):
+    """References a and b, estimates of each, and their mixture."""
+    rng = np.random.default_rng(seed)
+    a, b = rng.standard_normal(n) + 0.3, rng.standard_normal(n) - 0.2
+    arrays = (a, b, a + 0.1 * rng.standard_normal(n), b + 0.4, a + b)
+    for x in arrays:
+        x.flags.writeable = writeable
+    return arrays
+
+
+@pytest.mark.parametrize("writeable", [True, False])
+class TestPurity:
+    """The metrics never modify their inputs and accept read-only ones."""
+
+    @pytest.mark.parametrize("metric", [si_snr, sdr])
+    def test_metric_leaves_inputs_unchanged(self, metric, writeable):
+        ref, _, est, _, _ = pair_inputs(writeable)
+        before = (ref.tobytes(), est.tobytes())
+        metric(ref, est)
+        metric(est, ref)
+        assert (ref.tobytes(), est.tobytes()) == before
+
+    def test_pit_evaluate_leaves_inputs_unchanged(self, writeable):
+        a, b, ea, eb, mix = pair_inputs(writeable)
+        before = [x.tobytes() for x in (a, b, ea, eb, mix)]
+        pit_evaluate((a, b), (eb, ea), mix)
+        assert [x.tobytes() for x in (a, b, ea, eb, mix)] == before
+
+
+def test_pit_evaluate_calls_no_blas_inner_product(monkeypatch):
+    # BLAS inner products start a thread pool that competes with evaluate's
+    # own workers; numpy's einsum loop starts none
+    a, b, ea, eb, mix = pair_inputs()
+    expected = pit_evaluate((a, b), (ea, eb), mix)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("BLAS inner product called")
+
+    for name in ("dot", "vdot", "inner"):
+        monkeypatch.setattr(np, name, refuse)
+    got = pit_evaluate((a, b), (ea, eb), mix)
+    assert got == expected
+    assert all(getattr(got.mean, k) < SENTINEL_DB for k in METRICS)

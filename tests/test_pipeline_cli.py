@@ -1,4 +1,5 @@
 import argparse
+import csv
 import json
 import math
 import re
@@ -13,7 +14,7 @@ from pathlib import Path
 import pytest
 
 import singersep
-from singersep import cli, synth
+from singersep import cli, metrics, synth
 from singersep.audio import Waveform, read_wav, resample, write_wav
 from singersep.backends import STAGE1, STAGE2, registry_load
 from singersep.dataset import mix_at_snr
@@ -1032,6 +1033,45 @@ class TestCliEvaluate:
         err = capsys.readouterr().err
         assert_clean_exit(rc, err, 2)
         assert f"pair {bad}: length mismatch" in err
+
+    def test_constant_estimate_exits_2_naming_the_pair(self, built_dataset, tmp_path,
+                                                       capsys):
+        root, doc = built_dataset
+        est = write_oracle_estimates(root, doc, tmp_path / "est")
+        bad = doc["pairs"][-1]["pair_id"]
+        src = read_wav(est / f"{bad}_b.wav")
+        write_wav(Waveform([0.1] * len(src), src.sample_rate), est / f"{bad}_b.wav")
+        rc = cli.main(["evaluate", "--dataset", str(root),
+                       "--estimates", str(est)])
+        err = capsys.readouterr().err
+        assert_clean_exit(rc, err, 2)
+        assert f"pair {bad}: zero-variance estimate" in err
+
+    def test_exact_sources_left_out_of_the_mean(self, built_dataset, tmp_path, capsys):
+        # four pairs estimated by their own sources, except that one pair's
+        # second channel is another pair's mix: 7 of 8 sources are exact
+        root, doc = built_dataset
+        doc = {**doc, "pairs": doc["pairs"][:4]}
+        (root / "dataset.json").write_text(json.dumps(doc))
+        est = write_oracle_estimates(root, doc, tmp_path / "est")
+        first, other = doc["pairs"][0], doc["pairs"][1]
+        write_wav(read_wav(root / other["paths"]["mix"]),
+                  est / f"{first['pair_id']}_b.wav")
+        rc = cli.main(["evaluate", "--dataset", str(root), "--estimates", str(est),
+                       "--csv", str(tmp_path / "m.csv")])
+        assert rc == 0
+        out = capsys.readouterr().out
+        assert "7 of 8 sources reconstructed exactly, left out of the mean" in out
+        finite = metrics.pit_evaluate(
+            [read_wav(root / first["paths"][k]) for k in ("src_a", "src_b")],
+            [read_wav(est / f"{first['pair_id']}_{ch}.wav") for ch in "ab"],
+            read_wav(root / first["paths"]["mix"])).per_source[1]
+        with open(tmp_path / "m.csv", newline="") as fh:
+            mean_row = next(r for r in csv.DictReader(fh) if r["pair_id"] == "mean")
+        assert {k: float(mean_row[k]) for k in metrics.METRICS} == \
+            {k: getattr(finite, k) for k in metrics.METRICS}
+        assert finite.si_snri_db < SENTINEL_DB
+        assert f"mean over 4 pairs: SI-SNRi {finite.si_snri_db:.4f} dB" in out
 
 
 # the run settings each verb declares
