@@ -223,7 +223,7 @@ def cmd_evaluate(args) -> int:
                  for k in metrics.METRICS}
         print(f"mean over {len(rows)} pairs: "
               f"SI-SNRi {means['si_snri_db']:.4f} dB, SDRi {means['sdri_db']:.4f} dB")
-        exact = sum(s.si_snri_db >= metrics.SENTINEL_DB for s in sources)
+        exact = sum(s.si_snr_db >= metrics.SENTINEL_DB for s in sources)
         if exact:
             print(f"{exact} of {len(sources)} sources reconstructed exactly, "
                   "left out of the mean")

@@ -1,11 +1,13 @@
 """Separation fidelity metrics: SI-SNR, SDR, their improvements, and
 permutation-invariant evaluation for two-source estimates.
 
-SI-SNR mean-centers both signals, projects the estimate onto the reference,
-and reports the energy ratio of projection to residual in dB. SDR is the
-plain energy ratio 10*log10(||ref||^2 / ||ref - est||^2) with no distortion
-filter. A perfect match is reported as the finite sentinel ``SENTINEL_DB``
-so reports stay serializable.
+SI-SNR (SI-SDR in Le Roux et al., ICASSP 2019) mean-centers both signals,
+projects the estimate onto the reference, and reports the energy ratio of
+projection to residual in dB. SDR is the plain energy ratio
+10*log10(||ref||^2 / ||ref - est||^2) with no distortion filter. Every score is
+finite, in [-SENTINEL_DB, SENTINEL_DB]: an exact match scores the sentinel and
+an estimate with nothing of the reference its negative. Means leave out scores
+at the sentinel, and constant signals are rejected, not scored.
 """
 
 from __future__ import annotations
@@ -40,9 +42,11 @@ def _as_pair(reference, estimate) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _ratio_db(signal_energy: float, noise_energy: float) -> float:
-    """The energy ratio in dB, or the sentinel when the noise is below the floor."""
+    """The energy ratio in dB, or +-the sentinel when one is below the floor."""
     if noise_energy < _RESIDUAL_FLOOR * signal_energy:
         return SENTINEL_DB
+    if signal_energy < _RESIDUAL_FLOOR * noise_energy:
+        return -SENTINEL_DB
     return 10.0 * np.log10(signal_energy / noise_energy)
 
 
@@ -51,14 +55,20 @@ def _dot(x: np.ndarray, y: np.ndarray) -> float:
     return float(np.einsum("i,i->", x, y))
 
 
+def zero_variance(signal) -> bool:
+    """True when all samples are equal, or there are none: nothing to score."""
+    x = _as_array(signal)
+    return not x.size or x.min() == x.max()
+
+
 def si_snr(reference, estimate) -> float:
     """Scale-invariant SNR of estimate against reference, in dB."""
     ref, est = _as_pair(reference, estimate)
     if ref.size < 2:
         raise DegenerateInputError("si_snr needs at least 2 samples")
-    if ref.min() == ref.max():
+    if zero_variance(ref):
         raise DegenerateInputError("zero-variance reference")
-    if est.min() == est.max():
+    if zero_variance(est):
         raise DegenerateInputError("zero-variance estimate")
     # one full-length buffer: the centred reference, then in place the residual
     # est - mean(est) - alpha * centred reference
@@ -91,16 +101,15 @@ def sdr(reference, estimate) -> float:
 
 
 def improvement(metric, reference, estimate, mixture) -> float:
-    """metric(ref, estimate) minus the metric(ref, mixture) baseline.
+    """metric(ref, estimate) minus metric(ref, mixture), within +-the sentinel.
 
-    If the estimate itself scores at the sentinel, the improvement is the
-    sentinel too (an exact reconstruction is reported as such, not as
-    sentinel-minus-baseline).
+    An estimate scoring at +-the sentinel keeps that score: an exact
+    reconstruction is reported as such, not as sentinel-minus-baseline.
     """
     value = metric(reference, estimate)
-    if value >= SENTINEL_DB:
-        return SENTINEL_DB
-    return value - metric(reference, mixture)
+    if abs(value) >= SENTINEL_DB:
+        return value
+    return min(max(value - metric(reference, mixture), -SENTINEL_DB), SENTINEL_DB)
 
 
 @dataclass
@@ -124,17 +133,9 @@ class PitResult:
     mean: EvalReport
 
 
-def capped_mean(*values: float) -> float:
-    """Mean of the values, capped at the sentinel."""
-    return min(float(np.mean(values)), SENTINEL_DB)
-
-
 def mean_below_sentinel(values) -> float:
-    """Mean of the values below the sentinel, or the sentinel if none is.
-
-    Exact reconstructions are left out, so one of them cannot swamp the
-    finite values of the rest.
-    """
+    """Mean of the values below the sentinel, or the sentinel if none is:
+    an exact reconstruction cannot swamp the finite values of the rest."""
     kept = [v for v in values if v < SENTINEL_DB]
     return float(np.mean(kept)) if kept else SENTINEL_DB
 
@@ -142,16 +143,15 @@ def mean_below_sentinel(values) -> float:
 def pit_evaluate(references, estimates, mixture) -> PitResult:
     """Evaluate both estimate-to-reference assignments, keep the better one.
 
-    The permutation maximizing mean SI-SNR wins; all four metrics are then
-    reported under that assignment, per source and averaged.
+    The permutation maximizing summed SI-SNR wins; all four metrics are then
+    reported under that assignment, per source and by mean_below_sentinel.
     """
     refs = [_as_array(r) for r in references]
     ests = [_as_array(e) for e in estimates]
     mix = _as_array(mixture)
 
     best = max(({0: 0, 1: 1}, {0: 1, 1: 0}),
-               key=lambda perm: capped_mean(*(si_snr(refs[perm[i]], ests[i])
-                                              for i in (0, 1))))
+               key=lambda perm: sum(si_snr(refs[perm[i]], ests[i]) for i in (0, 1)))
 
     reports = []
     for i in (0, 1):
@@ -165,7 +165,7 @@ def pit_evaluate(references, estimates, mixture) -> PitResult:
             permutation=dict(best),
         ))
     mean_report = EvalReport(
-        **{k: capped_mean(*(getattr(r, k) for r in reports)) for k in METRICS},
+        **{k: mean_below_sentinel(getattr(r, k) for r in reports) for k in METRICS},
         permutation=dict(best),
     )
     return PitResult(per_source=(reports[0], reports[1]), mean=mean_report)

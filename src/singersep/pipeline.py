@@ -12,7 +12,7 @@ from pathlib import Path
 from .audio import CANONICAL_RATE, Waveform, read_wav, resample, write_wav
 from .backends import STAGE1, STAGE2, CandidateModel, run_backend
 from .errors import DegenerateInputError, MalformedRegistryError
-from .metrics import pit_evaluate
+from .metrics import pit_evaluate, zero_variance
 from .pitch import PitchConfig
 from .selection import SelectionResult, TrendScore, check_scoring, select_model
 
@@ -39,7 +39,7 @@ def _read_reference(path, song: Waveform) -> Waveform:
         raise DegenerateInputError(
             f"{path}: length mismatch: {len(ref)} vs the song's {len(song)} "
             f"samples at {CANONICAL_RATE} Hz")
-    if ref.samples.var() == 0.0:
+    if zero_variance(ref):
         raise DegenerateInputError(f"{path}: zero-variance reference")
     return ref
 
@@ -62,7 +62,7 @@ def separate_song(song_path,
     (the others still appear in the report with null scores). ``refs``
     optionally names the two ground-truth vocal files for evaluation; they
     are read like the song and rejected unless they match its length and
-    are not silent, all before any backend runs, and scored before anything
+    are not constant, all before any backend runs, and scored before anything
     is written.
     If the run fails, the files it wrote and the directories it made are
     removed. A failed external backend's scratch directory under
@@ -164,7 +164,7 @@ def separate_song(song_path,
         report_path = out / "report.json"
         with open(report_path, "w", encoding="utf-8") as fh:
             written.append(report_path)
-            json.dump(report, fh, indent=2, sort_keys=True)
+            json.dump(report, fh, indent=2, sort_keys=True, allow_nan=False)
             fh.write("\n")
         return report
     except Exception:

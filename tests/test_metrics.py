@@ -1,3 +1,7 @@
+import json
+import warnings
+from dataclasses import asdict
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -11,6 +15,7 @@ from singersep.metrics import (
     pit_evaluate,
     sdr,
     si_snr,
+    zero_variance,
 )
 
 
@@ -61,6 +66,8 @@ class TestSiSnr:
         (np.arange(3.0), np.full(3, 0.1), "estimate"),
         (np.arange(1000.0), np.full(1000, 0.1), "estimate"),
         (np.full(3, 0.1), np.full(3, 0.1), "reference"),
+        # a PCM16 constant (3 of 32767) whose computed variance is about 2e-40
+        (np.full(24000, 3 / 32767), np.arange(24000.0), "reference"),
         # not constant, but the squares of the centred samples underflow to 0
         (np.array([0.0, 1e-170, 0.0]), np.arange(3.0), "reference"),
         (np.arange(3.0), np.array([0.0, 1e-170, 0.0]), "estimate"),
@@ -68,6 +75,17 @@ class TestSiSnr:
     def test_no_variance_rejected(self, ref, est, which):
         with pytest.raises(DegenerateInputError, match=f"^zero-variance {which}$"):
             si_snr(ref, est)
+
+    def test_empty_signal_has_zero_variance(self):
+        # an empty reference reaches the predicate from a zero-frame WAV
+        assert zero_variance(np.zeros(0))
+        assert not zero_variance(np.array([0.0, 1e-170]))
+
+    def test_orthogonal_estimate_is_negative_sentinel(self):
+        # nothing of the reference in the estimate mirrors the exact case
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert si_snr([1.0, -1.0, 1.0, -1.0], [1.0, 1.0, -1.0, -1.0]) == -SENTINEL_DB
 
     def test_length_mismatch(self):
         with pytest.raises(DegenerateInputError):
@@ -111,6 +129,9 @@ class TestSdr:
         with pytest.raises(DegenerateInputError):
             sdr(np.zeros(5), np.ones(5))
 
+    def test_reference_below_the_floor_is_negative_sentinel(self):
+        assert sdr(np.full(2, 1e-7), np.ones(2)) == -SENTINEL_DB
+
 
 class TestImprovement:
     def test_estimate_equals_mixture_is_exactly_zero(self):
@@ -135,6 +156,16 @@ class TestImprovement:
         assert improvement(si_snr, a, est, mix) > 0
         assert improvement(sdr, a, est, mix) > 0
 
+    def test_bounded_by_the_sentinel(self):
+        ref = np.array([1.0, -1.0, 1.0, -1.0])
+        other = np.array([1.0, 1.0, -1.0, -1.0])  # orthogonal to ref
+        # a finite estimate over a baseline of -SENTINEL_DB is capped ...
+        assert improvement(si_snr, ref, ref + [0.1, 0, 0, 0], other) == SENTINEL_DB
+        # ... a -20 dB one under a baseline of +SENTINEL_DB is floored ...
+        assert improvement(si_snr, ref, other + 0.1 * ref, ref) == -SENTINEL_DB
+        # ... and an estimate at -SENTINEL_DB keeps that score
+        assert improvement(si_snr, ref, other, ref + [0.1, 0, 0, 0]) == -SENTINEL_DB
+
 
 class TestPitEvaluate:
     def test_swapped_estimates_recovered(self):
@@ -144,6 +175,22 @@ class TestPitEvaluate:
         result = pit_evaluate((a, b), (b, a), a + b)
         assert result.mean.permutation == {0: 1, 1: 0}
         assert result.mean.si_snr_db == SENTINEL_DB
+
+    def test_mixture_with_nothing_of_a_reference_stays_finite(self):
+        # the mixture is orthogonal to a, so a's baseline is -SENTINEL_DB: a's
+        # SI-SNRi is capped at the sentinel and left out of the mean, while
+        # its finite SI-SNR says a was not reconstructed exactly
+        rng = np.random.default_rng(9)
+        a = np.resize([1.0, -1.0, 1.0, -1.0], 1000)
+        b = rng.standard_normal(1000)
+        mix = np.resize([1.0, 1.0, -1.0, -1.0], 1000)
+        result = pit_evaluate((a, b), (a + 0.1 * rng.standard_normal(1000),
+                                       b + 0.3 * rng.standard_normal(1000)), mix)
+        json.dumps(asdict(result), allow_nan=False)
+        src_a, src_b = result.per_source
+        assert src_a.si_snri_db == SENTINEL_DB
+        assert src_a.si_snr_db < 30
+        assert result.mean.si_snri_db == src_b.si_snri_db < SENTINEL_DB
 
     def test_in_order_estimates_identity(self):
         rng = np.random.default_rng(5)

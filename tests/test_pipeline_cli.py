@@ -11,10 +11,11 @@ import sys
 import textwrap
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import singersep
-from singersep import cli, metrics, synth
+from singersep import cli, metrics, pipeline, synth
 from singersep.audio import Waveform, read_wav, resample, write_wav
 from singersep.backends import STAGE1, STAGE2, registry_load
 from singersep.dataset import mix_at_snr
@@ -545,7 +546,9 @@ class TestCliExitCodes:
     @pytest.mark.parametrize("reference, message", [
         (synth.sine(220.0, 1.0), "length mismatch: 8000 vs the song's 48000"),
         (synth.silence(6.0), "zero-variance reference"),
-    ], ids=["short", "silent"])
+        # a PCM16 constant whose computed variance is not 0
+        (Waveform([3 / 32767] * 48000, 8000), "zero-variance reference"),
+    ], ids=["short", "silent", "constant"])
     def test_unscorable_reference_exits_2_naming_it_before_any_backend(
             self, duet_setup, marker_setup, tmp_path, capsys, reference, message):
         registry, marker = marker_setup
@@ -592,6 +595,22 @@ class TestCliExitCodes:
         err = capsys.readouterr().err
         assert_clean_exit(rc, err, 2)
         assert f"{song}: non-finite sample values" in err
+        assert not out.exists()
+
+    def test_non_finite_report_value_exits_2_and_rolls_back(
+            self, duet_setup, tmp_path, capsys, monkeypatch):
+        def infinite_mean(*args):
+            result = metrics.pit_evaluate(*args)
+            result.mean.sdri_db = math.inf
+            return result
+
+        monkeypatch.setattr(pipeline, "pit_evaluate", infinite_mean)
+        out = tmp_path / "out"
+        rc = cli.main(separate_argv(duet_setup, out, "--ref-a", str(duet_setup["refs"][0]),
+                                    "--ref-b", str(duet_setup["refs"][1])))
+        err = capsys.readouterr().err
+        assert_clean_exit(rc, err, 2)
+        assert "not JSON compliant" in err
         assert not out.exists()
 
 
@@ -823,6 +842,7 @@ class TestCliBuildDataset:
 
     @pytest.mark.parametrize("flag, value", [
         ("--segment-seconds", "inf"),
+        ("--segment-seconds", "0.00001"),  # rounds to zero samples
         ("--snr", "-inf:inf"),
         ("--snr", "inf:inf"),
         ("--snr", "5:-5"),
@@ -1067,11 +1087,44 @@ class TestCliEvaluate:
             [read_wav(est / f"{first['pair_id']}_{ch}.wav") for ch in "ab"],
             read_wav(root / first["paths"]["mix"])).per_source[1]
         with open(tmp_path / "m.csv", newline="") as fh:
-            mean_row = next(r for r in csv.DictReader(fh) if r["pair_id"] == "mean")
+            rows = {r["pair_id"]: r for r in csv.DictReader(fh)}
+        mean_row, first_row = rows["mean"], rows[first["pair_id"]]
         assert {k: float(mean_row[k]) for k in metrics.METRICS} == \
             {k: getattr(finite, k) for k in metrics.METRICS}
         assert finite.si_snri_db < SENTINEL_DB
         assert f"mean over 4 pairs: SI-SNRi {finite.si_snri_db:.4f} dB" in out
+        # the pair's own row follows the same rule: its finite source alone
+        assert {k: float(first_row[k]) for k in metrics.METRICS} == \
+            {k: getattr(finite, k) for k in metrics.METRICS}
+        assert (f"{first['pair_id']}: SI-SNRi {finite.si_snri_db:.4f} dB, "
+                f"SDRi {finite.sdri_db:.4f} dB") in out
+
+    def test_mixture_with_nothing_of_a_source_is_not_exact(self, built_dataset, tmp_path,
+                                                          capsys):
+        # one pair whose source a and mix are orthogonal square waves, with
+        # noisy estimates: a's SI-SNRi is capped at the sentinel, but its
+        # SI-SNR is finite, so no source counts as exact
+        root, doc = built_dataset
+        doc = {**doc, "pairs": doc["pairs"][:1]}
+        (root / "dataset.json").write_text(json.dumps(doc))
+        paths = {k: root / v for k, v in doc["pairs"][0]["paths"].items()}
+        n = len(read_wav(paths["mix"]))
+        write_wav(Waveform(np.resize([0.25, -0.25, 0.25, -0.25], n), 8000), paths["src_a"])
+        write_wav(Waveform(np.resize([0.25, 0.25, -0.25, -0.25], n), 8000), paths["mix"])
+        est = tmp_path / "est"
+        est.mkdir()
+        rng = np.random.default_rng(3)
+        for ch in "ab":
+            src = read_wav(paths[f"src_{ch}"]).samples
+            write_wav(Waveform(0.5 * src + 0.01 * rng.standard_normal(n), 8000),
+                      est / f"{doc['pairs'][0]['pair_id']}_{ch}.wav")
+        rc = cli.main(["evaluate", "--dataset", str(root), "--estimates", str(est),
+                       "--csv", str(tmp_path / "m.csv")])
+        assert rc == 0
+        assert "reconstructed exactly" not in capsys.readouterr().out
+        with open(tmp_path / "m.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert all(abs(float(r[k])) < 1e3 for r in rows for k in metrics.METRICS)
 
 
 # the run settings each verb declares

@@ -118,6 +118,9 @@ class TestTracker:
         median = float(np.median(voiced))
         assert 0.99 * freq <= median <= 1.01 * freq
 
+    def test_empty_track_is_unvoiced(self):
+        assert PitchTrack(np.zeros(0), 0.01).voiced_fraction() == 0.0
+
     def test_digital_silence_all_unvoiced(self):
         track = track_pitch(synth.silence(2.0))
         assert np.all(track.pitches_hz == 0)
