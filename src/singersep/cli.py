@@ -227,6 +227,12 @@ def cmd_evaluate(args) -> int:
         if exact:
             print(f"{exact} of {len(sources)} sources reconstructed exactly, "
                   "left out of the mean")
+        # an SI-SNRi at the cap without an exact SI-SNR: a -cap baseline
+        capped = sum(s.si_snri_db >= metrics.SENTINEL_DB > s.si_snr_db for s in sources)
+        if capped:
+            print(f"{capped} of {len(sources)} sources whose mixture holds none of "
+                  f"the reference: SI-SNRi at the {metrics.SENTINEL_DB:g} dB cap, "
+                  "left out of the mean")
         csv_path = Path(args.csv) if args.csv else estimates / "evaluation.csv"
         with open(csv_path, "w", newline="", encoding="utf-8") as fh:
             writer = csv.DictWriter(fh, fieldnames=["pair_id", *metrics.METRICS])

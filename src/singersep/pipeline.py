@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import contextlib
 import json
+import math
 import time
 from dataclasses import asdict
 from pathlib import Path
@@ -44,6 +45,20 @@ def _read_reference(path, song: Waveform) -> Waveform:
     return ref
 
 
+def _non_finite_key(value, key: str = "") -> str | None:
+    """Key path (``candidates[1].score``) of the first non-finite float in a
+    JSON document, in ``sort_keys`` order; None when every float is finite."""
+    if isinstance(value, float):
+        return None if math.isfinite(value) else key
+    if isinstance(value, dict):
+        items = ((f"{key}.{k}" if key else k, v) for k, v in sorted(value.items()))
+    elif isinstance(value, (list, tuple)):
+        items = ((f"{key}[{i}]", v) for i, v in enumerate(value))
+    else:
+        return None
+    return next(filter(None, (_non_finite_key(v, k) for k, v in items)), None)
+
+
 def separate_song(song_path,
                   models: list[CandidateModel],
                   stage1_id: str,
@@ -59,11 +74,12 @@ def separate_song(song_path,
     return the report as written.
 
     With ``model`` set, selection is bypassed and only that candidate runs
-    (the others still appear in the report with null scores). ``refs``
-    optionally names the two ground-truth vocal files for evaluation; they
-    are read like the song and rejected unless they match its length and
-    are not constant, all before any backend runs, and scored before anything
-    is written.
+    (the others still appear in the report with null scores); otherwise a
+    song shorter than the three pitch frames that one trend term spans is
+    rejected before any backend runs. ``refs`` optionally names the two
+    ground-truth vocal files for evaluation; they are read like the song
+    and rejected unless they match its length and are not constant, all
+    before any backend runs, and scored before anything is written.
     If the run fails, the files it wrote and the directories it made are
     removed. A failed external backend's scratch directory under
     ``out_dir/tmp`` is kept, since its error names it; ``tmp`` itself is
@@ -73,10 +89,17 @@ def separate_song(song_path,
     if model is not None and model not in {c.model_id for c in candidates}:
         raise MalformedRegistryError(f"--model {model!r} is not a stage-2 candidate")
     # reject bad units or block length before any backend runs
-    check_scoring(pitch_config or PitchConfig(), units, segment_seconds)
+    cfg = pitch_config or PitchConfig()
+    check_scoring(cfg, units, segment_seconds)
 
     t_start = time.monotonic()
     song = resample(read_wav(song_path), CANONICAL_RATE)
+    # one trend term spans three pitch frames
+    shortest = cfg.frame_length + 2 * cfg.hop_length
+    if model is None and len(song) < shortest:
+        raise DegenerateInputError(
+            f"{song_path}: {len(song)} samples at {CANONICAL_RATE} Hz; selection "
+            f"needs at least {shortest} (three pitch frames)")
     ref_waves = None if refs is None else tuple(_read_reference(p, song) for p in refs)
 
     out = Path(out_dir)
@@ -114,7 +137,7 @@ def separate_song(song_path,
                 outputs_by_model={model: pair})
         else:
             selection = select_model(mixed_vocal, candidates,
-                                     pitch_config=pitch_config,
+                                     pitch_config=cfg,
                                      workdir=out / "tmp",
                                      units=units,
                                      segment_seconds=segment_seconds,
@@ -164,7 +187,11 @@ def separate_song(song_path,
         report_path = out / "report.json"
         with open(report_path, "w", encoding="utf-8") as fh:
             written.append(report_path)
-            json.dump(report, fh, indent=2, sort_keys=True, allow_nan=False)
+            try:
+                json.dump(report, fh, indent=2, sort_keys=True, allow_nan=False)
+            except ValueError as exc:
+                raise ValueError(
+                    f"{report_path}: {exc} at {_non_finite_key(report)}") from exc
             fh.write("\n")
         return report
     except Exception:

@@ -27,7 +27,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .audio import Waveform
-from .backends import CandidateModel, run_backend
+from .backends import KIND_EXTERNAL, CandidateModel, run_backend
 from .errors import BackendFailureError, ConfigInvalidError, FrameMismatchError
 from .pitch import PitchConfig, PitchTrack, to_semitones, track_pitch
 
@@ -123,14 +123,16 @@ def channel_similarity(a: np.ndarray, b: np.ndarray) -> float:
     Each lag pairs one fixed middle window of ``b`` with the window of ``a``
     shifted by l, and is divided by the root of the two windows' energies,
     so a copy delayed by up to that many samples scores 1 at any length.
-    A lag where either window is silent scores 0.
+    A lag where either window is silent scores 0, and so do empty channels.
 
     The middle window is cut into blocks, and each block meets its stretch
     of ``a`` at every lag through one FFT, long enough that no lag wraps
     around. The same sums taken directly (``np.correlate``) cost as much
     alone, but ran several times slower beside the pitch tracker's threads.
     """
-    lag = max(0, min(DUPLICATE_MAX_LAG, (len(a) - 1) // 2))
+    if not len(a):
+        return 0.0
+    lag = min(DUPLICATE_MAX_LAG, (len(a) - 1) // 2)
     size = min(SIMILARITY_FFT, len(a))
     step = size - 2 * lag
     blocks = (len(a) - 2 * lag) // step
@@ -211,14 +213,17 @@ def select_model(mixed_vocal: Waveform,
                  jobs: int | None = None) -> SelectionResult:
     """Run every stage-2 candidate and keep the one with the closest trends.
 
-    Candidates run concurrently (up to ``jobs`` workers; backend temp files
-    are namespaced per invocation) and results are assembled in candidate
-    order, so completion order never changes the outcome. Failed backends
-    are excluded (recorded with an error message) rather than fatal;
-    BackendFailureError is raised only when no candidate succeeds. Ties
-    break toward the lexicographically smaller model_id. If every
-    surviving candidate is penalized, the argmin is still returned with
-    ``all_penalized`` set.
+    Candidates run concurrently (up to ``jobs`` workers, which run the
+    backends and the scoring alike; backend temp files are namespaced per
+    invocation). External-command candidates start first, each group in
+    candidate order, so their processes run beside the in-process scoring;
+    warnings may print in that order. Results are assembled in candidate
+    order, so neither start nor completion order changes the outcome.
+    Failed backends are excluded (recorded with an error message) rather
+    than fatal; BackendFailureError is raised only when no candidate
+    succeeds. Ties break toward the lexicographically smaller model_id. If
+    every surviving candidate is penalized, the argmin is still returned
+    with ``all_penalized`` set.
     """
     cfg = pitch_config or PitchConfig()
     block_frames = check_scoring(cfg, units, segment_seconds)
@@ -235,8 +240,12 @@ def select_model(mixed_vocal: Waveform,
         result = score_candidate(pair, cfg, units, block_frames)
         return replace(result, model_id=cand.model_id), pair
 
+    # external processes first, so they run beside the in-process scoring
+    order = sorted(range(len(candidates)),
+                   key=lambda i: candidates[i].backend.kind != KIND_EXTERNAL)
     with ThreadPoolExecutor(max_workers=jobs or os.cpu_count() or 1) as pool:
-        outcomes = list(pool.map(run_one, candidates))
+        futures = {i: pool.submit(run_one, candidates[i]) for i in order}
+        outcomes = [futures[i].result() for i in range(len(candidates))]
 
     scores = [score for score, _ in outcomes]
     outputs = {score.model_id: pair for score, pair in outcomes

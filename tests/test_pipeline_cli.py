@@ -385,6 +385,18 @@ class TestCliExitCodes:
         assert f"{song}: sample rate {rate} Hz is above the 768000 Hz maximum" in err
         assert not marker.exists() and not out.exists()
 
+    @pytest.mark.parametrize("samples", [0, 100])
+    def test_song_too_short_to_select_exits_2_before_any_backend(
+            self, duet_setup, marker_setup, tmp_path, capsys, samples):
+        registry, marker = marker_setup
+        song = write_float32_wav(tmp_path / "short song.wav", np.zeros(samples))
+        out = tmp_path / "out"
+        rc = cli.main(separate_argv(duet_setup, out, song=song, registry=registry))
+        err = capsys.readouterr().err
+        assert_clean_exit(rc, err, 2)
+        assert f"{song}: {samples} samples at 8000 Hz; selection needs at least" in err
+        assert not marker.exists() and not out.exists()
+
     @pytest.mark.parametrize("bypass", [[], ["--model", "marker"]])
     def test_bad_env_units_exits_2_before_any_backend(
             self, duet_setup, marker_setup, tmp_path, capsys, monkeypatch, bypass):
@@ -611,6 +623,24 @@ class TestCliExitCodes:
         err = capsys.readouterr().err
         assert_clean_exit(rc, err, 2)
         assert "not JSON compliant" in err
+        assert f"{out / 'report.json'}: " in err
+        assert err.rstrip().endswith(" at evaluation.mean.sdri_db")
+        assert not out.exists()
+
+    def test_non_finite_candidate_score_names_its_key(
+            self, duet_setup, tmp_path, capsys, monkeypatch):
+        def infinite_second_score(*args, **kwargs):
+            result = select_model(*args, **kwargs)
+            result.scores[1].score = math.inf
+            return result
+
+        monkeypatch.setattr(pipeline, "select_model", infinite_second_score)
+        out = tmp_path / "out"
+        rc = cli.main(separate_argv(duet_setup, out))
+        err = capsys.readouterr().err
+        assert_clean_exit(rc, err, 2)
+        assert f"{out / 'report.json'}: " in err
+        assert err.rstrip().endswith(" at candidates[1].score")
         assert not out.exists()
 
 
@@ -1121,7 +1151,10 @@ class TestCliEvaluate:
         rc = cli.main(["evaluate", "--dataset", str(root), "--estimates", str(est),
                        "--csv", str(tmp_path / "m.csv")])
         assert rc == 0
-        assert "reconstructed exactly" not in capsys.readouterr().out
+        printed = capsys.readouterr().out
+        assert "reconstructed exactly" not in printed
+        assert ("1 of 2 sources whose mixture holds none of the reference: "
+                "SI-SNRi at the 1e+09 dB cap, left out of the mean") in printed
         with open(tmp_path / "m.csv", newline="") as fh:
             rows = list(csv.DictReader(fh))
         assert all(abs(float(r[k])) < 1e3 for r in rows for k in metrics.METRICS)

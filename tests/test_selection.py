@@ -10,7 +10,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from singersep import synth
+from singersep import selection, synth
 from singersep.audio import Waveform, write_wav
 from singersep.backends import (
     KIND_EXTERNAL,
@@ -264,6 +264,9 @@ class TestDuplicateChannels:
             assert got == pytest.approx(expected, abs=0.01)
             assert got < DUPLICATE_SIMILARITY
 
+    def test_empty_channels_score_zero(self):
+        assert channel_similarity(np.zeros(0), np.zeros(0)) == 0.0
+
     def test_silent_channel_scores_zero(self):
         x = synth.vibrato_sine(220.0, 1.0).samples
         assert channel_similarity(x, np.zeros_like(x)) == 0.0
@@ -421,3 +424,64 @@ class TestCheckScoring:
         assert check_scoring(cfg, "hz", None) is None
         assert check_scoring(cfg, "semitones", 1.0) == round(1.0 / cfg.hop_seconds)
         assert check_scoring(cfg, "hz", 1e-6) == 3
+
+
+def copy_command(model_id, ref_a_path, ref_b_path):
+    """An external stage-2 candidate that copies two oracle references."""
+    copy = (f'{sys.executable} -c "import shutil, sys; '
+            "shutil.copy(sys.argv[1], sys.argv[3]); "
+            'shutil.copy(sys.argv[2], sys.argv[4])" '
+            f"{shlex.quote(str(ref_a_path))} {shlex.quote(str(ref_b_path))} "
+            "{out_a} {out_b} {input}")
+    return CandidateModel(model_id, SeparationBackend(
+        kind=KIND_EXTERNAL, stage=STAGE2, command=copy))
+
+
+@pytest.fixture(scope="module")
+def mixed_registry(tmp_path_factory):
+    """A 2 s duet, three oracles and one external candidate (registry order),
+    and the registry-order selection with one worker."""
+    tmp = tmp_path_factory.mktemp("order")
+    (ref_a, pa), (ref_b, pb) = make_duet_refs(tmp, seed=9, seconds=2.0)
+    mix = mix_at_snr(ref_a, ref_b, 0.0).mixture
+    cands = [oracle_candidate("leak", pa, pb, leak=0.3),
+             oracle_candidate("swap", pa, pb, swap=True),
+             oracle_candidate("noise", pa, pb, noise_snr_db=10.0, noise_seed=1),
+             copy_command("ext", pa, pb)]
+    baseline = select_model(mix, cands, workdir=tmp, jobs=1)
+    return mix, cands, baseline, tmp
+
+
+class TestStartOrder:
+    def test_external_candidate_runs_first_scores_in_registry_order(
+            self, tmp_path, monkeypatch):
+        (ref_a, pa), (ref_b, pb) = make_duet_refs(tmp_path, seed=8, seconds=2.0)
+        mix = mix_at_snr(ref_a, ref_b, 0.0).mixture
+        cands = [oracle_candidate("clean", pa, pb),
+                 oracle_candidate("leaky", pa, pb, leak=0.3),
+                 copy_command("ext", pa, pb)]
+        ran = []
+        run_backend = selection.run_backend
+
+        def recording(backend, *args, **kwargs):
+            ran.append(next(c.model_id for c in cands if c.backend is backend))
+            return run_backend(backend, *args, **kwargs)
+
+        monkeypatch.setattr(selection, "run_backend", recording)
+        result = select_model(mix, cands, workdir=tmp_path, jobs=1)
+        assert ran == ["ext", "clean", "leaky"]
+        assert [s.model_id for s in result.scores] == ["clean", "leaky", "ext"]
+        assert set(result.outputs_by_model) == {"clean", "leaky", "ext"}
+
+    @settings(max_examples=8, deadline=None)
+    @given(order=st.permutations(range(4)), jobs=st.sampled_from([1, 2, 4]))
+    def test_outcome_independent_of_registry_order_and_jobs(
+            self, mixed_registry, order, jobs):
+        mix, cands, baseline, tmp = mixed_registry
+        given_order = [cands[i] for i in order]
+        result = select_model(mix, given_order, workdir=tmp, jobs=jobs)
+        assert [s.model_id for s in result.scores] == [c.model_id for c in given_order]
+        by_id = {s.model_id: s for s in baseline.scores}
+        assert all(s == by_id[s.model_id] for s in result.scores)
+        assert result.chosen == baseline.chosen
+        assert result.all_penalized == baseline.all_penalized
