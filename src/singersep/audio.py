@@ -6,9 +6,9 @@ Everything downstream works on ``Waveform`` values at a canonical rate of
 
 from __future__ import annotations
 
-import functools
 import math
 import struct
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,6 +29,12 @@ _KAISER_BETA = 8.6
 _ZERO_CROSSINGS = 64
 # runs of `up` outputs per matrix product: bounds the resampler's working memory
 _BLOCK_RUNS = 512
+# Kernels kept for later calls, most recently used last, while they total at
+# most this many bytes (44.1k -> 8k needs 0.42 MB). A rate pair whose kernels
+# alone exceed it (44101 -> 8000 Hz: 45 MB) gets them built, used and dropped.
+_KERNEL_CACHE_BYTES = 4_000_000
+_kernel_cache: dict[tuple[int, int], tuple] = {}
+_kernel_cache_lock = threading.Lock()
 
 _PCM16_SCALE = 32767.0
 # One step of the 16-bit grid, in sample units.
@@ -70,7 +76,15 @@ class Waveform:
         return self.samples.size / self.sample_rate
 
     def peak(self) -> float:
-        return float(np.max(np.abs(self.samples))) if self.samples.size else 0.0
+        return abs_peak(self.samples)
+
+
+def abs_peak(samples: np.ndarray) -> float:
+    """The largest absolute sample value (0.0 for no samples), without an
+    ``abs`` temporary."""
+    if not samples.size:
+        return 0.0
+    return max(float(samples.max()), -float(samples.min()))
 
 
 @dataclass(eq=False)
@@ -97,13 +111,14 @@ def read_wav(path) -> Waveform:
     if len(data) < 12 or data[0:4] != b"RIFF" or data[8:12] != b"WAVE":
         raise MalformedWavError(f"{path}: not a RIFF/WAVE file")
 
+    view = memoryview(data)  # chunk bodies are views, not copies
     fmt = None
     payload = None
     pos = 12
     while pos + 8 <= len(data):
         chunk_id = data[pos:pos + 4]
         (chunk_size,) = struct.unpack_from("<I", data, pos + 4)
-        body = data[pos + 8:pos + 8 + chunk_size]
+        body = view[pos + 8:pos + 8 + chunk_size]
         if chunk_id == b"fmt ":
             if len(body) < 16:
                 raise MalformedWavError(f"{path}: fmt chunk truncated")
@@ -130,14 +145,16 @@ def read_wav(path) -> Waveform:
             f"{path}: format tag {audio_format} / {bits}-bit not supported "
             "(need 16-bit PCM or 32-bit float)")
     dtype, scale = _DECODERS[audio_format, bits]
-    raw = np.frombuffer(payload, dtype=dtype, count=len(payload) // (bits // 8))
-    samples = raw.astype(np.float64) / scale
-
-    frames = samples.size // channels
-    samples = samples[:frames * channels].reshape(frames, channels).mean(axis=1)
-    if not np.all(np.isfinite(samples)):
-        raise MalformedWavError(f"{path}: non-finite sample values")
-    return Waveform(np.clip(samples, -1.0, 1.0), sample_rate)
+    frames = len(payload) // (bits // 8 * channels)
+    raw = np.frombuffer(payload, dtype=dtype, count=frames * channels)
+    samples = np.divide(raw, scale, dtype=np.float64)
+    if channels > 1:
+        samples = samples.reshape(frames, channels).mean(axis=1)
+    if audio_format == _FMT_IEEE_FLOAT:  # int16 codes are finite and never -0.0
+        if not np.all(np.isfinite(samples)):
+            raise MalformedWavError(f"{path}: non-finite sample values")
+        samples += 0.0  # -0.0 reads as 0.0, as from a channel mean
+    return Waveform(np.clip(samples, -1.0, 1.0, out=samples), sample_rate)
 
 
 def write_wav(w: Waveform, path) -> None:
@@ -153,26 +170,30 @@ def write_wav(w: Waveform, path) -> None:
         raise InvalidWaveformError(
             f"samples exceed [-1, 1] (peak {peak:.6f}); clip or normalize before writing")
 
-    payload = _pcm16_codes(w.samples).astype("<i2").tobytes()
+    payload = _pcm16_codes(w.samples).astype("<i2")
     header = struct.pack(
         "<4sI4s4sIHHIIHH4sI",
-        b"RIFF", 36 + len(payload), b"WAVE",
+        b"RIFF", 36 + payload.nbytes, b"WAVE",
         b"fmt ", 16, _FMT_PCM, 1, w.sample_rate,
         w.sample_rate * 2, 2, 16,
-        b"data", len(payload))
+        b"data", payload.nbytes)
     with open(path, "wb") as fh:
         fh.write(header)
         fh.write(payload)
 
 
 def _pcm16_codes(samples: np.ndarray) -> np.ndarray:
-    """The 16-bit codes of samples clipped to [-1, 1], as floats."""
-    return np.rint(np.clip(samples, -1.0, 1.0) * _PCM16_SCALE)
+    """The 16-bit codes of samples clipped to [-1, 1], as floats in a new array."""
+    codes = np.clip(samples, -1.0, 1.0)
+    codes *= _PCM16_SCALE
+    return np.rint(codes, out=codes)
 
 
 def quantize_pcm16(samples: np.ndarray) -> np.ndarray:
     """Snap samples to the 16-bit write grid (what a WAV round trip returns)."""
-    return _pcm16_codes(samples) / _PCM16_SCALE
+    grid = _pcm16_codes(samples)
+    grid /= _PCM16_SCALE
+    return grid
 
 
 def resample(w: Waveform, target_rate: int) -> Waveform:
@@ -195,7 +216,7 @@ def resample(w: Waveform, target_rate: int) -> Waveform:
 
     g = math.gcd(w.sample_rate, int(target_rate))
     up, down = int(target_rate) // g, w.sample_rate // g
-    lead, groups = _polyphase_kernels(up, down)
+    lead, groups = _kernels(up, down)
     n_in = len(w)
     n_out = -(-n_in * up // down)
     runs = -(-n_out // up)
@@ -215,7 +236,31 @@ def resample(w: Waveform, target_rate: int) -> Waveform:
     return Waveform(np.clip(out.ravel()[:n_out], -1.0, 1.0), int(target_rate))
 
 
-@functools.lru_cache(maxsize=4)
+def _kernels(up: int, down: int):
+    """``_polyphase_kernels(up, down)``, from the cache when it holds them.
+
+    Newly built kernels join the cache if they fit in _KERNEL_CACHE_BYTES,
+    and the least recently used entries leave until the cache fits again.
+    """
+    key = (up, down)
+    with _kernel_cache_lock:
+        kernels = _kernel_cache.pop(key, None)
+        if kernels is not None:
+            _kernel_cache[key] = kernels
+            return kernels
+    kernels = _polyphase_kernels(up, down)
+    if _kernel_bytes(kernels) <= _KERNEL_CACHE_BYTES:
+        with _kernel_cache_lock:
+            _kernel_cache[key] = kernels
+            while sum(map(_kernel_bytes, _kernel_cache.values())) > _KERNEL_CACHE_BYTES:
+                del _kernel_cache[next(iter(_kernel_cache))]
+    return kernels
+
+
+def _kernel_bytes(kernels) -> int:
+    return sum(kernel.nbytes for _, kernel in kernels[1])
+
+
 def _polyphase_kernels(up: int, down: int):
     """The zero lead of the padded input and one kernel per group of phases.
 

@@ -21,6 +21,7 @@ from .audio import (
     PCM16_LSB,
     Segment,
     Waveform,
+    abs_peak,
     quantize_pcm16,
     read_wav,
     resample,
@@ -177,13 +178,11 @@ def mix_at_snr(a: Waveform, b: Waveform, snr_db: float) -> MixPair:
     src_a = a.samples.copy()
     src_b = gain * b.samples
     mixture = src_a + src_b
-    peak = max(float(np.max(np.abs(mixture))),
-               float(np.max(np.abs(src_a))),
-               float(np.max(np.abs(src_b))))
+    peak = max(abs_peak(mixture), abs_peak(src_a), abs_peak(src_b))
     if peak > 1.0:
         src_a /= peak
         src_b /= peak
-        mixture = src_a + src_b
+        np.add(src_a, src_b, out=mixture)
     rate = a.sample_rate
     return MixPair(Waveform(mixture, rate), Waveform(src_a, rate), Waveform(src_b, rate))
 
@@ -205,9 +204,10 @@ def _write_pair(pair: MixPair, pair_dir: Path) -> None:
     a = quantize_pcm16(pair.source_a.samples)
     b = quantize_pcm16(pair.source_b.samples)
     mix = a + b
-    if np.any(np.abs(mix) > 1.0):
+    peak = abs_peak(mix)
+    if peak > 1.0:
         # grid rounding can push the sum one LSB past full scale
-        scale = (1.0 - 4 * PCM16_LSB) / float(np.max(np.abs(mix)))
+        scale = (1.0 - 4 * PCM16_LSB) / peak
         a = quantize_pcm16(pair.source_a.samples * scale)
         b = quantize_pcm16(pair.source_b.samples * scale)
         mix = a + b

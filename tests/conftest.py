@@ -35,6 +35,17 @@ def write_float32_wav(path, floats, rate=8000, channels=1):
     return path
 
 
+def reference_wav_bytes(samples, rate):
+    """write_wav's file as first written: header plus clipped, rounded codes."""
+    payload = np.rint(np.clip(samples, -1.0, 1.0) * 32767.0).astype("<i2").tobytes()
+    header = struct.pack(
+        "<4sI4s4sIHHIIHH4sI",
+        b"RIFF", 36 + len(payload), b"WAVE",
+        b"fmt ", 16, 1, 1, rate, rate * 2, 2, 16,
+        b"data", len(payload))
+    return header + payload
+
+
 def make_duet_refs(tmp_path, seed, seconds=10.0, carrier_a=200.0, carrier_b=310.0):
     """Two vibrato 'singers' sharing one vibrato contour (parallel trends)."""
     rng = np.random.default_rng(seed)

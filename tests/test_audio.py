@@ -5,6 +5,8 @@ import re
 import struct
 import subprocess
 import sys
+import threading
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -14,11 +16,12 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import singersep
-from singersep import synth
+from singersep import audio, synth
 from singersep.audio import (
     MAX_SAMPLE_RATE,
     Waveform,
     _polyphase_kernels,
+    abs_peak,
     quantize_pcm16,
     read_wav,
     resample,
@@ -31,19 +34,42 @@ from singersep.errors import (
     UnsupportedEncodingError,
 )
 
-from conftest import write_float32_wav
+from conftest import reference_wav_bytes, write_float32_wav
 
 
 def _pcm16_file(path, ints, rate=8000, channels=1):
-    payload = np.asarray(ints, dtype="<i2").tobytes()
+    return _raw_wav(path, 1, 16, channels, np.asarray(ints, dtype="<i2").tobytes(), rate)
+
+
+def _raw_wav(path, tag, bits, channels, payload, rate=8000):
+    """A WAV whose data chunk holds payload as given, partial frames included."""
+    block = bits // 8 * channels
     header = struct.pack(
         "<4sI4s4sIHHIIHH4sI",
-        b"RIFF", 36 + len(payload), b"WAVE",
-        b"fmt ", 16, 1, channels, rate,
-        rate * 2 * channels % 2 ** 32, 2 * channels, 16,
+        b"RIFF", 36 + len(payload) + len(payload) % 2, b"WAVE",
+        b"fmt ", 16, tag, channels, rate, rate * block % 2 ** 32, block, bits,
         b"data", len(payload))
-    path.write_bytes(header + payload)
+    path.write_bytes(header + payload + b"\0" * (len(payload) % 2))
     return path
+
+
+def _reference_decode(payload, dtype, scale, channels):
+    """read_wav's decoding as first written, one full-length array per step."""
+    raw = np.frombuffer(payload, dtype=dtype,
+                        count=len(payload) // np.dtype(dtype).itemsize)
+    samples = raw.astype(np.float64) / scale
+    frames = samples.size // channels
+    samples = samples[:frames * channels].reshape(frames, channels).mean(axis=1)
+    return np.clip(samples, -1.0, 1.0)
+
+
+# samples a write must encode: anything in range, the ends, a hair past
+# them (write_wav clips up to 1e-9 over), and values half an LSB between codes
+_WRITABLE = st.one_of(
+    st.floats(-1.0, 1.0),
+    st.sampled_from([-1.0, 1.0, -1.0 - 1e-10, 1.0 + 1e-10, 0.0, -0.0]),
+    st.integers(-32767, 32766).map(lambda k: (k + 0.5) / 32767.0),
+)
 
 
 class TestReadWav:
@@ -78,6 +104,50 @@ class TestReadWav:
         w = read_wav(path)
         assert w.sample_rate == 44100
         np.testing.assert_allclose(w.samples, [0.25, -0.75], atol=1e-7)
+
+    @settings(max_examples=80, deadline=None)
+    @given(data=st.data(), channels=st.integers(1, 3),
+           encoding=st.sampled_from([(1, 16, "<i2", 32767.0), (3, 32, "<f4", 1.0)]))
+    def test_decoding_bit_identical_to_reference(self, data, channels, encoding,
+                                                 tmp_path_factory):
+        tag, bits, dtype, scale = encoding
+        if tag == 1:
+            elements = st.integers(-32768, 32767)
+        else:  # any finite float32, and more often a near full-scale one
+            elements = (st.floats(width=32, allow_nan=False, allow_infinity=False)
+                        | st.floats(-2.0, 2.0, width=32))
+        values = data.draw(arrays(dtype, st.integers(0, 40), elements=elements),
+                           label="values")
+        # a trailing partial frame, possibly a partial sample
+        tail = bytes(data.draw(st.integers(0, bits // 8 * channels - 1), label="tail"))
+        payload = values.tobytes() + tail
+        path = _raw_wav(tmp_path_factory.mktemp("dec") / "x.wav", tag, bits,
+                        channels, payload)
+        got = read_wav(path).samples
+        want = _reference_decode(payload, dtype, scale, channels)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_float_rejected(self, tmp_path, bad):
+        path = write_float32_wav(tmp_path / "nf.wav", [0.5, bad, 0.25, 0.0],
+                                 channels=2)
+        with pytest.raises(MalformedWavError, match="non-finite sample values"):
+            read_wav(path)
+
+    def test_mono_pcm16_read_peaks_under_12_bytes_per_sample(self, tmp_path):
+        n = 1_000_000
+        codes = np.random.default_rng(0).integers(-32768, 32768, n)
+        path = _pcm16_file(tmp_path / "long.wav", codes)
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            w = read_wav(path)
+            peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        assert len(w) == n
+        # the file's bytes (2), the float64 samples (8), the finiteness mask (1)
+        assert peak <= 12 * n
 
     def test_truncated_header(self, tmp_path):
         path = tmp_path / "bad.wav"
@@ -157,7 +227,27 @@ class TestWaveform:
             Waveform(samples, rate)
 
 
+class TestAbsPeak:
+    @settings(max_examples=50, deadline=None)
+    @given(arrays(np.float64, st.integers(0, 50),
+                  elements=st.floats(-1e300, 1e300, allow_nan=False)))
+    def test_matches_max_of_abs(self, x):
+        want = float(np.max(np.abs(x))) if x.size else 0.0
+        assert abs_peak(x) == want
+        assert Waveform(x, 8000).peak() == want
+
+
 class TestWriteWav:
+    @settings(max_examples=80, deadline=None)
+    @given(samples=arrays(np.float64, st.integers(1, 200), elements=_WRITABLE),
+           rate=st.sampled_from([8000, 44100]))
+    def test_bytes_identical_to_reference(self, samples, rate, tmp_path_factory):
+        path = tmp_path_factory.mktemp("enc") / "x.wav"
+        write_wav(Waveform(samples, rate), path)
+        assert path.read_bytes() == reference_wav_bytes(samples, rate)
+        want = np.rint(np.clip(samples, -1.0, 1.0) * 32767.0) / 32767.0
+        assert quantize_pcm16(samples).tobytes() == want.tobytes()
+
     def test_roundtrip_sine(self, tmp_path):
         w = synth.sine(440.0, 1.0)
         path = tmp_path / "sine.wav"
@@ -299,6 +389,75 @@ class TestResampleMatchesScipy:
             capture_output=True, text=True, env=env, timeout=120)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "[]"
+
+
+class TestKernelCache:
+    def test_odd_rate_kernels_are_built_used_and_dropped(self, monkeypatch):
+        monkeypatch.setattr(audio, "_kernel_cache", {})
+        x = np.random.default_rng(5).uniform(-0.9, 0.9, 44101)
+        w = Waveform(x, 44101)
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            out = resample(w, 8000)
+            held = tracemalloc.get_traced_memory()[0] - start
+        finally:
+            tracemalloc.stop()
+        assert len(out) == 8000
+        assert held <= 1_000_000  # the 45 MB of kernels are gone
+        assert audio._kernel_cache == {}
+
+    def test_second_call_reuses_cached_kernels(self, monkeypatch):
+        monkeypatch.setattr(audio, "_kernel_cache", {})
+        built = []
+
+        def design(up, down):
+            built.append((up, down))
+            return _polyphase_kernels(up, down)
+
+        monkeypatch.setattr(audio, "_polyphase_kernels", design)
+        w = synth.sine(440.0, 0.1, rate=44100)
+        first, second = resample(w, 8000), resample(w, 8000)
+        assert built == [(80, 441)]
+        assert first.samples.tobytes() == second.samples.tobytes()
+
+    def test_cache_drops_least_recently_used_past_its_budget(self, monkeypatch):
+        monkeypatch.setattr(audio, "_kernel_cache", {})
+        # each rate's kernels for 8 kHz take about 1.5 MB; three exceed 4 MB
+        for rate in (11992, 11976, 11992, 11944):
+            resample(Waveform(np.zeros(10), rate), 8000)
+        assert list(audio._kernel_cache) == [(1000, 1499), (1000, 1493)]
+        assert (sum(map(audio._kernel_bytes, audio._kernel_cache.values()))
+                <= audio._KERNEL_CACHE_BYTES)
+
+    def test_threads_share_the_cache_within_its_budget(self, monkeypatch):
+        monkeypatch.setattr(audio, "_kernel_cache", {})
+        rates = (11992, 11976, 11944, 44100, 48000)
+        x = np.random.default_rng(9).uniform(-0.9, 0.9, 600)
+        want = {rate: resample(Waveform(x, rate), 8000).samples for rate in rates}
+        monkeypatch.setattr(audio, "_kernel_cache", {})
+        failures = []
+
+        def work(k):
+            for i in range(20):
+                rate = rates[(k + i) % len(rates)]
+                if not np.array_equal(resample(Waveform(x, rate), 8000).samples, want[rate]):
+                    failures.append(rate)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(k,)) for k in range(6)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert failures == []
+        assert (sum(map(audio._kernel_bytes, audio._kernel_cache.values()))
+                <= audio._KERNEL_CACHE_BYTES)
 
 
 class TestSegment:

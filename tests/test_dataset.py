@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from singersep import synth
-from singersep.audio import Waveform, read_wav, segment
+from singersep.audio import Waveform, quantize_pcm16, read_wav, segment
 from singersep.dataset import (
     DUET,
     SELF_HARMONIC,
@@ -27,7 +28,7 @@ from singersep.errors import (
     SilentSourceError,
 )
 
-from conftest import write_toy_stems
+from conftest import reference_wav_bytes, write_toy_stems
 
 
 def _entries(n_singers, songs_per_singer=1):
@@ -202,7 +203,46 @@ class TestMixAtSnr:
         assert measured_snr_db(pair.source_a, pair.source_b) == pytest.approx(-20.0, abs=1e-6)
 
 
+def _reference_pair_files(pair):
+    """_write_pair's files as first written, by name: sources snapped to the
+    grid, rescaled when their sum passes full scale, and the sum as the mix."""
+    def snap(x):
+        return np.rint(np.clip(x, -1.0, 1.0) * 32767.0) / 32767.0
+
+    a, b = snap(pair.source_a.samples), snap(pair.source_b.samples)
+    mix = a + b
+    if np.any(np.abs(mix) > 1.0):
+        scale = (1.0 - 4 / 32767.0) / float(np.max(np.abs(mix)))
+        a, b = snap(pair.source_a.samples * scale), snap(pair.source_b.samples * scale)
+        mix = a + b
+    rate = pair.mixture.sample_rate
+    return {name: reference_wav_bytes(x, rate)
+            for name, x in (("mix.wav", mix), ("srcA.wav", a), ("srcB.wav", b))}
+
+
+def _assert_pair_files_match_reference(pair, pair_dir):
+    _write_pair(pair, pair_dir)
+    for name, want in _reference_pair_files(pair).items():
+        assert (pair_dir / name).read_bytes() == want, name
+
+
 class TestWritePair:
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data(), n=st.integers(1, 60))
+    def test_files_identical_to_reference(self, data, n, tmp_path_factory):
+        a, b = (data.draw(arrays(np.float64, n, elements=st.floats(-1.0, 1.0)), label=k)
+                for k in ("a", "b"))
+        pair = MixPair(Waveform(a + b, 8000), Waveform(a, 8000), Waveform(b, 8000))
+        _assert_pair_files_match_reference(pair, tmp_path_factory.mktemp("pair"))
+
+    def test_rescaled_files_identical_to_reference(self, tmp_path):
+        # 0.5 snaps up to 16384 / 32767, so each sum passes full scale
+        x = np.random.default_rng(2).uniform(-0.5, 0.5, 1000)
+        x[::7] = 0.5
+        pair = MixPair(Waveform(2 * x, 8000), Waveform(x, 8000), Waveform(x.copy(), 8000))
+        assert np.max(np.abs(quantize_pcm16(x) * 2)) > 1.0
+        _assert_pair_files_match_reference(pair, tmp_path)
+
     def test_rescales_when_grid_rounding_passes_full_scale(self, tmp_path):
         # each 0.5 rounds up to 16384 / 32767, so the sources' sum lands past 1
         half = Waveform(np.full(100, 0.5), 8000)

@@ -342,6 +342,27 @@ class TestCliExitCodes:
         assert_clean_exit(rc, err, 3)
         assert "could not start" in err
 
+    def test_relative_oracle_refs_resolve_against_the_working_directory(
+            self, duet_setup, tmp_path, monkeypatch, capsys):
+        # the registry sits in a subdirectory; its refs are relative to tmp_path
+        pa, pb = duet_setup["refs"]
+        (tmp_path / "reg").mkdir()
+        registry = write_registry(tmp_path / "reg" / "registry.json", [
+            {"model_id": "stage1-pass", "stage": STAGE1, "kind": "passthrough"},
+            {"model_id": "clean", "stage": STAGE2, "kind": "oracle",
+             "oracle": {"ref_a": pa.name, "ref_b": pb.name}},
+        ])
+        monkeypatch.chdir(tmp_path)
+        rc = cli.main(separate_argv(duet_setup, tmp_path / "out", registry=registry))
+        assert rc == 0
+        assert json.loads((tmp_path / "out" / "report.json").read_text())["chosen"] == "clean"
+        capsys.readouterr()
+        monkeypatch.chdir(registry.parent)
+        rc = cli.main(separate_argv(duet_setup, tmp_path / "out2", registry=registry))
+        err = capsys.readouterr().err
+        assert_clean_exit(rc, err, 3)
+        assert "unreadable oracle reference" in err
+
     def test_candidate_that_cannot_start_is_excluded(self, duet_setup, tmp_path):
         entries = json.loads(duet_setup["registry"].read_text())
         entries.append({"model_id": "missing", "stage": STAGE2,
