@@ -294,18 +294,24 @@ def _polyphase_kernels(up: int, down: int):
     return lead, tuple(groups)
 
 
+def segment_length(seconds: float, rate: int) -> int:
+    """Samples in a segment of ``seconds`` at ``rate``, at least one."""
+    if not 0 < seconds < math.inf:
+        raise InvalidWaveformError(
+            f"segment length must be positive and finite, got {seconds}")
+    chunk = int(round(seconds * rate))
+    if chunk <= 0:
+        raise InvalidWaveformError("segment length rounds to zero samples")
+    return chunk
+
+
 def segment(w: Waveform, seconds: float, song_id: str = "",
             singer_id: str = "") -> list[Segment]:
     """Cut into consecutive non-overlapping chunks of exactly seconds*rate samples.
 
     A trailing remainder shorter than one chunk is dropped.
     """
-    if not 0 < seconds < math.inf:
-        raise InvalidWaveformError(
-            f"segment length must be positive and finite, got {seconds}")
-    chunk = int(round(seconds * w.sample_rate))
-    if chunk <= 0:
-        raise InvalidWaveformError("segment length rounds to zero samples")
+    chunk = segment_length(seconds, w.sample_rate)
     n = len(w) // chunk
     return [
         Segment(

@@ -39,7 +39,7 @@ _SETTINGS = {
     "jobs": {"type": int, "help": "worker pool size, at least 1 (default: CPUs)"},
     **{key: {"type": float, "default": getattr(pitch.PitchConfig, field)}
        for key, field in _PITCH_FIELDS.items()},
-    "units": {"choices": selection.UNITS, "default": "hz",
+    "units": {"choices": pitch.UNITS, "default": pitch.PitchConfig.units,
               "help": "pitch units for trend scoring (default hz)"},
 }
 
@@ -114,20 +114,12 @@ def cmd_separate(args) -> int:
     if len(refs) == 1:
         raise ConfigInvalidError("--ref-a and --ref-b must be given together")
     models = backends.registry_load(args.registry)
+    cfg = pitch.PitchConfig(
+        **{field: getattr(args, key) for key, field in _PITCH_FIELDS.items()},
+        units=args.units, segment_seconds=args.segment_seconds)
     report = pipeline.separate_song(
-        args.song,
-        models,
-        stage1_id=args.stage1,
-        out_dir=args.out,
-        model=args.model,
-        seed=args.seed,
-        pitch_config=pitch.PitchConfig(
-            **{field: getattr(args, key) for key, field in _PITCH_FIELDS.items()}),
-        units=args.units,
-        segment_seconds=args.segment_seconds,
-        refs=tuple(refs) or None,
-        jobs=args.jobs,
-    )
+        args.song, models, stage1_id=args.stage1, out_dir=args.out, model=args.model,
+        seed=args.seed, pitch_config=cfg, refs=tuple(refs) or None, jobs=args.jobs)
     print(f"chosen model: {report['chosen']}"
           + (" (selection bypassed)" if report["selection_bypassed"] else ""))
     for entry in report["candidates"]:

@@ -26,6 +26,7 @@ from .audio import (
     read_wav,
     resample,
     segment,
+    segment_length,
     write_wav,
 )
 from .errors import (
@@ -226,13 +227,14 @@ def build_dataset(manifest: list[StemEntry],
     """Build mixture pairs for every split and write WAVs plus the manifest.
 
     Entries pin their split all together or not at all; unpinned ones are
-    split by singer first. Returns the manifest dict (also written to
-    ``out_dir/dataset.json``).
+    split by singer first. Every setting is checked before any stem is read.
+    Returns the manifest dict (also written to ``out_dir/dataset.json``).
     """
     lo, hi = snr_range
     if not -math.inf < lo <= hi < math.inf:
         raise ValueError(f"snr range must be finite with lo <= hi, got {lo}:{hi}")
     _check_ratios(ratios)
+    segment_length(segment_seconds, CANONICAL_RATE)
 
     # one seed drives everything: independent child streams per purpose
     children = np.random.SeedSequence(seed).spawn(3)

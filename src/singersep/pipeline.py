@@ -12,10 +12,10 @@ from pathlib import Path
 
 from .audio import CANONICAL_RATE, Waveform, read_wav, resample, write_wav
 from .backends import STAGE1, STAGE2, CandidateModel, run_backend
-from .errors import DegenerateInputError, MalformedRegistryError
+from .errors import DegenerateInputError, MalformedRegistryError, SingerSepError
 from .metrics import pit_evaluate, zero_variance
 from .pitch import PitchConfig
-from .selection import SelectionResult, TrendScore, check_scoring, select_model
+from .selection import SelectionResult, TrendScore, select_model
 
 
 def split_registry(models: list[CandidateModel], stage1_id: str):
@@ -66,20 +66,20 @@ def separate_song(song_path,
                   model: str | None = None,
                   seed: int | None = None,
                   pitch_config: PitchConfig | None = None,
-                  units: str = "hz",
-                  segment_seconds: float | None = None,
                   refs: tuple[str, str] | None = None,
                   jobs: int | None = None) -> dict:
     """Separate one song, write stems plus ``report.json`` to out_dir, and
     return the report as written.
 
-    With ``model`` set, selection is bypassed and only that candidate runs
-    (the others still appear in the report with null scores); otherwise a
+    ``pitch_config`` (default ``PitchConfig()``) is the whole selection
+    rule. With ``model`` set, selection is bypassed and only that candidate
+    runs (the others still appear in the report with null scores); otherwise a
     song shorter than the three pitch frames that one trend term spans is
     rejected before any backend runs. ``refs`` optionally names the two
     ground-truth vocal files for evaluation; they are read like the song
     and rejected unless they match its length and are not constant, all
-    before any backend runs, and scored before anything is written.
+    before any backend runs, and scored before anything is written; a
+    chosen pair that cannot be scored fails the run, naming the model.
     If the run fails, the files it wrote and the directories it made are
     removed. A failed external backend's scratch directory under
     ``out_dir/tmp`` is kept, since its error names it; ``tmp`` itself is
@@ -88,18 +88,14 @@ def separate_song(song_path,
     stage1, candidates = split_registry(models, stage1_id)
     if model is not None and model not in {c.model_id for c in candidates}:
         raise MalformedRegistryError(f"--model {model!r} is not a stage-2 candidate")
-    # reject bad units or block length before any backend runs
     cfg = pitch_config or PitchConfig()
-    check_scoring(cfg, units, segment_seconds)
 
     t_start = time.monotonic()
     song = resample(read_wav(song_path), CANONICAL_RATE)
-    # one trend term spans three pitch frames
-    shortest = cfg.frame_length + 2 * cfg.hop_length
-    if model is None and len(song) < shortest:
+    if model is None and len(song) < cfg.trend_span:
         raise DegenerateInputError(
             f"{song_path}: {len(song)} samples at {CANONICAL_RATE} Hz; selection "
-            f"needs at least {shortest} (three pitch frames)")
+            f"needs at least {cfg.trend_span} (three pitch frames)")
     ref_waves = None if refs is None else tuple(_read_reference(p, song) for p in refs)
 
     out = Path(out_dir)
@@ -136,19 +132,19 @@ def separate_song(song_path,
                         for c in candidates],
                 outputs_by_model={model: pair})
         else:
-            selection = select_model(mixed_vocal, candidates,
-                                     pitch_config=cfg,
-                                     workdir=out / "tmp",
-                                     units=units,
-                                     segment_seconds=segment_seconds,
-                                     jobs=jobs)
+            selection = select_model(mixed_vocal, candidates, pitch_config=cfg,
+                                     workdir=out / "tmp", jobs=jobs)
         candidate_outputs = selection.outputs_by_model
         selection_seconds = time.monotonic() - t_select
 
         vocal_a, vocal_b = candidate_outputs[selection.chosen]
         evaluation = None
         if ref_waves is not None:
-            evaluation = asdict(pit_evaluate(ref_waves, (vocal_a, vocal_b), mixed_vocal))
+            try:
+                evaluation = asdict(pit_evaluate(ref_waves, (vocal_a, vocal_b), mixed_vocal))
+            except SingerSepError as exc:
+                raise type(exc)(
+                    f"chosen model {selection.chosen!r} cannot be evaluated: {exc}") from exc
 
         outputs = {
             "vocal_a": write(vocal_a, out / "vocal_a.wav"),

@@ -30,17 +30,22 @@ DEFAULT_FMIN_HZ = 55.0
 DEFAULT_FMAX_HZ = 1000.0
 # frames per FFT batch: bounds the tracker's working memory at any input length
 BLOCK_FRAMES = 256
+# pitch frames one trend term spans (i-1, i, i+1), and the units trends are scored in
+TREND_FRAMES = 3
+UNITS = ("hz", "semitones")
 
 
 @dataclass(frozen=True)
 class PitchConfig:
-    """Tracker parameters at CANONICAL_RATE. Defaults: 40 ms frames, 10 ms
-    hop, range 55-1000 Hz.
+    """Tracker parameters at CANONICAL_RATE, plus the units and block length
+    (None: the whole input) of selection's trends. Defaults: 40 ms frames,
+    10 ms hop, range 55-1000 Hz, Hz, one block.
 
-    Checked when made, so any config that exists is valid: every field must
-    be finite, the threshold positive and the silence floor non-negative;
-    the frame must cover at least two periods of fmin_hz, and at least one
-    whole-sample period must lie between fmin_hz and fmax_hz.
+    Checked when made, so any config that exists is valid: units must be
+    one of UNITS, every other set field finite, the threshold and segment
+    length positive and the silence floor non-negative; the frame must
+    cover two periods of fmin_hz, and a whole-sample period must lie
+    between fmin_hz and fmax_hz.
     """
 
     frame_seconds: float = 0.040
@@ -49,6 +54,8 @@ class PitchConfig:
     fmin_hz: float = DEFAULT_FMIN_HZ
     fmax_hz: float = DEFAULT_FMAX_HZ
     silence_rms: float = 1e-4
+    units: str = "hz"
+    segment_seconds: float | None = None
 
     @property
     def frame_length(self) -> int:
@@ -64,10 +71,22 @@ class PitchConfig:
         return (max(2, math.ceil(CANONICAL_RATE / self.fmax_hz)),
                 int(CANONICAL_RATE / self.fmin_hz))
 
+    @property
+    def trend_span(self) -> int:
+        """Samples in TREND_FRAMES frames: the shortest input selection can score."""
+        return self.frame_length + (TREND_FRAMES - 1) * self.hop_length
+
+    @property
+    def block_frames(self) -> int | None:
+        """Frames per trend-scoring block, at least TREND_FRAMES; None: one block."""
+        if self.segment_seconds is None:
+            return None
+        return max(TREND_FRAMES, int(round(self.segment_seconds / self.hop_seconds)))
+
     def __post_init__(self):
         rate = CANONICAL_RATE
         non_finite = [f"{k}={v}" for k, v in vars(self).items()
-                      if not math.isfinite(v)]
+                      if k not in ("units", "segment_seconds") and not math.isfinite(v)]
         if non_finite:
             raise ConfigInvalidError(
                 f"pitch settings must be finite, got {', '.join(non_finite)}")
@@ -92,6 +111,12 @@ class PitchConfig:
             raise ConfigInvalidError(
                 f"no whole-sample period lies in {self.fmin_hz}..{self.fmax_hz} Hz "
                 f"at {rate} Hz (lags {tau_min}..{tau_max})")
+        if self.units not in UNITS:
+            raise ConfigInvalidError(f"unknown pitch units {self.units!r}")
+        if self.segment_seconds is not None and not (
+                0 < self.segment_seconds / self.hop_seconds < math.inf):
+            raise ConfigInvalidError(
+                f"segment length must be positive and finite, got {self.segment_seconds} s")
 
 
 @dataclass

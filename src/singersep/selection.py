@@ -18,7 +18,6 @@ trends, so the rule alone would give such a copy the best possible score.
 from __future__ import annotations
 
 import logging
-import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
@@ -29,15 +28,12 @@ from numpy.lib.stride_tricks import sliding_window_view
 from .audio import Waveform
 from .backends import KIND_EXTERNAL, CandidateModel, run_backend
 from .errors import BackendFailureError, ConfigInvalidError, FrameMismatchError
-from .pitch import PitchConfig, PitchTrack, to_semitones, track_pitch
+from .pitch import TREND_FRAMES, PitchConfig, PitchTrack, to_semitones, track_pitch
 
 log = logging.getLogger(__name__)
 
 # Strictly above any achievable finite score (frames x fmax is orders less).
 PENALTY_SCORE = 1e12
-
-# Pitch units trends can be scored in.
-UNITS = ("hz", "semitones")
 
 # Channels at least this similar are penalized as duplicates. An oracle that
 # leaks a fraction a of each uncorrelated, equal-power voice into the other
@@ -76,19 +72,20 @@ def trend_distance(pa: PitchTrack, pb: PitchTrack,
     The window for v_i is pitch frames i-1, i, i+1 (indexed at v's left
     endpoint); indices whose window leaves its block are masked out. The
     track is cut into blocks of ``block_frames`` frames (None: one block
-    spanning the whole track), and a trailing block under 3 frames is
-    dropped. If every frame of either channel is unvoiced in some kept
-    block, the penalty sentinel is returned instead of a sum.
+    spanning the whole track), and a trailing block under TREND_FRAMES
+    frames is dropped. If every frame of either channel is unvoiced in some
+    kept block, the penalty sentinel is returned instead of a sum.
     """
     if len(pa) != len(pb):
         raise FrameMismatchError(f"frame counts differ: {len(pa)} vs {len(pb)}")
     if abs(pa.hop_seconds - pb.hop_seconds) > 1e-12:
         raise FrameMismatchError(
             f"hops differ: {pa.hop_seconds} vs {pb.hop_seconds}")
-    if len(pa) < 3:
-        raise FrameMismatchError(f"need at least 3 frames, got {len(pa)}")
-    if block_frames is not None and block_frames < 3:
-        raise ConfigInvalidError(f"blocks need at least 3 frames, got {block_frames}")
+    if len(pa) < TREND_FRAMES:
+        raise FrameMismatchError(f"need at least {TREND_FRAMES} frames, got {len(pa)}")
+    if block_frames is not None and block_frames < TREND_FRAMES:
+        raise ConfigInvalidError(
+            f"blocks need at least {TREND_FRAMES} frames, got {block_frames}")
 
     a = pa.pitches_hz
     b = pb.pitches_hz
@@ -97,7 +94,7 @@ def trend_distance(pa: PitchTrack, pb: PitchTrack,
     starts = np.arange(0, n, block)
     voiced_ab = np.vstack((a, b)) > 0
     voiced_per_block = np.logical_or.reduceat(voiced_ab, starts, axis=1)
-    if not voiced_per_block[:, n - starts >= 3].all():
+    if not voiced_per_block[:, n - starts >= TREND_FRAMES].all():
         return TrendScore.penalty("silent_channel")
 
     va = np.diff(a)
@@ -164,34 +161,14 @@ class SelectionResult:
     all_penalized: bool = False
 
 
-def check_scoring(cfg: PitchConfig, units: str,
-                  segment_seconds: float | None) -> int | None:
-    """Check the scoring settings; return the block length in frames.
+def score_candidate(outputs: tuple[Waveform, Waveform], cfg: PitchConfig) -> TrendScore:
+    """Pitch-track a candidate's two output channels and score the trends
+    in ``cfg.units``.
 
-    Units must be one of UNITS. With ``segment_seconds`` set, it must be
-    positive and finite, and the block is round(segment_seconds / hop)
-    frames, at least 3; None (whole-input scoring) passes through.
-    """
-    if units not in UNITS:
-        raise ValueError(f"unknown pitch units {units!r}")
-    if segment_seconds is None:
-        return None
-    frames = segment_seconds / cfg.hop_seconds
-    if not 0 < frames < math.inf:
-        raise ConfigInvalidError(
-            f"segment length must be positive and finite, got {segment_seconds} s")
-    return max(3, int(round(frames)))
-
-
-def score_candidate(outputs: tuple[Waveform, Waveform], cfg: PitchConfig,
-                    units: str, block_frames: int | None) -> TrendScore:
-    """Pitch-track a candidate's two output channels and score the trends.
-
-    The settings are those ``check_scoring`` accepted. With ``block_frames``
-    set, the trends are scored in fixed-length frame blocks (see
-    ``trend_distance``): the mask never bridges a block boundary, and a
-    block where either channel is fully unvoiced penalizes the whole
-    candidate. Channels whose ``channel_similarity`` reaches
+    With ``cfg.block_frames`` set, the trends are scored in fixed-length
+    frame blocks (see ``trend_distance``): the mask never bridges a block
+    boundary, and a block where either channel is fully unvoiced penalizes
+    the whole candidate. Channels whose ``channel_similarity`` reaches
     DUPLICATE_SIMILARITY are penalized without being tracked.
     """
     if channel_similarity(outputs[0].samples,
@@ -199,20 +176,19 @@ def score_candidate(outputs: tuple[Waveform, Waveform], cfg: PitchConfig,
         return TrendScore.penalty("duplicate_channels")
     ta = track_pitch(outputs[0], cfg)
     tb = track_pitch(outputs[1], cfg)
-    if units == "semitones":
+    if cfg.units == "semitones":
         ta, tb = to_semitones(ta), to_semitones(tb)
-    return trend_distance(ta, tb, block_frames=block_frames)
+    return trend_distance(ta, tb, block_frames=cfg.block_frames)
 
 
 def select_model(mixed_vocal: Waveform,
                  candidates: list[CandidateModel],
                  pitch_config: PitchConfig | None = None,
                  workdir=None,
-                 units: str = "hz",
-                 segment_seconds: float | None = None,
                  jobs: int | None = None) -> SelectionResult:
     """Run every stage-2 candidate and keep the one with the closest trends.
 
+    ``pitch_config`` (default ``PitchConfig()``) is the whole scoring rule.
     Candidates run concurrently (up to ``jobs`` workers, which run the
     backends and the scoring alike; backend temp files are namespaced per
     invocation). External-command candidates start first, each group in
@@ -226,7 +202,6 @@ def select_model(mixed_vocal: Waveform,
     with ``all_penalized`` set.
     """
     cfg = pitch_config or PitchConfig()
-    block_frames = check_scoring(cfg, units, segment_seconds)
     if not candidates:
         raise BackendFailureError("no stage-2 candidates to select from")
 
@@ -237,7 +212,7 @@ def select_model(mixed_vocal: Waveform,
             log.warning("candidate %s failed: %s", cand.model_id, exc)
             return TrendScore.penalty("backend_failed", cand.model_id,
                                       error=str(exc)), None
-        result = score_candidate(pair, cfg, units, block_frames)
+        result = score_candidate(pair, cfg)
         return replace(result, model_id=cand.model_id), pair
 
     # external processes first, so they run beside the in-process scoring

@@ -26,6 +26,7 @@ from singersep.audio import (
     read_wav,
     resample,
     segment,
+    segment_length,
     write_wav,
 )
 from singersep.errors import (
@@ -479,6 +480,12 @@ class TestSegment:
     def test_length_not_positive_and_finite_rejected(self, seconds):
         with pytest.raises(InvalidWaveformError, match="positive and finite"):
             segment(synth.sine(200.0, 1.0), seconds)
+
+    def test_length_in_samples(self):
+        assert segment_length(10.0, 8000) == 80000
+        assert segment_length(1e-4, 8000) == 1
+        with pytest.raises(InvalidWaveformError, match="rounds to zero samples"):
+            segment_length(1e-5, 8000)
 
     def test_chunks_are_prefix(self):
         w = synth.white_noise(3.7, seed=5)

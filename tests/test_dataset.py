@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from singersep import synth
+from singersep import dataset, synth
 from singersep.audio import Waveform, quantize_pcm16, read_wav, segment
 from singersep.dataset import (
     DUET,
@@ -24,6 +24,7 @@ from singersep.dataset import (
 )
 from singersep.errors import (
     InsufficientSingersError,
+    InvalidWaveformError,
     PairingImpossibleError,
     SilentSourceError,
 )
@@ -283,6 +284,19 @@ class TestBuildDataset:
             build_dataset(_entries(4), PairingScheme(DUET), snr_range=snr_range,
                           out_dir=tmp_path / "ds")
         assert not (tmp_path / "ds").exists()
+
+    @pytest.mark.parametrize("seconds, message", [
+        (math.inf, "positive and finite"), (math.nan, "positive and finite"),
+        (0.0, "positive and finite"), (1e-5, "rounds to zero samples")])
+    def test_bad_segment_length_rejected_before_any_io(self, tmp_path, monkeypatch,
+                                                        seconds, message):
+        reads = []
+        monkeypatch.setattr(dataset, "read_wav", lambda path: reads.append(path))
+        with pytest.raises(InvalidWaveformError, match=message):
+            build_dataset(_entries(4), PairingScheme(DUET),
+                          out_dir=tmp_path / "out" / "ds", segment_seconds=seconds)
+        assert reads == []
+        assert not (tmp_path / "out").exists()
 
     def test_rebuild_is_byte_identical(self, tmp_path):
         # 8 singers so every split draws at least two (duet needs them)

@@ -19,8 +19,10 @@ from singersep import cli, metrics, pipeline, synth
 from singersep.audio import Waveform, read_wav, resample, write_wav
 from singersep.backends import STAGE1, STAGE2, registry_load
 from singersep.dataset import mix_at_snr
+from singersep.errors import ConfigInvalidError
 from singersep.metrics import SENTINEL_DB
 from singersep.pipeline import separate_song
+from singersep.pitch import PitchConfig
 from singersep.selection import select_model
 
 from conftest import make_duet_refs, write_float32_wav, write_registry, write_toy_stems
@@ -124,16 +126,19 @@ class TestSeparateSong:
     @pytest.mark.parametrize("model", [None, "marker"])
     def test_unknown_units_rejected_before_any_backend(
             self, duet_setup, marker_setup, tmp_path, model):
+        # the units are checked when the config is made, so neither call starts
         registry, marker = marker_setup
         models = registry_load(registry)
-        with pytest.raises(ValueError, match="cents"):
+        with pytest.raises(ConfigInvalidError, match="cents"):
             separate_song(duet_setup["song"], models, stage1_id="stage1-pass",
-                          out_dir=tmp_path / "out", model=model, units="cents")
+                          out_dir=tmp_path / "out", model=model,
+                          pitch_config=PitchConfig(units="cents"))
         candidates = [m for m in models if m.backend.stage == STAGE2]
-        with pytest.raises(ValueError, match="cents"):
+        with pytest.raises(ConfigInvalidError, match="cents"):
             select_model(duet_setup["mix"], candidates, workdir=tmp_path,
-                         units="cents")
+                         pitch_config=PitchConfig(units="cents"))
         assert not marker.exists()
+        assert not (tmp_path / "out").exists()
 
 
 class TestCliSeparate:
@@ -648,6 +653,24 @@ class TestCliExitCodes:
         assert err.rstrip().endswith(" at evaluation.mean.sdri_db")
         assert not out.exists()
 
+    def test_unscorable_chosen_pair_exits_2_naming_the_model(
+            self, duet_setup, tmp_path, capsys):
+        # a passthrough's channel B is silent: the only candidate wins
+        # (penalized), and its pair cannot be scored against the references
+        registry = write_registry(tmp_path / "pt-registry.json", [
+            {"model_id": "stage1-pass", "stage": STAGE1, "kind": "passthrough"},
+            {"model_id": "pt", "stage": STAGE2, "kind": "passthrough"},
+        ])
+        out = tmp_path / "out"
+        rc = cli.main(separate_argv(duet_setup, out, "--ref-a", str(duet_setup["refs"][0]),
+                                    "--ref-b", str(duet_setup["refs"][1]),
+                                    registry=registry))
+        err = capsys.readouterr().err
+        assert_clean_exit(rc, err, 2)
+        assert err == ("error: chosen model 'pt' cannot be evaluated: "
+                       "zero-variance estimate\n")
+        assert not out.exists()
+
     def test_non_finite_candidate_score_names_its_key(
             self, duet_setup, tmp_path, capsys, monkeypatch):
         def infinite_second_score(*args, **kwargs):
@@ -906,7 +929,7 @@ class TestCliBuildDataset:
                        "--scheme", "duet", "--out", str(out), "--seed", "1",
                        f"{flag}={value}"])
         assert_clean_exit(rc, capsys.readouterr().err, 2)
-        assert not (out / "dataset.json").exists()
+        assert not out.exists()
 
     @pytest.mark.parametrize("value", ["nan,0.5,0.5", "-1,1,1", "0.5,0.5,0.5"])
     def test_ratios_checked_when_every_entry_pins_its_split(

@@ -26,13 +26,12 @@ from singersep.errors import (
     ConfigInvalidError,
     FrameMismatchError,
 )
-from singersep.pitch import PitchConfig, PitchTrack
+from singersep.pitch import PitchConfig, PitchTrack, track_pitch
 from singersep.selection import (
     DUPLICATE_MAX_LAG,
     DUPLICATE_SIMILARITY,
     PENALTY_SCORE,
     channel_similarity,
-    check_scoring,
     score_candidate,
     select_model,
     trend_distance,
@@ -240,7 +239,7 @@ class TestDuplicateChannels:
         (ref_a, _), (ref_b, _) = make_duet_refs(tmp_path, seed=21, seconds=3.0)
         mix = ref_a.samples + ref_b.samples
         pair = (Waveform(mix, ref_a.sample_rate), Waveform(copy(mix), ref_a.sample_rate))
-        score = score_candidate(pair, PitchConfig(), "hz", None)
+        score = score_candidate(pair, PitchConfig())
         assert score.penalized and score.score == PENALTY_SCORE
         assert score.contributing_frames == 0
 
@@ -406,24 +405,65 @@ class TestSelectModel:
         {"segment_seconds": math.inf},
     ])
     def test_bad_settings_rejected_before_any_backend(self, tmp_path, bad):
+        # the settings are checked when the config is made, so no selection
+        # (and no backend) can start with them
         marker = tmp_path / "backend-ran"
         touch = CandidateModel("marker", SeparationBackend(
             kind=KIND_EXTERNAL, stage=STAGE2,
             command=(f'{sys.executable} -c "import pathlib, sys; '
                      f'pathlib.Path(sys.argv[1]).touch()" {marker} '
                      "{input} {out_a} {out_b}")))
-        with pytest.raises((ValueError, ConfigInvalidError)):
+        with pytest.raises(ConfigInvalidError):
             select_model(synth.sine(220.0, 1.0), [touch], workdir=tmp_path,
-                         **bad)
+                         pitch_config=PitchConfig(**bad))
         assert not marker.exists()
 
 
-class TestCheckScoring:
+class TestScoringConfig:
     def test_block_length_in_frames(self):
         cfg = PitchConfig()
-        assert check_scoring(cfg, "hz", None) is None
-        assert check_scoring(cfg, "semitones", 1.0) == round(1.0 / cfg.hop_seconds)
-        assert check_scoring(cfg, "hz", 1e-6) == 3
+        assert cfg.block_frames is None
+        blocked = PitchConfig(units="semitones", segment_seconds=1.0)
+        assert blocked.block_frames == round(1.0 / cfg.hop_seconds)
+        assert PitchConfig(segment_seconds=1e-6).block_frames == 3
+
+    @settings(max_examples=200, deadline=None)
+    @given(seconds=st.floats(1e-300, 1e6, allow_nan=False, allow_infinity=False),
+           hop=st.sampled_from([0.005, 0.01, 0.0125, 0.02]))
+    def test_block_frames_rounds_segment_to_hops(self, seconds, hop):
+        cfg = PitchConfig(hop_seconds=hop, segment_seconds=seconds)
+        assert cfg.block_frames == max(3, round(seconds / hop))
+
+    @pytest.mark.parametrize("bad", [
+        {"units": "cents"},
+        {"units": "HZ"},
+        {"units": None},
+        {"segment_seconds": 0.0},
+        {"segment_seconds": -1.0},
+        {"segment_seconds": math.nan},
+        {"segment_seconds": math.inf},
+        {"segment_seconds": -math.inf},
+        {"segment_seconds": 1e308},  # finite, but not in frames
+    ])
+    def test_bad_scoring_settings_rejected_when_made(self, bad):
+        with pytest.raises(ConfigInvalidError,
+                           match="units" if "units" in bad else "segment length"):
+            PitchConfig(**bad)
+
+    @pytest.mark.parametrize("segment_seconds", [None, 0.5, 1.0])
+    def test_blocked_selection_scores_equal_trend_distance(
+            self, tmp_path, segment_seconds):
+        (ref_a, pa), (ref_b, pb) = make_duet_refs(tmp_path, seed=6, seconds=3.0)
+        mix = mix_at_snr(ref_a, ref_b, 0.0).mixture
+        cfg = PitchConfig(segment_seconds=segment_seconds)
+        result = select_model(mix, [oracle_candidate("clean", pa, pb)],
+                              pitch_config=cfg, workdir=tmp_path, jobs=1)
+        out_a, out_b = result.outputs_by_model["clean"]
+        expected = trend_distance(track_pitch(out_a, cfg), track_pitch(out_b, cfg),
+                                  block_frames=cfg.block_frames)
+        (score,) = result.scores
+        assert (score.score, score.contributing_frames) == (
+            expected.score, expected.contributing_frames)
 
 
 def copy_command(model_id, ref_a_path, ref_b_path):
