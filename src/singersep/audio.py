@@ -6,9 +6,9 @@ Everything downstream works on ``Waveform`` values at a canonical rate of
 
 from __future__ import annotations
 
+import functools
 import math
 import struct
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,12 +29,12 @@ _KAISER_BETA = 8.6
 _ZERO_CROSSINGS = 64
 # runs of `up` outputs per matrix product: bounds the resampler's working memory
 _BLOCK_RUNS = 512
-# Kernels kept for later calls, most recently used last, while they total at
-# most this many bytes (44.1k -> 8k needs 0.42 MB). A rate pair whose kernels
-# alone exceed it (44101 -> 8000 Hz: 45 MB) gets them built, used and dropped.
-_KERNEL_CACHE_BYTES = 4_000_000
-_kernel_cache: dict[tuple[int, int], tuple] = {}
-_kernel_cache_lock = threading.Lock()
+# Largest max(up, down) whose kernels are cached. Kernels take about 1.02 KB
+# per unit of max(up, down) (0.42 MB at 44.1k -> 8k, where it is 441), at
+# most 0.53 MB under the gate, so the four cached pairs stay under 4 MB.
+# Every common rate into 8 kHz is under it; a rarer pair's kernels (47952 ->
+# 8000 Hz: 3 MB; 44101 -> 8000 Hz: 45 MB) are rebuilt on every call.
+_CACHED_MAX_UD = 512
 
 _PCM16_SCALE = 32767.0
 # One step of the 16-bit grid, in sample units.
@@ -237,28 +237,18 @@ def resample(w: Waveform, target_rate: int) -> Waveform:
 
 
 def _kernels(up: int, down: int):
-    """``_polyphase_kernels(up, down)``, from the cache when it holds them.
-
-    Newly built kernels join the cache if they fit in _KERNEL_CACHE_BYTES,
-    and the least recently used entries leave until the cache fits again.
-    """
-    key = (up, down)
-    with _kernel_cache_lock:
-        kernels = _kernel_cache.pop(key, None)
-        if kernels is not None:
-            _kernel_cache[key] = kernels
-            return kernels
-    kernels = _polyphase_kernels(up, down)
-    if _kernel_bytes(kernels) <= _KERNEL_CACHE_BYTES:
-        with _kernel_cache_lock:
-            _kernel_cache[key] = kernels
-            while sum(map(_kernel_bytes, _kernel_cache.values())) > _KERNEL_CACHE_BYTES:
-                del _kernel_cache[next(iter(_kernel_cache))]
-    return kernels
+    """``_polyphase_kernels(up, down)``, from a cache of the four most recently
+    used pairs whose ``max(up, down)`` is at most _CACHED_MAX_UD, which holds
+    under 4 MB; any other pair's kernels, a rare rate's, are built for this
+    call and dropped after it, so that pair pays the build on every call."""
+    if max(up, down) <= _CACHED_MAX_UD:
+        return _cached_kernels(up, down)
+    return _polyphase_kernels(up, down)
 
 
-def _kernel_bytes(kernels) -> int:
-    return sum(kernel.nbytes for _, kernel in kernels[1])
+@functools.lru_cache(maxsize=4)
+def _cached_kernels(up: int, down: int):
+    return _polyphase_kernels(up, down)
 
 
 def _polyphase_kernels(up: int, down: int):
@@ -296,7 +286,7 @@ def _polyphase_kernels(up: int, down: int):
 
 def segment_length(seconds: float, rate: int) -> int:
     """Samples in a segment of ``seconds`` at ``rate``, at least one."""
-    if not 0 < seconds < math.inf:
+    if not 0 < seconds * rate < math.inf:
         raise InvalidWaveformError(
             f"segment length must be positive and finite, got {seconds}")
     chunk = int(round(seconds * rate))

@@ -38,6 +38,9 @@ from .errors import (
 MANIFEST_SCHEMA = "mir-ss/1"
 
 SPLITS = ("train", "valid", "test")
+# Largest |SNR| in dB a build may ask for: the 16-bit grid's range
+# (20*log10(32767), about 90.3 dB), past which the quieter source rounds away.
+MAX_SNR_DB = 90.0
 
 DUET = "duet"
 SELF_HARMONIC = "self_harmonic"
@@ -231,8 +234,9 @@ def build_dataset(manifest: list[StemEntry],
     Returns the manifest dict (also written to ``out_dir/dataset.json``).
     """
     lo, hi = snr_range
-    if not -math.inf < lo <= hi < math.inf:
-        raise ValueError(f"snr range must be finite with lo <= hi, got {lo}:{hi}")
+    if not -MAX_SNR_DB <= lo <= hi <= MAX_SNR_DB:
+        raise ValueError(f"snr range must lie within -{MAX_SNR_DB:g}:{MAX_SNR_DB:g} dB "
+                         f"with lo <= hi, got {lo}:{hi}")
     _check_ratios(ratios)
     segment_length(segment_seconds, CANONICAL_RATE)
 

@@ -33,6 +33,8 @@ BLOCK_FRAMES = 256
 # pitch frames one trend term spans (i-1, i, i+1), and the units trends are scored in
 TREND_FRAMES = 3
 UNITS = ("hz", "semitones")
+# frames with RMS below this are unvoiced
+SILENCE_RMS = 1e-4
 
 
 @dataclass(frozen=True)
@@ -42,8 +44,8 @@ class PitchConfig:
     10 ms hop, range 55-1000 Hz, Hz, one block.
 
     Checked when made, so any config that exists is valid: units must be
-    one of UNITS, every other set field finite, the threshold and segment
-    length positive and the silence floor non-negative; the frame must
+    one of UNITS, every other set field finite, the frame and hop finite in
+    samples, the threshold and segment length positive; the frame must
     cover two periods of fmin_hz, and a whole-sample period must lie
     between fmin_hz and fmax_hz.
     """
@@ -53,7 +55,6 @@ class PitchConfig:
     threshold: float = 0.15
     fmin_hz: float = DEFAULT_FMIN_HZ
     fmax_hz: float = DEFAULT_FMAX_HZ
-    silence_rms: float = 1e-4
     units: str = "hz"
     segment_seconds: float | None = None
 
@@ -90,6 +91,11 @@ class PitchConfig:
         if non_finite:
             raise ConfigInvalidError(
                 f"pitch settings must be finite, got {', '.join(non_finite)}")
+        for name in ("frame_seconds", "hop_seconds"):
+            if not math.isfinite(getattr(self, name) * rate):
+                raise ConfigInvalidError(
+                    f"{name}={getattr(self, name)} is not a finite number of samples "
+                    f"at {rate} Hz")
         if not (0 < self.fmin_hz < self.fmax_hz):
             raise ConfigInvalidError(
                 f"need 0 < fmin < fmax, got {self.fmin_hz}..{self.fmax_hz}")
@@ -98,8 +104,6 @@ class PitchConfig:
                 f"fmax {self.fmax_hz} Hz at or above Nyquist of {rate} Hz")
         if self.threshold <= 0:
             raise ConfigInvalidError("threshold must be positive")
-        if self.silence_rms < 0:
-            raise ConfigInvalidError("silence_rms must not be negative")
         if self.hop_length < 1:
             raise ConfigInvalidError("hop shorter than one sample")
         if self.frame_length < 2 * rate / self.fmin_hz:
@@ -206,7 +210,7 @@ def _block_pitches(frames: np.ndarray, cfg: PitchConfig) -> np.ndarray:
     # first lag in range under the threshold, then on down to the local
     # minimum: the first lag from there on whose successor is not lower
     below = (cmndf < cfg.threshold) & (lags >= tau_min)
-    voiced = below.any(axis=1) & (rms >= cfg.silence_rms)
+    voiced = below.any(axis=1) & (rms >= SILENCE_RMS)
     first = np.argmax(below, axis=1)
     descending = np.zeros_like(below)
     descending[:, :-1] = cmndf[:, 1:] < cmndf[:, :-1]

@@ -90,7 +90,7 @@ def trend_distance(pa: PitchTrack, pb: PitchTrack,
     a = pa.pitches_hz
     b = pb.pitches_hz
     n = len(a)
-    block = n if block_frames is None else block_frames
+    block = n if block_frames is None else min(block_frames, n)
     starts = np.arange(0, n, block)
     voiced_ab = np.vstack((a, b)) > 0
     voiced_per_block = np.logical_or.reduceat(voiced_ab, starts, axis=1)

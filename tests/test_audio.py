@@ -8,10 +8,11 @@ import sys
 import threading
 import tracemalloc
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -393,8 +394,8 @@ class TestResampleMatchesScipy:
 
 
 class TestKernelCache:
-    def test_odd_rate_kernels_are_built_used_and_dropped(self, monkeypatch):
-        monkeypatch.setattr(audio, "_kernel_cache", {})
+    def test_odd_rate_kernels_are_built_used_and_dropped(self):
+        audio._cached_kernels.cache_clear()
         x = np.random.default_rng(5).uniform(-0.9, 0.9, 44101)
         w = Waveform(x, 44101)
         tracemalloc.start()
@@ -406,10 +407,10 @@ class TestKernelCache:
             tracemalloc.stop()
         assert len(out) == 8000
         assert held <= 1_000_000  # the 45 MB of kernels are gone
-        assert audio._kernel_cache == {}
+        assert audio._cached_kernels.cache_info().currsize == 0
 
     def test_second_call_reuses_cached_kernels(self, monkeypatch):
-        monkeypatch.setattr(audio, "_kernel_cache", {})
+        audio._cached_kernels.cache_clear()
         built = []
 
         def design(up, down):
@@ -422,21 +423,51 @@ class TestKernelCache:
         assert built == [(80, 441)]
         assert first.samples.tobytes() == second.samples.tobytes()
 
-    def test_cache_drops_least_recently_used_past_its_budget(self, monkeypatch):
-        monkeypatch.setattr(audio, "_kernel_cache", {})
-        # each rate's kernels for 8 kHz take about 1.5 MB; three exceed 4 MB
-        for rate in (11992, 11976, 11992, 11944):
-            resample(Waveform(np.zeros(10), rate), 8000)
-        assert list(audio._kernel_cache) == [(1000, 1499), (1000, 1493)]
-        assert (sum(map(audio._kernel_bytes, audio._kernel_cache.values()))
-                <= audio._KERNEL_CACHE_BYTES)
+    def test_cache_keeps_the_four_most_recently_used_pairs(self, monkeypatch):
+        audio._cached_kernels.cache_clear()
+        built = []
 
-    def test_threads_share_the_cache_within_its_budget(self, monkeypatch):
-        monkeypatch.setattr(audio, "_kernel_cache", {})
-        rates = (11992, 11976, 11944, 44100, 48000)
+        def design(up, down):
+            built.append((up, down))
+            return _polyphase_kernels(up, down)
+
+        monkeypatch.setattr(audio, "_polyphase_kernels", design)
+        # 48 kHz is used least recently when 11.025 kHz arrives as the fifth pair
+        for rate in (44100, 48000, 22050, 44100, 16000, 11025):
+            resample(Waveform(np.zeros(10), rate), 8000)
+        assert built == [(80, 441), (1, 6), (160, 441), (1, 2), (320, 441)]
+        del built[:]
+        for rate in (22050, 44100, 16000, 11025, 48000):
+            resample(Waveform(np.zeros(10), rate), 8000)
+        assert built == [(1, 6)]
+
+    @settings(max_examples=20, deadline=None)
+    @example(up=65, down=512)
+    @given(st.integers(1, audio._CACHED_MAX_UD), st.integers(1, audio._CACHED_MAX_UD))
+    def test_four_cacheable_kernel_sets_fit_in_4_mb(self, up, down):
+        g = math.gcd(up, down)
+        _, groups = _polyphase_kernels(up // g, down // g)
+        assert 4 * sum(kernel.nbytes for _, kernel in groups) <= 4_000_000
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.sampled_from([(44100, 8000), (8000, 44100), (48000, 8000), (11025, 8000),
+                            (11992, 8000), (8000, 11992), (47952, 8000)]),
+           st.integers(1, 2000), st.integers(0, 2 ** 32 - 1))
+    def test_cached_and_uncached_kernels_give_identical_output(self, rates, n, seed):
+        rate, target_rate = rates
+        w = Waveform(np.random.default_rng(seed).uniform(-1.0, 1.0, n), rate)
+        first, second = resample(w, target_rate), resample(w, target_rate)
+        with mock.patch.object(audio, "_kernels", audio._polyphase_kernels):
+            fresh = resample(w, target_rate)
+        assert first.samples.tobytes() == fresh.samples.tobytes()
+        assert second.samples.tobytes() == fresh.samples.tobytes()
+
+    def test_threads_get_bit_identical_outputs(self):
+        # five cacheable pairs, so threads evict one another, and one that is not
+        rates = (44100, 48000, 22050, 16000, 11025, 11992)
         x = np.random.default_rng(9).uniform(-0.9, 0.9, 600)
         want = {rate: resample(Waveform(x, rate), 8000).samples for rate in rates}
-        monkeypatch.setattr(audio, "_kernel_cache", {})
+        audio._cached_kernels.cache_clear()
         failures = []
 
         def work(k):
@@ -457,8 +488,7 @@ class TestKernelCache:
             sys.setswitchinterval(interval)
         assert not any(t.is_alive() for t in threads)
         assert failures == []
-        assert (sum(map(audio._kernel_bytes, audio._kernel_cache.values()))
-                <= audio._KERNEL_CACHE_BYTES)
+        assert audio._cached_kernels.cache_info().currsize <= 4
 
 
 class TestSegment:

@@ -10,6 +10,7 @@ from singersep import dataset, synth
 from singersep.audio import Waveform, quantize_pcm16, read_wav, segment
 from singersep.dataset import (
     DUET,
+    MAX_SNR_DB,
     SELF_HARMONIC,
     MixPair,
     PairingScheme,
@@ -270,6 +271,16 @@ class TestBuildDataset:
                             snr_range=(0.0, 0.0), seed=9, out_dir=tmp_path / "ds")
         assert doc["summary"]["train"]["pairs"] == 12  # 2 x (3 segments x 2 songs)
 
+    @pytest.mark.parametrize("snr_db", [-MAX_SNR_DB, MAX_SNR_DB])
+    def test_snr_at_the_range_ends_keeps_both_sources(self, tmp_path, snr_db):
+        manifest = write_toy_stems(tmp_path, n_singers=2, seconds=10.0, split="train")
+        doc = build_dataset(load_stem_manifest(manifest), PairingScheme(DUET),
+                            snr_range=(snr_db, snr_db), seed=1, out_dir=tmp_path / "ds")
+        for rec in doc["pairs"]:
+            for key in ("src_a", "src_b"):
+                samples = read_wav(tmp_path / "ds" / rec["paths"][key]).samples
+                assert samples.min() < samples.max()
+
     def test_degenerate_snr_range(self, tmp_path):
         manifest = write_toy_stems(tmp_path, n_singers=2, seconds=20.0, split="train")
         entries = load_stem_manifest(manifest)
@@ -278,7 +289,8 @@ class TestBuildDataset:
         assert all(rec["snr_db"] == 0.0 for rec in doc["pairs"])
 
     @pytest.mark.parametrize("snr_range", [
-        (-math.inf, math.inf), (math.inf, math.inf), (math.nan, 0.0), (5.0, -5.0)])
+        (-math.inf, math.inf), (math.inf, math.inf), (math.nan, 0.0), (5.0, -5.0),
+        (5000.0, 5000.0), (-5000.0, -5000.0), (300.0, 300.0), (0.0, 90.1)])
     def test_bad_snr_range_rejected(self, tmp_path, snr_range):
         with pytest.raises(ValueError, match="snr range"):
             build_dataset(_entries(4), PairingScheme(DUET), snr_range=snr_range,
@@ -287,7 +299,8 @@ class TestBuildDataset:
 
     @pytest.mark.parametrize("seconds, message", [
         (math.inf, "positive and finite"), (math.nan, "positive and finite"),
-        (0.0, "positive and finite"), (1e-5, "rounds to zero samples")])
+        (0.0, "positive and finite"), (1e-5, "rounds to zero samples"),
+        (1e305, "positive and finite")])
     def test_bad_segment_length_rejected_before_any_io(self, tmp_path, monkeypatch,
                                                         seconds, message):
         reads = []

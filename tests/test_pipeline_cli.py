@@ -197,6 +197,20 @@ class TestCliSeparate:
         # windows each and the 47-frame tail holds 45 (595 unblocked)
         assert frames["clean"] == 11 * 48 + 45
 
+    def test_segment_longer_than_the_song_scores_as_one_block(self, duet_setup, tmp_path):
+        reports = []
+        for name, extra in (("whole", []), ("long", ["--segment-seconds", "1e305"])):
+            rc = cli.main([
+                "separate", str(duet_setup["song"]),
+                "--registry", str(duet_setup["registry"]),
+                "--stage1", "stage1-pass", "--out", str(tmp_path / name), "--seed", "3",
+                *extra])
+            assert rc == 0
+            reports.append(json.loads((tmp_path / name / "report.json").read_text()))
+        whole, long = ([(c["model_id"], c["score"], c["contributing_frames"])
+                        for c in r["candidates"]] for r in reports)
+        assert long == whole
+
     def test_semitone_units(self, tmp_path, capsys):
         # vibrato depth proportional to the carrier: the clean voices move
         # in parallel in semitones, not in Hz, so the units decide the pick
@@ -241,6 +255,8 @@ class TestCliSeparate:
         ("--pitch-hop", "inf"),
         ("--pitch-hop", "nan"),
         ("--pitch-frame", "nan"),
+        ("--pitch-frame", "1e305"),  # finite, but not in samples
+        ("--pitch-hop", "1e305"),
         ("--pitch-fmax", "inf"),
         ("--pitch-fmax", "55.1"),  # no whole-sample period in 55..55.1 Hz
     ])
@@ -256,6 +272,7 @@ class TestCliSeparate:
         assert err.startswith("error: ")
         assert "Traceback" not in err
         assert not marker.exists()
+        assert not (tmp_path / "bad-pitch").exists()
 
     @pytest.mark.parametrize("source", ["flag", "env", "config"])
     @pytest.mark.parametrize("jobs", ["0", "-1"])
@@ -917,9 +934,14 @@ class TestCliBuildDataset:
     @pytest.mark.parametrize("flag, value", [
         ("--segment-seconds", "inf"),
         ("--segment-seconds", "0.00001"),  # rounds to zero samples
+        ("--segment-seconds", "1e305"),  # finite, but not in samples
         ("--snr", "-inf:inf"),
         ("--snr", "inf:inf"),
         ("--snr", "5:-5"),
+        ("--snr", "5000:5000"),
+        ("--snr", "-5000:-5000"),
+        ("--snr", "300:300"),  # the quieter source would round to silence
+        ("--snr", "-90.1:0"),
         ("--ratios", "nan,0.5,0.5"),
     ])
     def test_bad_value_exits_2(self, tmp_path, capsys, flag, value):

@@ -187,6 +187,7 @@ class TestBlockedTrendDistance:
         whole = trend_distance(pa, pb)
         assert trend_distance(pa, pb, block_frames=5) == whole
         assert trend_distance(pa, pb, block_frames=50) == whole
+        assert trend_distance(pa, pb, block_frames=10 ** 300) == whole
 
     def test_window_never_bridges_blocks(self):
         # blocks [0, 3) and [3, 6): only indices 1 and 4 are inside a block
