@@ -27,7 +27,8 @@ MAX_SAMPLE_RATE = 768000
 # so it has 64*max(up, down) + 1 taps (353 per output phase at 44.1k -> 8k).
 _KAISER_BETA = 8.6
 _ZERO_CROSSINGS = 64
-# runs of `up` outputs per matrix product: bounds the resampler's working memory
+# Runs of `up` outputs per matrix product. The products read their rows in
+# place and write into the output, so this bounds one BLAS call, not a copy.
 _BLOCK_RUNS = 512
 # Largest max(up, down) whose kernels are cached. Kernels take about 1.02 KB
 # per unit of max(up, down) (0.42 MB at 44.1k -> 8k, where it is 441), at
@@ -39,6 +40,10 @@ _CACHED_MAX_UD = 512
 _PCM16_SCALE = 32767.0
 # One step of the 16-bit grid, in sample units.
 PCM16_LSB = 1.0 / _PCM16_SCALE
+# Largest |SNR| in dB a mix or a noised oracle may ask for: the 16-bit grid's
+# range (20*log10(32767), about 90.3 dB), past which the quieter signal
+# rounds away.
+MAX_SNR_DB = 90.0
 
 _FMT_PCM = 1
 _FMT_IEEE_FLOAT = 3
@@ -203,9 +208,14 @@ def resample(w: Waveform, target_rate: int) -> Waveform:
     0.45x the slower of the two rates pass with negligible frequency error.
     The rates reduce to ``up/down``; each run of ``up`` consecutive outputs
     reads ``down`` new input samples, so a block of runs is one matrix
-    product of overlapping input rows with a kernel whose columns are the
-    output phases' sub-filters. Length and alignment are those of
+    product of input rows with a kernel whose columns are the output
+    phases' sub-filters. Length and alignment are those of
     ``scipy.signal.resample_poly`` with the same filter.
+
+    The only full-length array made is the output: the rows are strided
+    views of the input (``_run_products``), except at its two ends, where a
+    run's taps reach past it and read a short zero-padded copy of that end
+    (``_zero_extended``).
     """
     if target_rate <= 0:
         raise InvalidWaveformError(f"target_rate must be positive, got {target_rate}")
@@ -217,23 +227,58 @@ def resample(w: Waveform, target_rate: int) -> Waveform:
     g = math.gcd(w.sample_rate, int(target_rate))
     up, down = int(target_rate) // g, w.sample_rate // g
     lead, groups = _kernels(up, down)
+    x = w.samples
     n_in = len(w)
     n_out = -(-n_in * up // down)
     runs = -(-n_out // up)
-    # padded-input samples one run reads, up to its last phase's last tap
-    reach = groups[-1][0] + groups[-1][1].shape[0]
-    # zeros before the input for the first outputs' taps, after it for the last run's
-    xpad = np.pad(w.samples, (lead, (runs - 1) * down + reach - n_in - lead))
     out = np.empty((runs, up))
     col = 0
     for offset, kernel in groups:
-        rows = sliding_window_view(xpad[offset:], kernel.shape[0])[::down]
+        taps = kernel.shape[0]
+        start = offset - lead  # input index of run 0's first row sample; < 0 reads zeros
+        # runs [inside, beyond) read rows that lie wholly inside the input
+        inside = min(runs, max(0, -(start // down)))
+        beyond = min(runs, max(inside, (n_in - taps - start) // down + 1))
         stop = col + kernel.shape[1]
-        for s in range(0, runs, _BLOCK_RUNS):
-            out[s:s + _BLOCK_RUNS, col:stop] = rows[s:s + _BLOCK_RUNS] @ kernel
+        for first, end in ((0, inside), (inside, beyond), (beyond, runs)):
+            if first < end:
+                lo = start + first * down
+                _run_products(_zero_extended(x, lo, lo + (end - first - 1) * down + taps),
+                              kernel, down, out[first:end, col:stop])
         col = stop
+    samples = out.ravel()[:n_out]
     # The filter can overshoot full scale by a hair on near-clipped input.
-    return Waveform(np.clip(out.ravel()[:n_out], -1.0, 1.0), int(target_rate))
+    return Waveform(np.clip(samples, -1.0, 1.0, out=samples), int(target_rate))
+
+
+def _zero_extended(x: np.ndarray, lo: int, hi: int) -> np.ndarray:
+    """``x[lo:hi]`` with zeros for the indices outside ``x``: a view when the
+    span lies inside ``x``, else a copy of the span."""
+    if 0 <= lo and hi <= len(x):
+        return x[lo:hi]
+    span = np.zeros(hi - lo)
+    a, b = max(lo, 0), min(hi, len(x))
+    if a < b:
+        span[a - lo:b - lo] = x[a:b]
+    return span
+
+
+def _run_products(src: np.ndarray, kernel: np.ndarray, down: int,
+                  out: np.ndarray) -> None:
+    """``out[r] = src[r*down:r*down + taps] @ kernel`` for every row r of out.
+
+    Rows ``down`` apart overlap, and BLAS takes no operand whose rows
+    overlap, so numpy would copy them first. Rows ``k = ceil(taps/down)``
+    runs apart do not overlap: runs ``i, i+k, i+2k, ...`` are one strided
+    view of ``src``, and their products go straight into ``out[i::k]``.
+    """
+    taps = kernel.shape[0]
+    k = -(-taps // down)
+    rows = sliding_window_view(src, taps)
+    for i in range(min(k, len(out))):
+        view, dst = rows[i * down::k * down], out[i::k]
+        for s in range(0, len(dst), _BLOCK_RUNS):
+            np.matmul(view[s:s + _BLOCK_RUNS], kernel, out=dst[s:s + _BLOCK_RUNS])
 
 
 def _kernels(up: int, down: int):

@@ -26,7 +26,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .audio import Waveform, read_wav, write_wav
+from .audio import MAX_SNR_DB, Waveform, read_wav, write_wav
 from .errors import (
     BackendFailureError,
     ContractViolationError,
@@ -89,8 +89,10 @@ class OracleSpec:
             "swap": (isinstance(self.swap, bool), "true or false"),
             "leak": (_number(self.leak) and 0.0 <= self.leak < 0.5,
                      "a number in [0, 0.5)"),
-            "noise_snr_db": (self.noise_snr_db is None or _number(self.noise_snr_db),
-                             "null or a finite number"),
+            "noise_snr_db": (self.noise_snr_db is None
+                             or (_number(self.noise_snr_db)
+                                 and abs(self.noise_snr_db) <= MAX_SNR_DB),
+                             f"null or a number in [-{MAX_SNR_DB:g}, {MAX_SNR_DB:g}]"),
             "noise_seed": (_number(self.noise_seed, numbers.Integral)
                            and self.noise_seed >= 0, "a non-negative integer"),
         }
@@ -136,7 +138,10 @@ class CandidateModel:
 
 
 def _reconcile(out: Waveform, input_w: Waveform, what: str) -> Waveform:
-    """Enforce the output contract: same rate, length within one sample."""
+    """Enforce the output contract: same rate, length within one sample.
+
+    An output of the input's length is returned as it is; one sample over
+    is trimmed and one under is zero-padded."""
     if out.sample_rate != input_w.sample_rate:
         raise ContractViolationError(
             f"{what}: rate {out.sample_rate} != input rate {input_w.sample_rate}")
@@ -144,6 +149,8 @@ def _reconcile(out: Waveform, input_w: Waveform, what: str) -> Waveform:
     if abs(delta) > 1:
         raise ContractViolationError(
             f"{what}: length {len(out)} vs input {len(input_w)} (off by {delta})")
+    if delta == 0:
+        return out
     kept = out.samples[:len(input_w)]
     return Waveform(np.pad(kept, (0, len(input_w) - len(kept))), out.sample_rate)
 
@@ -209,8 +216,8 @@ def _run_oracle(spec: OracleSpec, input_w: Waveform) -> tuple[Waveform, Waveform
     if spec.swap:
         out_a, out_b = out_b, out_a
     rate = ref_a.sample_rate
-    return (Waveform(np.clip(out_a, -1.0, 1.0), rate),
-            Waveform(np.clip(out_b, -1.0, 1.0), rate))
+    return (Waveform(np.clip(out_a, -1.0, 1.0, out=out_a), rate),
+            Waveform(np.clip(out_b, -1.0, 1.0, out=out_b), rate))
 
 
 def run_backend(backend: SeparationBackend, input_w: Waveform,

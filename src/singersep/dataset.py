@@ -18,6 +18,7 @@ import numpy as np
 
 from .audio import (
     CANONICAL_RATE,
+    MAX_SNR_DB,
     PCM16_LSB,
     Segment,
     Waveform,
@@ -38,9 +39,6 @@ from .errors import (
 MANIFEST_SCHEMA = "mir-ss/1"
 
 SPLITS = ("train", "valid", "test")
-# Largest |SNR| in dB a build may ask for: the 16-bit grid's range
-# (20*log10(32767), about 90.3 dB), past which the quieter source rounds away.
-MAX_SNR_DB = 90.0
 
 DUET = "duet"
 SELF_HARMONIC = "self_harmonic"
@@ -168,8 +166,12 @@ def mix_at_snr(a: Waveform, b: Waveform, snr_db: float) -> MixPair:
     b is scaled by g = sqrt(Pa / (Pb * 10^(snr/10))) and the returned
     source_b is the scaled signal, so the references decompose the mixture
     exactly. If the triple peaks above 1, all three are divided by the
-    common peak, which leaves the SNR untouched.
+    common peak, which leaves the SNR untouched. ``|snr_db|`` above
+    MAX_SNR_DB raises ValueError.
     """
+    if not abs(snr_db) <= MAX_SNR_DB:
+        raise ValueError(f"snr must lie within -{MAX_SNR_DB:g}:{MAX_SNR_DB:g} dB, "
+                         f"got {snr_db}")
     if len(a) != len(b) or a.sample_rate != b.sample_rate:
         raise SilentSourceError(
             f"inputs disagree: {len(a)}@{a.sample_rate} vs {len(b)}@{b.sample_rate}")

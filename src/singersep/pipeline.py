@@ -78,9 +78,11 @@ def separate_song(song_path,
     rejected before any backend runs. ``refs`` optionally names the two
     ground-truth vocal files for evaluation; they are read like the song
     and rejected unless they match its length and are not constant, all
-    before any backend runs, and scored before anything is written; a
-    chosen pair that cannot be scored fails the run, naming the model.
-    If the run fails, the files it wrote and the directories it made are
+    before any backend runs, and the chosen pair is scored before the stems
+    are written; a chosen pair that cannot be scored fails the run, naming
+    the model. Each candidate's pair is written to ``candidates/<id>/`` as
+    selection reads it, so only the chosen pair is held as floats. If the
+    run fails, the files it wrote and the directories it made are
     removed. A failed external backend's scratch directory under
     ``out_dir/tmp`` is kept, since its error names it; ``tmp`` itself is
     removed only if it ends up empty.
@@ -122,22 +124,30 @@ def separate_song(song_path,
                                                  workdir=out / "tmp")
         stage1_seconds = time.monotonic() - t_stage1
 
+        candidate_files: dict[str, dict[str, str]] = {}
+
+        def write_candidate(model_id: str, pair: tuple[Waveform, Waveform]) -> None:
+            cdir = out / "candidates" / model_id
+            candidate_files[model_id] = {"a": write(pair[0], cdir / "a.wav"),
+                                         "b": write(pair[1], cdir / "b.wav")}
+
         t_select = time.monotonic()
         if model is not None:
             chosen_cand = next(c for c in candidates if c.model_id == model)
             pair = run_backend(chosen_cand.backend, mixed_vocal, workdir=out / "tmp")
+            write_candidate(model, pair)
             selection = SelectionResult(
                 chosen=model,
                 scores=[TrendScore(model_id=c.model_id, score=None)
                         for c in candidates],
-                outputs_by_model={model: pair})
+                chosen_pair=pair)
         else:
             selection = select_model(mixed_vocal, candidates, pitch_config=cfg,
-                                     workdir=out / "tmp", jobs=jobs)
-        candidate_outputs = selection.outputs_by_model
+                                     workdir=out / "tmp", jobs=jobs,
+                                     on_outputs=write_candidate)
         selection_seconds = time.monotonic() - t_select
 
-        vocal_a, vocal_b = candidate_outputs[selection.chosen]
+        vocal_a, vocal_b = selection.chosen_pair
         evaluation = None
         if ref_waves is not None:
             try:
@@ -152,17 +162,9 @@ def separate_song(song_path,
             "accompaniment": write(accompaniment, out / "accompaniment.wav"),
         }
 
-        candidate_entries = []
-        for score in selection.scores:
-            entry = asdict(score)
-            entry["outputs"] = None
-            model_id = entry["model_id"]
-            if model_id in candidate_outputs:
-                cdir = out / "candidates" / model_id
-                ca, cb = candidate_outputs[model_id]
-                entry["outputs"] = {"a": write(ca, cdir / "a.wav"),
-                                    "b": write(cb, cdir / "b.wav")}
-            candidate_entries.append(entry)
+        candidate_entries = [{**asdict(score),
+                              "outputs": candidate_files.get(score.model_id)}
+                             for score in selection.scores]
 
         report = {
             "input": str(song_path),

@@ -19,8 +19,9 @@ from __future__ import annotations
 
 import logging
 import os
+from collections.abc import Callable
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -157,7 +158,7 @@ def channel_similarity(a: np.ndarray, b: np.ndarray) -> float:
 class SelectionResult:
     chosen: str
     scores: list[TrendScore]
-    outputs_by_model: dict[str, tuple[Waveform, Waveform]] = field(default_factory=dict)
+    chosen_pair: tuple[Waveform, Waveform]  # the chosen candidate's two channels
     all_penalized: bool = False
 
 
@@ -185,7 +186,9 @@ def select_model(mixed_vocal: Waveform,
                  candidates: list[CandidateModel],
                  pitch_config: PitchConfig | None = None,
                  workdir=None,
-                 jobs: int | None = None) -> SelectionResult:
+                 jobs: int | None = None,
+                 on_outputs: Callable[[str, tuple[Waveform, Waveform]], None]
+                 | None = None) -> SelectionResult:
     """Run every stage-2 candidate and keep the one with the closest trends.
 
     ``pitch_config`` (default ``PitchConfig()``) is the whole scoring rule.
@@ -193,8 +196,12 @@ def select_model(mixed_vocal: Waveform,
     backends and the scoring alike; backend temp files are namespaced per
     invocation). External-command candidates start first, each group in
     candidate order, so their processes run beside the in-process scoring;
-    warnings may print in that order. Results are assembled in candidate
-    order, so neither start nor completion order changes the outcome.
+    warnings may print in that order. Results are read in candidate order,
+    so neither start nor completion order changes the outcome. As each
+    candidate's result is read, ``on_outputs(model_id, pair)`` gets its two
+    channels on the calling thread (a failed candidate has none); only the
+    best pair so far is kept after that, so at most one candidate's floats
+    outlive their reading.
     Failed backends are excluded (recorded with an error message) rather
     than fatal; BackendFailureError is raised only when no candidate
     succeeds. Ties break toward the lexicographically smaller model_id. If
@@ -215,30 +222,36 @@ def select_model(mixed_vocal: Waveform,
         result = score_candidate(pair, cfg)
         return replace(result, model_id=cand.model_id), pair
 
+    scores, runnable = [], []
+    best = best_pair = None
     # external processes first, so they run beside the in-process scoring
     order = sorted(range(len(candidates)),
                    key=lambda i: candidates[i].backend.kind != KIND_EXTERNAL)
     with ThreadPoolExecutor(max_workers=jobs or os.cpu_count() or 1) as pool:
         futures = {i: pool.submit(run_one, candidates[i]) for i in order}
-        outcomes = [futures[i].result() for i in range(len(candidates))]
+        for i in range(len(candidates)):
+            score, pair = futures.pop(i).result()
+            scores.append(score)
+            if pair is None:
+                continue
+            if on_outputs is not None:
+                on_outputs(score.model_id, pair)
+            runnable.append(score)
+            if best is None or (score.score, score.model_id) < (best.score, best.model_id):
+                best, best_pair = score, pair
+            del pair  # not held while the next candidate is awaited
 
-    scores = [score for score, _ in outcomes]
-    outputs = {score.model_id: pair for score, pair in outcomes
-               if pair is not None}
-
-    if not outputs:
+    if best is None:
         raise BackendFailureError(
             "every candidate backend failed: "
             + "; ".join(f"{s.model_id}: {s.error}" for s in scores))
 
-    runnable = [s for s in scores if s.model_id in outputs]
-    best = min(runnable, key=lambda s: (s.score, s.model_id))
     all_penalized = all(s.penalized for s in runnable)
     if all_penalized:
         log.warning("all candidates penalized; returning argmin %s", best.model_id)
     return SelectionResult(
         chosen=best.model_id,
         scores=scores,
-        outputs_by_model=outputs,
+        chosen_pair=best_pair,
         all_penalized=all_penalized,
     )

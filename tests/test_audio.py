@@ -393,6 +393,63 @@ class TestResampleMatchesScipy:
         assert proc.stdout.strip() == "[]"
 
 
+def _direct_resample(x, rate, target_rate):
+    """The textbook form: zero-stuff by ``up``, convolve with the resampler's
+    own filter, keep every ``down``-th sample of the centred result, clip.
+    Only the kept samples of the convolution are computed."""
+    g = math.gcd(rate, target_rate)
+    up, down = target_rate // g, rate // g
+    max_ud = max(up, down)
+    ntaps = audio._ZERO_CROSSINGS * max_ud + 1
+    half = ntaps // 2
+    h = np.sinc((np.arange(ntaps) - half) / max_ud) * np.kaiser(ntaps, audio._KAISER_BETA)
+    h *= up / h.sum()
+    n_out = -(-len(x) * up // down)
+    # stuffed[q * up] = x[q], so conv[t * down + half] = sum_q x[q] h[t * down + half - q * up]
+    tap = np.arange(n_out)[:, None] * down + half - np.arange(len(x))[None, :] * up
+    inside = (tap >= 0) & (tap < ntaps)
+    out = (np.where(inside, h[np.where(inside, tap, 0)], 0.0) * x).sum(axis=1)
+    return np.clip(out, -1.0, 1.0)
+
+
+class TestResampleViews:
+    @pytest.mark.parametrize("kernels", [0, 4])
+    @settings(max_examples=30, deadline=None)
+    @example(rates=(44101, 8000), fraction=1.0, seed=0)
+    @given(rates=st.sampled_from([(44100, 8000), (8000, 44100), (8000, 16000), (3, 7),
+                                  (48000, 8000), (16000, 8000), (44100, 8001)]),
+           fraction=st.floats(0.0, 1.0), seed=st.integers(0, 2 ** 32 - 1))
+    def test_matches_direct_form(self, kernels, rates, fraction, seed):
+        # up > down, up = 1, and pairs whose kernels are not cached (44100 ->
+        # 8001 Hz is 127/700). Every kernel has at least ntaps // up rows, one
+        # phase's taps, and about twice that at most. With kernels=0 the input
+        # is shorter than one phase's taps, so every run reads past an end;
+        # with kernels=4 runs also read wholly inside it.
+        rate, target_rate = rates
+        g = math.gcd(rate, target_rate)
+        up, down = target_rate // g, rate // g
+        phase_taps = (audio._ZERO_CROSSINGS * max(up, down) + 1) // up
+        n = 1 + int(fraction * (max(kernels * phase_taps, phase_taps - 1) - 1))
+        x = np.random.default_rng(seed).uniform(-1.0, 1.0, n)
+        ours = resample(Waveform(x, rate), target_rate).samples
+        theirs = _direct_resample(x, rate, target_rate)
+        assert ours.shape == theirs.shape
+        assert np.max(np.abs(ours - theirs)) <= 1e-12
+
+    def test_20s_down_to_8k_peaks_at_its_output_plus_1_mb(self):
+        w = Waveform(np.random.default_rng(4).uniform(-0.9, 0.9, 20 * 44100), 44100)
+        resample(w, 8000)  # the kernels are cached, not working memory
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            out = resample(w, 8000)
+            peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        assert len(out) == 20 * 8000
+        assert peak <= out.samples.nbytes + 1_000_000
+
+
 class TestKernelCache:
     def test_odd_rate_kernels_are_built_used_and_dropped(self):
         audio._cached_kernels.cache_clear()

@@ -17,6 +17,7 @@ from singersep.backends import (
     STDERR_TAIL,
     OracleSpec,
     SeparationBackend,
+    _reconcile,
     registry_load,
     run_backend,
 )
@@ -129,6 +130,16 @@ class TestOracle:
         with pytest.raises(MalformedRegistryError):
             OracleSpec("a.wav", "b.wav", leak=0.5)
 
+    @pytest.mark.parametrize("snr_db", [-90.0, 90])
+    def test_noise_at_the_bound_runs(self, tmp_wav, snr_db):
+        pa = tmp_wav(synth.vibrato_sine(220.0, 1.0))
+        pb = tmp_wav(synth.vibrato_sine(330.0, 1.0))
+        backend = SeparationBackend(
+            kind=KIND_ORACLE, stage=STAGE2,
+            oracle=OracleSpec(str(pa), str(pb), noise_snr_db=snr_db))
+        out_a, out_b = run_backend(backend, read_wav(pa))
+        assert out_a.peak() <= 1.0 and out_b.peak() <= 1.0
+
     @pytest.mark.parametrize("oracle", [None, {"ref_a": "a.wav", "ref_b": "b.wav"}],
                              ids=["missing", "dict"])
     def test_direct_construction_needs_a_spec(self, oracle):
@@ -153,6 +164,13 @@ class TestPassthrough:
         np.testing.assert_array_equal(vocal.samples, w.samples)
         assert not accomp.samples.any()
         assert np.array_equal(vocal.samples + accomp.samples, w.samples)
+
+
+class TestReconcile:
+    def test_exact_length_output_returned_as_it_is(self):
+        w = synth.sine(250.0, 0.5)
+        out = synth.sine(330.0, 0.5)
+        assert _reconcile(out, w, "channel A") is out
 
 
 class TestExternalCommand:

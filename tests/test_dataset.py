@@ -183,6 +183,11 @@ class TestMixAtSnr:
         with pytest.raises(SilentSourceError, match="8000@8000 vs 4000@8000"):
             mix_at_snr(synth.sine(220.0, 1.0), synth.sine(330.0, 0.5), 0.0)
 
+    @pytest.mark.parametrize("snr_db", [5000.0, -5000.0, 90.5, math.nan])
+    def test_snr_past_the_bound_rejected_naming_it(self, snr_db):
+        with pytest.raises(ValueError, match="-90:90 dB"):
+            mix_at_snr(synth.sine(220.0, 1.0), synth.sine(330.0, 1.0), snr_db)
+
     def test_mixture_decomposes_exactly(self):
         a = synth.sine(220.0, 1.0, amplitude=0.9)
         b = synth.sine(330.0, 1.0, amplitude=0.9)

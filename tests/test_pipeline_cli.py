@@ -518,6 +518,9 @@ class TestCliExitCodes:
         ("leak", "0.1"),
         ("noise_snr_db", "loud"),
         ("noise_snr_db", math.nan),
+        ("noise_snr_db", 5000),
+        ("noise_snr_db", -5000),
+        ("noise_snr_db", 90.5),
         ("noise_seed", "x"),
         ("noise_seed", -1),
         ("noise_seed", 1.5),

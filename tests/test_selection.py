@@ -3,6 +3,7 @@ import os
 import shlex
 import signal
 import sys
+import threading
 import time
 
 import numpy as np
@@ -459,7 +460,7 @@ class TestScoringConfig:
         cfg = PitchConfig(segment_seconds=segment_seconds)
         result = select_model(mix, [oracle_candidate("clean", pa, pb)],
                               pitch_config=cfg, workdir=tmp_path, jobs=1)
-        out_a, out_b = result.outputs_by_model["clean"]
+        out_a, out_b = result.chosen_pair
         expected = trend_distance(track_pitch(out_a, cfg), track_pitch(out_b, cfg),
                                   block_frames=cfg.block_frames)
         (score,) = result.scores
@@ -509,10 +510,12 @@ class TestStartOrder:
             return run_backend(backend, *args, **kwargs)
 
         monkeypatch.setattr(selection, "run_backend", recording)
-        result = select_model(mix, cands, workdir=tmp_path, jobs=1)
+        handed = []
+        result = select_model(mix, cands, workdir=tmp_path, jobs=1,
+                              on_outputs=lambda model_id, pair: handed.append(model_id))
         assert ran == ["ext", "clean", "leaky"]
         assert [s.model_id for s in result.scores] == ["clean", "leaky", "ext"]
-        assert set(result.outputs_by_model) == {"clean", "leaky", "ext"}
+        assert handed == ["clean", "leaky", "ext"]
 
     @settings(max_examples=8, deadline=None)
     @given(order=st.permutations(range(4)), jobs=st.sampled_from([1, 2, 4]))
@@ -520,8 +523,18 @@ class TestStartOrder:
             self, mixed_registry, order, jobs):
         mix, cands, baseline, tmp = mixed_registry
         given_order = [cands[i] for i in order]
-        result = select_model(mix, given_order, workdir=tmp, jobs=jobs)
+        handed = {}
+
+        def take(model_id, pair):
+            assert threading.current_thread() is threading.main_thread()
+            handed[model_id] = pair
+
+        result = select_model(mix, given_order, workdir=tmp, jobs=jobs, on_outputs=take)
         assert [s.model_id for s in result.scores] == [c.model_id for c in given_order]
+        assert list(handed) == [c.model_id for c in given_order]
+        assert result.chosen_pair is handed[result.chosen]
+        for got, want in zip(result.chosen_pair, baseline.chosen_pair):
+            assert got.samples.tobytes() == want.samples.tobytes()
         by_id = {s.model_id: s for s in baseline.scores}
         assert all(s == by_id[s.model_id] for s in result.scores)
         assert result.chosen == baseline.chosen
