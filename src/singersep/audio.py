@@ -27,14 +27,19 @@ MAX_SAMPLE_RATE = 768000
 # so it has 64*max(up, down) + 1 taps (353 per output phase at 44.1k -> 8k).
 _KAISER_BETA = 8.6
 _ZERO_CROSSINGS = 64
-# Runs of `up` outputs per matrix product. The products read their rows in
-# place and write into the output, so this bounds one BLAS call, not a copy.
-_BLOCK_RUNS = 512
-# Largest max(up, down) whose kernels are cached. Kernels take about 1.02 KB
-# per unit of max(up, down) (0.42 MB at 44.1k -> 8k, where it is 441), at
-# most 0.53 MB under the gate, so the four cached pairs stay under 4 MB.
+# Most multiply-adds in one matrix product. OpenBLAS runs a product of at
+# most 2^18 (M*N*K) on the calling thread and splits a larger one across its
+# worker pool, whose idle worker then spins for about 0.13 CPU-s after each
+# call (measured after one 20 s 44.1 kHz -> 8 kHz resample in products of
+# 512 runs). 2^17 keeps a 2x margin, so no resample wakes the pool.
+_PRODUCT_MACS = 1 << 17
+# Filter taps designed at a time, which bounds the design's temporaries.
+_FILTER_CHUNK = 1 << 16
+# Largest max(up, down) whose kernels are cached. Kernels take about 0.64 KB
+# per unit of max(up, down) (0.28 MB at 44.1k -> 8k, where it is 441), at
+# most 0.33 MB under the gate, so the four cached pairs stay under 4 MB.
 # Every common rate into 8 kHz is under it; a rarer pair's kernels (47952 ->
-# 8000 Hz: 3 MB; 44101 -> 8000 Hz: 45 MB) are rebuilt on every call.
+# 8000 Hz: 1.9 MB; 44101 -> 8000 Hz: 28 MB) are rebuilt on every call.
 _CACHED_MAX_UD = 512
 
 _PCM16_SCALE = 32767.0
@@ -47,6 +52,10 @@ MAX_SNR_DB = 90.0
 
 _FMT_PCM = 1
 _FMT_IEEE_FLOAT = 3
+# WAVE_FORMAT_EXTENSIBLE: the format code is the first 4 bytes (little-endian)
+# of the SubFormat GUID at fmt offset 24, whose other 12 bytes are these.
+_FMT_EXTENSIBLE = 0xFFFE
+_SUBFORMAT_TAIL = bytes.fromhex("00 00 10 00 80 00 00 aa 00 38 9b 71")
 
 # Decodable encodings, by (format tag, bits per sample): the stored dtype
 # and the divisor that maps it into [-1, 1].
@@ -105,10 +114,11 @@ class Segment:
 def read_wav(path) -> Waveform:
     """Read a RIFF/WAVE file as a mono Waveform.
 
-    Accepts 16-bit PCM and 32-bit IEEE float data at rates up to
-    MAX_SAMPLE_RATE and any channel count; multi-channel input is averaged
-    down to mono. Samples are mapped into [-1, 1] (int16 via 1/32767,
-    out-of-range float data is clamped).
+    Accepts 16-bit PCM and 32-bit IEEE float data, with a plain or a
+    WAVE_FORMAT_EXTENSIBLE header, at rates up to MAX_SAMPLE_RATE and any
+    channel count; multi-channel input is averaged down to mono. Samples
+    are mapped into [-1, 1] (int16 via 1/32767, out-of-range float data is
+    clamped).
     """
     with open(path, "rb") as fh:
         data = fh.read()
@@ -128,6 +138,8 @@ def read_wav(path) -> Waveform:
             if len(body) < 16:
                 raise MalformedWavError(f"{path}: fmt chunk truncated")
             fmt = struct.unpack_from("<HHIIHH", body, 0)
+            if fmt[0] == _FMT_EXTENSIBLE:
+                fmt = (_subformat(path, body),) + fmt[1:]
         elif chunk_id == b"data":
             if len(body) < chunk_size:
                 raise MalformedWavError(f"{path}: data chunk truncated")
@@ -160,6 +172,17 @@ def read_wav(path) -> Waveform:
             raise MalformedWavError(f"{path}: non-finite sample values")
         samples += 0.0  # -0.0 reads as 0.0, as from a channel mean
     return Waveform(np.clip(samples, -1.0, 1.0, out=samples), sample_rate)
+
+
+def _subformat(path, body) -> int:
+    """The format code a WAVE_FORMAT_EXTENSIBLE fmt chunk's SubFormat GUID names."""
+    if len(body) < 40 or struct.unpack_from("<H", body, 16)[0] < 22:
+        raise MalformedWavError(f"{path}: extensible fmt chunk truncated")
+    if body[28:40] != _SUBFORMAT_TAIL:
+        raise UnsupportedEncodingError(
+            f"{path}: extensible subformat {body[24:40].hex()} not supported "
+            "(need 16-bit PCM or 32-bit float)")
+    return struct.unpack_from("<I", body, 24)[0]
 
 
 def write_wav(w: Waveform, path) -> None:
@@ -271,14 +294,17 @@ def _run_products(src: np.ndarray, kernel: np.ndarray, down: int,
     overlap, so numpy would copy them first. Rows ``k = ceil(taps/down)``
     runs apart do not overlap: runs ``i, i+k, i+2k, ...`` are one strided
     view of ``src``, and their products go straight into ``out[i::k]``.
+    Each product takes at most _PRODUCT_MACS multiply-adds (one run at
+    least), so BLAS runs it on the calling thread.
     """
     taps = kernel.shape[0]
     k = -(-taps // down)
+    block = max(1, _PRODUCT_MACS // kernel.size)
     rows = sliding_window_view(src, taps)
     for i in range(min(k, len(out))):
         view, dst = rows[i * down::k * down], out[i::k]
-        for s in range(0, len(dst), _BLOCK_RUNS):
-            np.matmul(view[s:s + _BLOCK_RUNS], kernel, out=dst[s:s + _BLOCK_RUNS])
+        for s in range(0, len(dst), block):
+            np.matmul(view[s:s + block], kernel, out=dst[s:s + block])
 
 
 def _kernels(up: int, down: int):
@@ -296,26 +322,44 @@ def _cached_kernels(up: int, down: int):
     return _polyphase_kernels(up, down)
 
 
+def _lowpass(up: int, down: int) -> np.ndarray:
+    """The resampler's centred filter at DC gain ``up``:
+    ``np.sinc(m/max_ud) * np.kaiser(ntaps, beta)`` for ``m`` from ``-half``
+    to ``half``, designed _FILTER_CHUNK taps at a time with numpy's own
+    elementwise formulas, so its values are the same and only the filter
+    itself is full-length."""
+    max_ud = max(up, down)
+    ntaps = _ZERO_CROSSINGS * max_ud + 1
+    half = (ntaps - 1) // 2
+    h = np.empty(ntaps)
+    i0_beta = np.i0(_KAISER_BETA)
+    for a in range(0, ntaps, _FILTER_CHUNK):
+        n = np.arange(a, min(a + _FILTER_CHUNK, ntaps), dtype=np.float64)
+        window = np.i0(_KAISER_BETA * np.sqrt(1 - ((n - half) / half) ** 2.0))
+        window /= i0_beta
+        np.multiply(np.sinc((n - half) / max_ud), window, out=h[a:a + len(n)])
+    h *= up / h.sum()
+    return h
+
+
 def _polyphase_kernels(up: int, down: int):
     """The zero lead of the padded input and one kernel per group of phases.
 
     Output ``t = r*up + j`` is ``sum_p x[r*down + p] * h[j*down + half - p*up]``
-    for the centred filter ``h`` of ``2*half + 1`` taps at DC gain ``up``.
+    for the centred filter ``h`` of ``2*half + 1`` taps (``_lowpass``).
     Each group of phases is ``(offset, kernel)``: the kernel's columns hold
     the group's phases' sub-filters, reversed, at their rows ``p`` counted
     from the group's offset into the padded input. Phases go in groups of
-    ``ceil(ntaps/down)``, which keeps all kernels together within about
-    twice the filter's size at any rate pair.
+    about ``ntaps/(4*down)`` (at least 16, as ``ntaps > 64*down``), so a
+    group's kernel has about 1.25 times one phase's taps: a fifth of its
+    multiply-adds are by zeros, and all kernels together hold about 1.25
+    times the filter.
     """
-    max_ud = max(up, down)
-    ntaps = _ZERO_CROSSINGS * max_ud + 1
-    half = (ntaps - 1) // 2
-    m = np.arange(ntaps) - half
-    h = np.sinc(m / max_ud) * np.kaiser(ntaps, _KAISER_BETA)
-    h *= up / h.sum()
-
+    h = _lowpass(up, down)
+    ntaps = len(h)
+    half = ntaps // 2
     lead = half // up
-    size = min(up, -(-ntaps // down))
+    size = min(up, ntaps // (4 * down))
     groups = []
     for first in range(0, up, size):
         phases = np.arange(first, min(first + size, up))

@@ -35,6 +35,28 @@ def write_float32_wav(path, floats, rate=8000, channels=1):
     return path
 
 
+# The last 12 bytes of every standard WAVE SubFormat GUID.
+GUID_TAIL = bytes.fromhex("00 00 10 00 80 00 00 aa 00 38 9b 71")
+
+
+def extensible_wav_bytes(data, guid=None, extension_bytes=22):
+    """A WAV with a 16-byte fmt chunk (``data``) rewritten with a
+    WAVE_FORMAT_EXTENSIBLE one, which the standard library's ``wave`` does
+    not write: the same fields under tag 0xFFFE, then the first
+    ``extension_bytes`` of the 22-byte extension (valid bits, channel mask,
+    SubFormat GUID). The GUID defaults to the standard one for the original
+    format tag."""
+    assert data[12:20] == b"fmt " + struct.pack("<I", 16)
+    tag, channels, rate, byte_rate, block, bits = struct.unpack_from("<HHIIHH", data, 20)
+    if guid is None:
+        guid = struct.pack("<I", tag) + GUID_TAIL
+    extension = (struct.pack("<HI", bits, 0) + guid)[:extension_bytes]
+    fmt = struct.pack("<HHIIHHH", 0xFFFE, channels, rate, byte_rate, block, bits,
+                      len(extension)) + extension
+    body = b"WAVE" + struct.pack("<4sI", b"fmt ", len(fmt)) + fmt + data[36:]
+    return b"RIFF" + struct.pack("<I", len(body)) + body
+
+
 def reference_wav_bytes(samples, rate):
     """write_wav's file as first written: header plus clipped, rounded codes."""
     payload = np.rint(np.clip(samples, -1.0, 1.0) * 32767.0).astype("<i2").tobytes()

@@ -6,6 +6,7 @@ import struct
 import subprocess
 import sys
 import threading
+import time
 import tracemalloc
 from pathlib import Path
 from unittest import mock
@@ -36,7 +37,12 @@ from singersep.errors import (
     UnsupportedEncodingError,
 )
 
-from conftest import reference_wav_bytes, write_float32_wav
+from conftest import (
+    GUID_TAIL,
+    extensible_wav_bytes,
+    reference_wav_bytes,
+    write_float32_wav,
+)
 
 
 def _pcm16_file(path, ints, rate=8000, channels=1):
@@ -214,6 +220,60 @@ class TestReadWav:
         path = tmp_path / "bad.wav"
         path.write_bytes(b"RIFF" + struct.pack("<I", len(body)) + body)
         with pytest.raises(MalformedWavError, match=re.escape(f"{path}: {message}")):
+            read_wav(path)
+
+
+class TestExtensibleWav:
+    """WAVE_FORMAT_EXTENSIBLE headers, as DAWs and ffmpeg write them."""
+
+    @staticmethod
+    def _extensible(plain, **kwargs):
+        path = plain.with_name("ext-" + plain.name)
+        path.write_bytes(extensible_wav_bytes(plain.read_bytes(), **kwargs))
+        return path
+
+    @pytest.mark.parametrize("channels", [1, 2])
+    def test_pcm16_reads_as_the_plain_file(self, tmp_path, channels):
+        codes = np.random.default_rng(channels).integers(-32768, 32768, 60 * channels)
+        plain = _pcm16_file(tmp_path / "p.wav", codes, rate=44100, channels=channels)
+        ext = self._extensible(plain)
+        assert struct.unpack_from("<HH", ext.read_bytes(), 20) == (0xFFFE, channels)
+        want, got = read_wav(plain), read_wav(ext)
+        assert (got.sample_rate, len(got)) == (44100, 60)
+        assert got.samples.tobytes() == want.samples.tobytes()
+
+    def test_float32_reads_as_the_plain_file(self, tmp_path):
+        plain = write_float32_wav(tmp_path / "f.wav", [0.25, -0.75, 1.5, -0.0], rate=48000)
+        got, want = read_wav(self._extensible(plain)), read_wav(plain)
+        assert got.sample_rate == 48000
+        assert got.samples.tobytes() == want.samples.tobytes()
+
+    @pytest.mark.parametrize("extension_bytes", [0, 20])
+    def test_short_extension_rejected(self, tmp_path, extension_bytes):
+        path = self._extensible(_pcm16_file(tmp_path / "p.wav", [1, 2, 3]),
+                                extension_bytes=extension_bytes)
+        with pytest.raises(MalformedWavError,
+                           match=re.escape(f"{path}: extensible fmt chunk truncated")):
+            read_wav(path)
+
+    def test_short_cb_size_rejected(self, tmp_path):
+        # a full 40-byte fmt body whose cbSize says the extension is shorter
+        path = self._extensible(_pcm16_file(tmp_path / "p.wav", [1, 2, 3]))
+        data = bytearray(path.read_bytes())
+        data[36:38] = struct.pack("<H", 21)
+        path.write_bytes(bytes(data))
+        with pytest.raises(MalformedWavError, match="extensible fmt chunk truncated"):
+            read_wav(path)
+
+    @pytest.mark.parametrize("guid, message", [
+        # KSDATAFORMAT_SUBTYPE_AMBISONIC_B_FORMAT_PCM: PCM's code, another family
+        (bytes.fromhex("01000000 2107 d311 8644 c8c1ca000000"), "extensible subformat"),
+        # the standard GUID for a-law, a code with no decoder
+        (struct.pack("<I", 6) + GUID_TAIL, "format tag 6 / 16-bit"),
+    ], ids=["foreign-guid", "a-law"])
+    def test_unknown_subformat_rejected(self, tmp_path, guid, message):
+        path = self._extensible(_pcm16_file(tmp_path / "p.wav", [1, 2, 3]), guid=guid)
+        with pytest.raises(UnsupportedEncodingError, match=re.escape(f"{path}: {message}")):
             read_wav(path)
 
 
@@ -546,6 +606,98 @@ class TestKernelCache:
         assert not any(t.is_alive() for t in threads)
         assert failures == []
         assert audio._cached_kernels.cache_info().currsize <= 4
+
+
+# rate pairs, reduced: into 8 kHz from 44.1, 48 and 22.05 kHz, out to
+# 44.1 kHz, both ways between 8 kHz and an odd rate, and 7 -> 3 Hz
+_PRODUCT_PAIRS = [(44100, 8000), (48000, 8000), (22050, 8000), (8000, 44100),
+                  (44101, 8000), (8000, 44101), (7, 3)]
+
+
+def _other_threads_cpu_s():
+    """CPU seconds used so far by this process's threads other than the calling one."""
+    me, ticks = threading.get_native_id(), 0
+    for tid in os.listdir("/proc/self/task"):
+        try:
+            with open(f"/proc/self/task/{tid}/stat") as fh:
+                fields = fh.read().rsplit(")", 1)[1].split()
+        except FileNotFoundError:  # the thread exited
+            continue
+        if int(tid) != me:
+            ticks += int(fields[11]) + int(fields[12])  # utime, stime
+    return ticks / os.sysconf("SC_CLK_TCK")
+
+
+class TestResampleOnCallingThread:
+    @pytest.mark.parametrize("runs", [3, 30000])
+    @pytest.mark.parametrize("rates", _PRODUCT_PAIRS)
+    def test_every_product_is_at_most_product_macs(self, monkeypatch, rates, runs):
+        # a few runs, and tens of thousands (at most 2 M input samples), so
+        # that every strided view of runs fills its blocks
+        rate, target_rate = rates
+        down = rate // math.gcd(rate, target_rate)
+        x = np.random.default_rng(runs).uniform(-0.9, 0.9, min(runs * down, 2_000_000))
+        products = []
+        matmul = np.matmul
+
+        def recording(a, b, **kwargs):
+            products.append(a.shape[0] * a.shape[1] * b.shape[1])
+            return matmul(a, b, **kwargs)
+
+        monkeypatch.setattr(np, "matmul", recording)
+        resample(Waveform(x, rate), target_rate)
+        monkeypatch.undo()
+        assert products and max(products) <= audio._PRODUCT_MACS
+        if runs > 3:
+            assert max(products) > audio._PRODUCT_MACS // 2
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/task"),
+                        reason="reads per-thread CPU times from /proc")
+    def test_20s_down_to_8k_leaves_other_threads_idle(self):
+        # A product BLAS splits across its threads leaves the idle worker
+        # spinning for about 0.13 CPU-s after the call.
+        w = Waveform(np.random.default_rng(6).uniform(-0.9, 0.9, 20 * 44100), 44100)
+        resample(w, 8000)
+        for _ in range(40):  # until threads woken before this call are idle
+            before = _other_threads_cpu_s()
+            time.sleep(0.05)
+            if _other_threads_cpu_s() == before:
+                break
+        before = _other_threads_cpu_s()
+        resample(w, 8000)
+        time.sleep(0.3)
+        assert _other_threads_cpu_s() - before < 0.02
+
+    @pytest.mark.parametrize("rates", _PRODUCT_PAIRS)
+    def test_kernels_hold_at_most_1_3_times_the_filter(self, rates):
+        rate, target_rate = rates
+        g = math.gcd(rate, target_rate)
+        up, down = target_rate // g, rate // g
+        _, groups = _polyphase_kernels(up, down)
+        filter_bytes = (audio._ZERO_CROSSINGS * max(up, down) + 1) * 8
+        assert sum(kernel.nbytes for _, kernel in groups) <= 1.3 * filter_bytes
+
+    def test_odd_rate_design_peaks_under_3_times_the_filter(self):
+        # the filter (1x) and the kernels (about 1.25x); no full-length temporaries
+        filter_bytes = (audio._ZERO_CROSSINGS * 44101 + 1) * 8
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            _polyphase_kernels(8000, 44101)
+            peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3 * filter_bytes
+
+    @pytest.mark.parametrize("up, down", [(80, 441), (1, 6), (3, 7), (8000, 44101),
+                                          (44101, 8000)])
+    def test_chunked_filter_equals_whole_filter(self, up, down):
+        max_ud = max(up, down)
+        ntaps = audio._ZERO_CROSSINGS * max_ud + 1
+        m = np.arange(ntaps) - ntaps // 2
+        whole = np.sinc(m / max_ud) * np.kaiser(ntaps, audio._KAISER_BETA)
+        whole *= up / whole.sum()
+        assert np.array_equal(audio._lowpass(up, down), whole)
 
 
 class TestSegment:

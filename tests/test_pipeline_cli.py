@@ -25,7 +25,14 @@ from singersep.pipeline import separate_song
 from singersep.pitch import PitchConfig
 from singersep.selection import select_model
 
-from conftest import make_duet_refs, write_float32_wav, write_registry, write_toy_stems
+from conftest import (
+    GUID_TAIL,
+    extensible_wav_bytes,
+    make_duet_refs,
+    write_float32_wav,
+    write_registry,
+    write_toy_stems,
+)
 
 
 @pytest.fixture
@@ -426,6 +433,35 @@ class TestCliExitCodes:
         err = capsys.readouterr().err
         assert_clean_exit(rc, err, 2)
         assert f"{song}: sample rate {rate} Hz is above the 768000 Hz maximum" in err
+        assert not marker.exists() and not out.exists()
+
+    def test_extensible_song_separates_as_the_plain_one(self, duet_setup, tmp_path):
+        song = tmp_path / "extensible.wav"
+        song.write_bytes(extensible_wav_bytes(duet_setup["song"].read_bytes()))
+        refs = ["--ref-a", str(duet_setup["refs"][0]), "--ref-b", str(duet_setup["refs"][1])]
+        reports = []
+        for path, out in ((duet_setup["song"], tmp_path / "plain"), (song, tmp_path / "ext")):
+            assert cli.main(separate_argv(duet_setup, out, *refs, song=path)) == 0
+            report = json.loads((out / "report.json").read_text())
+            reports.append((report["chosen"], report["evaluation"],
+                            [{k: v for k, v in c.items() if k != "outputs"}
+                             for c in report["candidates"]]))
+        assert reports[0] == reports[1] and reports[0][0] == "clean"
+
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"extension_bytes": 0}, "extensible fmt chunk truncated"),
+        ({"guid": bytes(4) + GUID_TAIL[:-1] + b"\0"}, "extensible subformat"),
+    ], ids=["short-extension", "foreign-guid"])
+    def test_bad_extensible_song_exits_2_before_any_backend(
+            self, duet_setup, marker_setup, tmp_path, capsys, kwargs, message):
+        registry, marker = marker_setup
+        song = tmp_path / "extensible.wav"
+        song.write_bytes(extensible_wav_bytes(duet_setup["song"].read_bytes(), **kwargs))
+        out = tmp_path / "out"
+        rc = cli.main(separate_argv(duet_setup, out, song=song, registry=registry))
+        err = capsys.readouterr().err
+        assert_clean_exit(rc, err, 2)
+        assert f"{song}: {message}" in err
         assert not marker.exists() and not out.exists()
 
     @pytest.mark.parametrize("samples", [0, 100])
