@@ -19,7 +19,9 @@ from .errors import InvalidWaveformError, MalformedWavError, UnsupportedEncoding
 CANONICAL_RATE = 8000
 
 # Highest sample rate read_wav accepts, the highest common hi-res rate. The
-# resampler's filter grows with the rate, so a header's rate must be bounded.
+# resampler's filter grows with the rate, and a rate whose kernels are not
+# cached designs all of its taps on every call (6 to 9 s at 767999 Hz on a
+# 2-vCPU x86-64 VM), so a header's rate must be bounded.
 MAX_SAMPLE_RATE = 768000
 
 # Resampler design: windowed-sinc lowpass, Kaiser beta 8.6, cutoff at the
@@ -33,13 +35,12 @@ _ZERO_CROSSINGS = 64
 # call (measured after one 20 s 44.1 kHz -> 8 kHz resample in products of
 # 512 runs). 2^17 keeps a 2x margin, so no resample wakes the pool.
 _PRODUCT_MACS = 1 << 17
-# Filter taps designed at a time, which bounds the design's temporaries.
-_FILTER_CHUNK = 1 << 16
 # Largest max(up, down) whose kernels are cached. Kernels take about 0.64 KB
 # per unit of max(up, down) (0.28 MB at 44.1k -> 8k, where it is 441), at
 # most 0.33 MB under the gate, so the four cached pairs stay under 4 MB.
-# Every common rate into 8 kHz is under it; a rarer pair's kernels (47952 ->
-# 8000 Hz: 1.9 MB; 44101 -> 8000 Hz: 28 MB) are rebuilt on every call.
+# Every common rate into 8 kHz is under it; a rarer pair (47952 or 44101 ->
+# 8000 Hz) designs its kernels again on every call, one phase group at a
+# time, which costs CPU time that grows with max(up, down) but no memory.
 _CACHED_MAX_UD = 512
 
 _PCM16_SCALE = 32767.0
@@ -238,7 +239,10 @@ def resample(w: Waveform, target_rate: int) -> Waveform:
     The only full-length array made is the output: the rows are strided
     views of the input (``_run_products``), except at its two ends, where a
     run's taps reach past it and read a short zero-padded copy of that end
-    (``_zero_extended``).
+    (``_zero_extended``). Beside the output, a call holds one phase group's
+    kernel at a time, or the cached kernels of a common pair (``_kernels``),
+    whatever the rates. The kernels are unscaled, so the output is scaled
+    once at the end by ``up`` over the sum of all their taps.
     """
     if target_rate <= 0:
         raise InvalidWaveformError(f"target_rate must be positive, got {target_rate}")
@@ -249,16 +253,15 @@ def resample(w: Waveform, target_rate: int) -> Waveform:
 
     g = math.gcd(w.sample_rate, int(target_rate))
     up, down = int(target_rate) // g, w.sample_rate // g
-    lead, groups = _kernels(up, down)
     x = w.samples
     n_in = len(w)
     n_out = -(-n_in * up // down)
     runs = -(-n_out // up)
     out = np.empty((runs, up))
-    col = 0
-    for offset, kernel in groups:
+    col, total = 0, 0.0
+    for start, kernel in _kernels(up, down):
         taps = kernel.shape[0]
-        start = offset - lead  # input index of run 0's first row sample; < 0 reads zeros
+        total += kernel.sum()
         # runs [inside, beyond) read rows that lie wholly inside the input
         inside = min(runs, max(0, -(start // down)))
         beyond = min(runs, max(inside, (n_in - taps - start) // down + 1))
@@ -270,6 +273,7 @@ def resample(w: Waveform, target_rate: int) -> Waveform:
                               kernel, down, out[first:end, col:stop])
         col = stop
     samples = out.ravel()[:n_out]
+    samples *= up / total  # the filter's DC gain, up
     # The filter can overshoot full scale by a hair on near-clipped input.
     return Waveform(np.clip(samples, -1.0, 1.0, out=samples), int(target_rate))
 
@@ -308,10 +312,11 @@ def _run_products(src: np.ndarray, kernel: np.ndarray, down: int,
 
 
 def _kernels(up: int, down: int):
-    """``_polyphase_kernels(up, down)``, from a cache of the four most recently
-    used pairs whose ``max(up, down)`` is at most _CACHED_MAX_UD, which holds
-    under 4 MB; any other pair's kernels, a rare rate's, are built for this
-    call and dropped after it, so that pair pays the build on every call."""
+    """``_polyphase_kernels(up, down)``: for the four most recently used pairs
+    whose ``max(up, down)`` is at most _CACHED_MAX_UD, a cached tuple that
+    holds under 4 MB; for any other pair, a rare rate's, the generator
+    itself, whose kernels are designed one at a time as the call uses them,
+    so that pair pays the design on every call."""
     if max(up, down) <= _CACHED_MAX_UD:
         return _cached_kernels(up, down)
     return _polyphase_kernels(up, down)
@@ -319,58 +324,43 @@ def _kernels(up: int, down: int):
 
 @functools.lru_cache(maxsize=4)
 def _cached_kernels(up: int, down: int):
-    return _polyphase_kernels(up, down)
-
-
-def _lowpass(up: int, down: int) -> np.ndarray:
-    """The resampler's centred filter at DC gain ``up``:
-    ``np.sinc(m/max_ud) * np.kaiser(ntaps, beta)`` for ``m`` from ``-half``
-    to ``half``, designed _FILTER_CHUNK taps at a time with numpy's own
-    elementwise formulas, so its values are the same and only the filter
-    itself is full-length."""
-    max_ud = max(up, down)
-    ntaps = _ZERO_CROSSINGS * max_ud + 1
-    half = (ntaps - 1) // 2
-    h = np.empty(ntaps)
-    i0_beta = np.i0(_KAISER_BETA)
-    for a in range(0, ntaps, _FILTER_CHUNK):
-        n = np.arange(a, min(a + _FILTER_CHUNK, ntaps), dtype=np.float64)
-        window = np.i0(_KAISER_BETA * np.sqrt(1 - ((n - half) / half) ** 2.0))
-        window /= i0_beta
-        np.multiply(np.sinc((n - half) / max_ud), window, out=h[a:a + len(n)])
-    h *= up / h.sum()
-    return h
+    return tuple(_polyphase_kernels(up, down))
 
 
 def _polyphase_kernels(up: int, down: int):
-    """The zero lead of the padded input and one kernel per group of phases.
+    """Yield ``(start, kernel)`` for each group of output phases.
 
-    Output ``t = r*up + j`` is ``sum_p x[r*down + p] * h[j*down + half - p*up]``
-    for the centred filter ``h`` of ``2*half + 1`` taps (``_lowpass``).
-    Each group of phases is ``(offset, kernel)``: the kernel's columns hold
-    the group's phases' sub-filters, reversed, at their rows ``p`` counted
-    from the group's offset into the padded input. Phases go in groups of
-    about ``ntaps/(4*down)`` (at least 16, as ``ntaps > 64*down``), so a
-    group's kernel has about 1.25 times one phase's taps: a fifth of its
-    multiply-adds are by zeros, and all kernels together hold about 1.25
-    times the filter.
+    The filter is ``h[n] = np.sinc(m/max_ud) * np.kaiser(ntaps, beta)[n]``
+    for ``m = n - half``, ``2*half + 1`` taps, left unscaled: the caller
+    gives it a DC gain of ``up`` by scaling with ``up`` over the sum of
+    every kernel, which is the filter's sum. Output ``t = r*up + j`` is
+    ``sum_p x[r*down + p] * h[j*down + half - p*up]``. A group's kernel
+    holds its phases' sub-filters as columns, reversed, at rows
+    ``p - start``, where ``start`` is the input index its run 0 reads first
+    (negative when that run starts before the input). Each tap is computed,
+    with numpy's own elementwise formulas, only in the one kernel that holds
+    it; every other entry is zero. Phases go in groups of about
+    ``ntaps/(4*down)`` (at least 16, as ``ntaps > 64*down``), so a group's
+    kernel has about 1.25 times one phase's taps, and a fifth of its
+    multiply-adds are by zeros.
     """
-    h = _lowpass(up, down)
-    ntaps = len(h)
+    max_ud = max(up, down)
+    ntaps = _ZERO_CROSSINGS * max_ud + 1
     half = ntaps // 2
-    lead = half // up
+    i0_beta = np.i0(_KAISER_BETA)
     size = min(up, ntaps // (4 * down))
-    groups = []
     for first in range(0, up, size):
         phases = np.arange(first, min(first + size, up))
         centre = phases * down + half
-        lo = -((ntaps - 1 - centre[0]) // up)  # first p with a tap of the group's first phase
-        hi = centre[-1] // up  # last p with a tap of the group's last phase
-        taps = centre[None, :] - np.arange(lo, hi + 1)[:, None] * up
-        inside = (taps >= 0) & (taps < ntaps)
-        kernel = np.where(inside, h[np.where(inside, taps, 0)], 0.0)
-        groups.append((lo + lead, kernel))
-    return lead, tuple(groups)
+        start = -((ntaps - 1 - centre[0]) // up)  # first p with a tap of the group's first phase
+        stop = centre[-1] // up  # last p with a tap of the group's last phase
+        n = centre[None, :] - np.arange(start, stop + 1)[:, None] * up
+        inside = (n >= 0) & (n < ntaps)
+        m = n[inside] - half
+        kernel = np.zeros(n.shape)
+        kernel[inside] = np.sinc(m / max_ud) * (
+            np.i0(_KAISER_BETA * np.sqrt(1 - (m / half) ** 2.0)) / i0_beta)
+        yield start, kernel
 
 
 def segment_length(seconds: float, rate: int) -> int:

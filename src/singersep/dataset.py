@@ -235,6 +235,8 @@ def build_dataset(manifest: list[StemEntry],
     split by singer first. Every setting is checked before any stem is read.
     Returns the manifest dict (also written to ``out_dir/dataset.json``).
     """
+    if seed < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {seed}")
     lo, hi = snr_range
     if not -MAX_SNR_DB <= lo <= hi <= MAX_SNR_DB:
         raise ValueError(f"snr range must lie within -{MAX_SNR_DB:g}:{MAX_SNR_DB:g} dB "

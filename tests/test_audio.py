@@ -436,7 +436,7 @@ class TestResampleMatchesScipy:
                                       quantize_pcm16(_scipy_resample(x, 44100, 8000)))
 
     def test_odd_rate_kernels_stay_near_filter_size(self):
-        _, groups = _polyphase_kernels(8000, 44101)
+        groups = list(_polyphase_kernels(8000, 44101))
         filter_bytes = (64 * 44101 + 1) * 8
         assert sum(kernel.nbytes for _, kernel in groups) <= 3 * filter_bytes
 
@@ -523,7 +523,7 @@ class TestKernelCache:
         finally:
             tracemalloc.stop()
         assert len(out) == 8000
-        assert held <= 1_000_000  # the 45 MB of kernels are gone
+        assert held <= 1_000_000  # no kernel outlives the call
         assert audio._cached_kernels.cache_info().currsize == 0
 
     def test_second_call_reuses_cached_kernels(self, monkeypatch):
@@ -563,7 +563,7 @@ class TestKernelCache:
     @given(st.integers(1, audio._CACHED_MAX_UD), st.integers(1, audio._CACHED_MAX_UD))
     def test_four_cacheable_kernel_sets_fit_in_4_mb(self, up, down):
         g = math.gcd(up, down)
-        _, groups = _polyphase_kernels(up // g, down // g)
+        groups = list(_polyphase_kernels(up // g, down // g))
         assert 4 * sum(kernel.nbytes for _, kernel in groups) <= 4_000_000
 
     @settings(max_examples=30, deadline=None)
@@ -673,31 +673,63 @@ class TestResampleOnCallingThread:
         rate, target_rate = rates
         g = math.gcd(rate, target_rate)
         up, down = target_rate // g, rate // g
-        _, groups = _polyphase_kernels(up, down)
+        groups = list(_polyphase_kernels(up, down))
         filter_bytes = (audio._ZERO_CROSSINGS * max(up, down) + 1) * 8
         assert sum(kernel.nbytes for _, kernel in groups) <= 1.3 * filter_bytes
 
-    def test_odd_rate_design_peaks_under_3_times_the_filter(self):
-        # the filter (1x) and the kernels (about 1.25x); no full-length temporaries
-        filter_bytes = (audio._ZERO_CROSSINGS * 44101 + 1) * 8
+    def test_odd_rate_design_peaks_at_a_few_kernels(self):
+        # each group's design peaks at the kernel the loop still holds, the
+        # new one and numpy's elementwise temporaries over the group's taps
+        # (np.i0 keeps about ten): 12x the largest kernel, which is 1/400 of
+        # the 22.6 MB filter
+        largest, peak = 0, 0
         tracemalloc.start()
         try:
             start = tracemalloc.get_traced_memory()[0]
-            _polyphase_kernels(8000, 44101)
+            for _, kernel in _polyphase_kernels(8000, 44101):
+                largest = max(largest, kernel.nbytes)
+                peak = max(peak, tracemalloc.get_traced_memory()[1] - start)
+                tracemalloc.reset_peak()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 16 * largest
+
+    def test_10ms_at_96001_hz_peaks_under_5_mb(self):
+        # 64 * 96001 + 1 taps, 49 MB as one filter; a call holds one group's kernel
+        w = Waveform(np.random.default_rng(7).uniform(-0.9, 0.9, 960), 96001)
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            out = resample(w, 8000)
             peak = tracemalloc.get_traced_memory()[1] - start
         finally:
             tracemalloc.stop()
-        assert peak <= 3 * filter_bytes
+        assert len(out) == 80
+        assert peak < 5_000_000
 
-    @pytest.mark.parametrize("up, down", [(80, 441), (1, 6), (3, 7), (8000, 44101),
-                                          (44101, 8000)])
-    def test_chunked_filter_equals_whole_filter(self, up, down):
+    @pytest.mark.parametrize("up, down", [(80, 441), (441, 80), (1, 6), (3, 7),
+                                          (8000, 44101), (44101, 8000)])
+    def test_each_tap_is_designed_in_exactly_one_kernel(self, up, down):
         max_ud = max(up, down)
         ntaps = audio._ZERO_CROSSINGS * max_ud + 1
-        m = np.arange(ntaps) - ntaps // 2
+        half = ntaps // 2
+        m = np.arange(ntaps) - half
         whole = np.sinc(m / max_ud) * np.kaiser(ntaps, audio._KAISER_BETA)
-        whole *= up / whole.sum()
-        assert np.array_equal(audio._lowpass(up, down), whole)
+        taps = np.zeros(ntaps)
+        seen = np.zeros(ntaps, dtype=int)
+        col = 0
+        for start, kernel in _polyphase_kernels(up, down):
+            phases = np.arange(col, col + kernel.shape[1])
+            col += kernel.shape[1]
+            # row i of a phase j's column holds h[j*down + half - (start + i)*up]
+            n = phases[None, :] * down + half - (start + np.arange(len(kernel)))[:, None] * up
+            inside = (n >= 0) & (n < ntaps)
+            assert not kernel[~inside].any()
+            np.add.at(seen, n[inside], 1)
+            taps[n[inside]] = kernel[inside]
+        assert col == up
+        assert (seen == 1).all()
+        assert np.array_equal(taps, whole)
 
 
 class TestSegment:

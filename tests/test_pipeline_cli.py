@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 import singersep
-from singersep import cli, metrics, pipeline, synth
+from singersep import cli, dataset, metrics, pipeline, synth
 from singersep.audio import Waveform, read_wav, resample, write_wav
 from singersep.backends import STAGE1, STAGE2, registry_load
 from singersep.dataset import mix_at_snr
@@ -1078,6 +1078,32 @@ class TestCliBuildDataset:
         err = capsys.readouterr().err
         assert_clean_exit(rc, err, 2)
         assert message in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("source", ["flag", "env", "config"])
+    def test_negative_seed_exits_2_before_any_stem_is_read(
+            self, tmp_path, capsys, monkeypatch, source):
+        manifest = write_toy_stems(tmp_path, n_singers=3, seconds=2.0, split="train")
+        out = tmp_path / "ds"
+        argv = ["build-dataset", "--manifest", str(manifest), "--scheme", "duet",
+                "--out", str(out)]
+        monkeypatch.delenv("MIRSS_SEED", raising=False)
+        monkeypatch.delenv("MIRSS_CONFIG", raising=False)
+        if source == "flag":
+            argv += ["--seed", "-1"]
+        elif source == "env":
+            monkeypatch.setenv("MIRSS_SEED", "-1")
+        else:
+            cfg = tmp_path / "mirss.cfg"
+            cfg.write_text("seed = -1\n")
+            argv += ["--config", str(cfg)]
+        read = []
+        monkeypatch.setattr(dataset, "read_wav", lambda path: read.append(path))
+        rc = cli.main(argv)
+        err = capsys.readouterr().err
+        assert_clean_exit(rc, err, 2)
+        assert "seed must be a non-negative integer, got -1" in err
+        assert read == []
         assert not out.exists()
 
 
