@@ -8,6 +8,8 @@ from __future__ import annotations
 
 import functools
 import math
+import os
+import stat
 import struct
 from dataclasses import dataclass
 
@@ -42,6 +44,20 @@ _PRODUCT_MACS = 1 << 17
 # 8000 Hz) designs its kernels again on every call, one phase group at a
 # time, which costs CPU time that grows with max(up, down) but no memory.
 _CACHED_MAX_UD = 512
+
+# Largest read of a WAV payload, in bytes, unless one frame is larger (up
+# to 65535 channels of 32-bit float, 262140 bytes): read_wav decodes through
+# one buffer of this size. A 10 s 8 kHz mono file (160 KB) takes one read.
+# With numpy's 64 KiB cast buffer, decoding holds 256 KiB beside the samples.
+_READ_BLOCK = 192 * 1024
+# Samples per finiteness check: its mask takes at most 64 KiB.
+_FINITE_CHUNK = 1 << 16
+# The fmt chunk bytes read_wav reads: the 16 bytes of plain fields and the
+# 24 of the WAVE_FORMAT_EXTENSIBLE extension after them.
+_FMT_BYTES = 40
+# Bytes read_wav reads first, in one read: in a usual file they hold every
+# chunk header, so only the payload takes another read.
+_HEAD_BYTES = 512
 
 _PCM16_SCALE = 32767.0
 # One step of the 16-bit grid, in sample units.
@@ -80,15 +96,11 @@ class Waveform:
         if int(self.sample_rate) <= 0:
             raise InvalidWaveformError(f"sample_rate must be positive, got {self.sample_rate}")
         self.sample_rate = int(self.sample_rate)
-        if self.samples.size and not np.all(np.isfinite(self.samples)):
+        if not _all_finite(self.samples):
             raise InvalidWaveformError("waveform contains non-finite samples")
 
     def __len__(self):
         return self.samples.size
-
-    @property
-    def duration_seconds(self) -> float:
-        return self.samples.size / self.sample_rate
 
     def peak(self) -> float:
         return abs_peak(self.samples)
@@ -102,6 +114,13 @@ def abs_peak(samples: np.ndarray) -> float:
     return max(float(samples.max()), -float(samples.min()))
 
 
+def _all_finite(samples: np.ndarray) -> bool:
+    """Whether no sample is NaN or infinite, checked in chunks of
+    _FINITE_CHUNK samples, so that the mask is never as long as the samples."""
+    return all(np.isfinite(samples[i:i + _FINITE_CHUNK]).all()
+               for i in range(0, samples.size, _FINITE_CHUNK))
+
+
 @dataclass(eq=False)
 class Segment:
     """A fixed-length chunk of a song, indexed by position in time order."""
@@ -112,7 +131,7 @@ class Segment:
     index: int = 0
 
 
-def read_wav(path) -> Waveform:
+def read_wav(path, max_frames: int | None = None) -> Waveform:
     """Read a RIFF/WAVE file as a mono Waveform.
 
     Accepts 16-bit PCM and 32-bit IEEE float data, with a plain or a
@@ -120,59 +139,101 @@ def read_wav(path) -> Waveform:
     channel count; multi-channel input is averaged down to mono. Samples
     are mapped into [-1, 1] (int16 via 1/32767, out-of-range float data is
     clamped).
+
+    Only a regular file is read. The path is opened without blocking, so a
+    FIFO or a device is refused at once instead of being waited on or
+    drained. The chunk headers are read at their offsets, skipping each
+    body, and a ``data`` chunk that runs past the end of the file, or that
+    holds more than ``max_frames`` frames, is refused before any of it is
+    read. The payload is then decoded through one reused buffer of
+    _READ_BLOCK bytes (or of one frame, if a frame is larger) straight into
+    the returned samples.
     """
-    with open(path, "rb") as fh:
-        data = fh.read()
+    fd = os.open(path, os.O_RDONLY | os.O_NONBLOCK)
+    try:
+        info = os.fstat(fd)
+        if not stat.S_ISREG(info.st_mode):
+            raise MalformedWavError(f"{path}: not a regular file")
+        head = os.pread(fd, _HEAD_BYTES, 0)
+        if len(head) < 12 or head[0:4] != b"RIFF" or head[8:12] != b"WAVE":
+            raise MalformedWavError(f"{path}: not a RIFF/WAVE file")
 
-    if len(data) < 12 or data[0:4] != b"RIFF" or data[8:12] != b"WAVE":
-        raise MalformedWavError(f"{path}: not a RIFF/WAVE file")
+        def read_at(pos: int, size: int) -> bytes:
+            """Up to ``size`` bytes at ``pos``, from ``head`` where it holds them."""
+            if pos + size <= len(head):
+                return head[pos:pos + size]
+            return os.pread(fd, size, pos)
 
-    view = memoryview(data)  # chunk bodies are views, not copies
-    fmt = None
-    payload = None
-    pos = 12
-    while pos + 8 <= len(data):
-        chunk_id = data[pos:pos + 4]
-        (chunk_size,) = struct.unpack_from("<I", data, pos + 4)
-        body = view[pos + 8:pos + 8 + chunk_size]
-        if chunk_id == b"fmt ":
-            if len(body) < 16:
-                raise MalformedWavError(f"{path}: fmt chunk truncated")
-            fmt = struct.unpack_from("<HHIIHH", body, 0)
-            if fmt[0] == _FMT_EXTENSIBLE:
-                fmt = (_subformat(path, body),) + fmt[1:]
-        elif chunk_id == b"data":
-            if len(body) < chunk_size:
-                raise MalformedWavError(f"{path}: data chunk truncated")
-            payload = body
-        pos += 8 + chunk_size + (chunk_size & 1)  # chunks are word-aligned
+        fmt = None
+        payload = None  # the data chunk's (offset, size)
+        pos = 12
+        while len(header := read_at(pos, 8)) == 8:
+            chunk_id, chunk_size = struct.unpack("<4sI", header)
+            if chunk_id == b"fmt ":
+                body = read_at(pos + 8, min(chunk_size, _FMT_BYTES))
+                if len(body) < 16:
+                    raise MalformedWavError(f"{path}: fmt chunk truncated")
+                fmt = struct.unpack_from("<HHIIHH", body, 0)
+                if fmt[0] == _FMT_EXTENSIBLE:
+                    fmt = (_subformat(path, body),) + fmt[1:]
+            elif chunk_id == b"data":
+                if pos + 8 + chunk_size > info.st_size:
+                    raise MalformedWavError(f"{path}: data chunk truncated")
+                payload = pos + 8, chunk_size
+            pos += 8 + chunk_size + (chunk_size & 1)  # chunks are word-aligned
 
-    if fmt is None or payload is None:
-        raise MalformedWavError(f"{path}: missing fmt or data chunk")
+        if fmt is None or payload is None:
+            raise MalformedWavError(f"{path}: missing fmt or data chunk")
+        audio_format, channels, sample_rate, _, _, bits = fmt
+        if channels < 1 or sample_rate <= 0:
+            raise MalformedWavError(f"{path}: invalid fmt fields")
+        if sample_rate > MAX_SAMPLE_RATE:
+            raise UnsupportedEncodingError(
+                f"{path}: sample rate {sample_rate} Hz is above the "
+                f"{MAX_SAMPLE_RATE} Hz maximum")
+        if (audio_format, bits) not in _DECODERS:
+            raise UnsupportedEncodingError(
+                f"{path}: format tag {audio_format} / {bits}-bit not supported "
+                "(need 16-bit PCM or 32-bit float)")
+        offset, size = payload
+        frames = size // (bits // 8 * channels)
+        if max_frames is not None and frames > max_frames:
+            raise InvalidWaveformError(
+                f"{path}: {frames} frames, more than the {max_frames} allowed")
+        samples = _decode(path, fd, offset, frames, audio_format, bits, channels)
+    finally:
+        os.close(fd)
+    return Waveform(samples, sample_rate)
 
-    audio_format, channels, sample_rate, _, _, bits = fmt
-    if channels < 1 or sample_rate <= 0:
-        raise MalformedWavError(f"{path}: invalid fmt fields")
-    if sample_rate > MAX_SAMPLE_RATE:
-        raise UnsupportedEncodingError(
-            f"{path}: sample rate {sample_rate} Hz is above the "
-            f"{MAX_SAMPLE_RATE} Hz maximum")
 
-    if (audio_format, bits) not in _DECODERS:
-        raise UnsupportedEncodingError(
-            f"{path}: format tag {audio_format} / {bits}-bit not supported "
-            "(need 16-bit PCM or 32-bit float)")
+def _decode(path, fd: int, offset: int, frames: int, audio_format: int, bits: int,
+            channels: int) -> np.ndarray:
+    """The ``frames`` frames at ``offset`` of the file open as ``fd``, as
+    mono float64 samples in [-1, 1], read block by block into one buffer."""
     dtype, scale = _DECODERS[audio_format, bits]
-    frames = len(payload) // (bits // 8 * channels)
-    raw = np.frombuffer(payload, dtype=dtype, count=frames * channels)
-    samples = np.divide(raw, scale, dtype=np.float64)
-    if channels > 1:
-        samples = samples.reshape(frames, channels).mean(axis=1)
-    if audio_format == _FMT_IEEE_FLOAT:  # int16 codes are finite and never -0.0
-        if not np.all(np.isfinite(samples)):
-            raise MalformedWavError(f"{path}: non-finite sample values")
-        samples += 0.0  # -0.0 reads as 0.0, as from a channel mean
-    return Waveform(np.clip(samples, -1.0, 1.0, out=samples), sample_rate)
+    frame_bytes = bits // 8 * channels
+    block = max(1, _READ_BLOCK // frame_bytes)
+    buffer = np.empty(min(frames, block) * frame_bytes, dtype=np.uint8)
+    samples = np.empty(frames)
+    for first in range(0, frames, block):
+        out = samples[first:first + block]
+        raw = buffer[:len(out) * frame_bytes]
+        if os.preadv(fd, [raw], offset + first * frame_bytes) != len(raw):
+            raise MalformedWavError(f"{path}: data chunk truncated")
+        codes = raw.view(dtype)
+        if channels == 1:
+            np.divide(codes, scale, out=out, dtype=np.float64)
+        else:
+            np.divide(codes, scale, dtype=np.float64).reshape(
+                len(out), channels).mean(axis=1, out=out)
+        if audio_format == _FMT_IEEE_FLOAT:
+            if not _all_finite(out):
+                raise MalformedWavError(f"{path}: non-finite sample values")
+            out += 0.0  # -0.0 reads as 0.0, as from a channel mean
+            np.clip(out, -1.0, 1.0, out=out)
+        else:  # int16 codes are finite, never -0.0, and scale to at most 1
+            np.maximum(out, -1.0, out=out)
+    return samples
 
 
 def _subformat(path, body) -> int:

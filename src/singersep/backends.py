@@ -186,9 +186,12 @@ def _run_external(backend: SeparationBackend, input_w: Waveform,
         if not path.exists():
             raise BackendFailureError(f"command produced no {name} file: {cmd}")
         try:
-            outs.append(read_wav(path))
+            # one frame over the input is _reconcile's to trim; more is
+            # refused before it is read
+            outs.append(read_wav(path, max_frames=len(input_w) + 1))
         except Exception as exc:
-            raise BackendFailureError(f"unreadable {name} output: {exc}")
+            raise BackendFailureError(
+                f"unreadable {name} output: {type(exc).__name__}: {exc}")
     shutil.rmtree(scratch, ignore_errors=True)  # kept on failure for debugging
     return outs[0], outs[1]
 

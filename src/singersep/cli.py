@@ -176,7 +176,9 @@ def _evaluate_pair(root: Path, estimates: Path, record: dict):
     try:
         refs = (audio.read_wav(root / record["paths"]["src_a"]),
                 audio.read_wav(root / record["paths"]["src_b"]))
-        ests = (audio.read_wav(est_a), audio.read_wav(est_b))
+        # an estimate longer than its reference is refused before it is read
+        ests = tuple(audio.read_wav(path, max_frames=len(ref))
+                     for path, ref in zip((est_a, est_b), refs))
         mix = audio.read_wav(root / record["paths"]["mix"])
         return pair_id, metrics.pit_evaluate(refs, ests, mix)
     except SingerSepError as exc:

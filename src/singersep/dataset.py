@@ -222,6 +222,14 @@ def _write_pair(pair: MixPair, pair_dir: Path) -> None:
         write_wav(Waveform(samples, rate), pair_dir / _PAIR_FILES[key])
 
 
+def _stem_segments(entry: StemEntry, segment_seconds: float) -> list[Segment]:
+    """A stem's segments at the canonical rate. Its full-length samples, as
+    read and as resampled, are dropped on return, so no stem's are alive
+    while the next is read."""
+    return segment(resample(read_wav(entry.vocal_path), CANONICAL_RATE),
+                   segment_seconds, song_id=entry.song_id, singer_id=entry.singer_id)
+
+
 def build_dataset(manifest: list[StemEntry],
                   scheme: PairingScheme,
                   snr_range: tuple[float, float] = (-5.0, 5.0),
@@ -287,9 +295,7 @@ def build_dataset(manifest: list[StemEntry],
             continue
         segs_by_singer: dict[str, list[Segment]] = {}
         for e in split_entries:
-            w = resample(read_wav(e.vocal_path), CANONICAL_RATE)
-            for s in segment(w, segment_seconds, song_id=e.song_id,
-                             singer_id=e.singer_id):
+            for s in _stem_segments(e, segment_seconds):
                 segs_by_singer.setdefault(e.singer_id, []).append(s)
         if not segs_by_singer:
             continue

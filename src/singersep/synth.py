@@ -1,4 +1,4 @@
-"""Synthetic test signals: sines, vibrato voices, noise.
+"""Synthetic test signals: sines, vibrato voices, silence.
 
 Used by the self-test command, the example scripts, and the test suite.
 """
@@ -31,14 +31,6 @@ def vibrato_sine(carrier_hz: float, seconds: float, rate: int = CANONICAL_RATE,
         * (np.cos(2 * np.pi * vibrato_hz * t + vibrato_phase) - np.cos(vibrato_phase))
     )
     return Waveform(amplitude * np.sin(phase), rate)
-
-
-def white_noise(seconds: float, rate: int = CANONICAL_RATE,
-                amplitude: float = 0.8, seed: int = 0) -> Waveform:
-    rng = np.random.default_rng(seed)
-    n = int(round(seconds * rate))
-    x = rng.uniform(-1.0, 1.0, n)
-    return Waveform(amplitude * x, rate)
 
 
 def silence(seconds: float, rate: int = CANONICAL_RATE) -> Waveform:

@@ -1,9 +1,14 @@
 import json
+import os
 import struct
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import singersep
 from singersep import audio, backends, synth
 
 
@@ -20,6 +25,17 @@ def tmp_wav(tmp_path):
         return path
 
     return _write
+
+
+def white_noise(seconds, rate=audio.CANONICAL_RATE, amplitude=0.8, seed=0):
+    """Uniform noise in [-amplitude, amplitude], from a seeded generator."""
+    rng = np.random.default_rng(seed)
+    x = rng.uniform(-1.0, 1.0, int(round(seconds * rate)))
+    return audio.Waveform(amplitude * x, rate)
+
+
+def duration_seconds(w):
+    return len(w) / w.sample_rate
 
 
 def write_float32_wav(path, floats, rate=8000, channels=1):
@@ -116,3 +132,19 @@ def write_toy_stems(tmp_path, n_singers=4, songs_per_singer=1, seconds=30.0,
     with open(manifest, "w", encoding="utf-8") as fh:
         json.dump(rows, fh, indent=2)
     return manifest
+
+
+def run_capped(code, *args, address_space=512 * 2 ** 20):
+    """Run Python ``code`` with ``args`` as ``sys.argv[1:]`` in a child
+    process whose address space is capped, so that a read that never ends
+    (of /dev/zero, say) fails there with a MemoryError instead of taking the
+    machine's memory. Returns what the child prints, parsed as JSON."""
+    src = str(Path(singersep.__file__).resolve().parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    cap = ("import resource; resource.setrlimit(resource.RLIMIT_AS, "
+           f"({address_space}, {address_space}))\n")
+    proc = subprocess.run([sys.executable, "-c", cap + code, *map(str, args)],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)

@@ -34,13 +34,17 @@ from singersep.audio import (
 from singersep.errors import (
     InvalidWaveformError,
     MalformedWavError,
+    SingerSepError,
     UnsupportedEncodingError,
 )
 
 from conftest import (
     GUID_TAIL,
+    duration_seconds,
     extensible_wav_bytes,
     reference_wav_bytes,
+    run_capped,
+    white_noise,
     write_float32_wav,
 )
 
@@ -55,7 +59,7 @@ def _raw_wav(path, tag, bits, channels, payload, rate=8000):
     header = struct.pack(
         "<4sI4s4sIHHIIHH4sI",
         b"RIFF", 36 + len(payload) + len(payload) % 2, b"WAVE",
-        b"fmt ", 16, tag, channels, rate, rate * block % 2 ** 32, block, bits,
+        b"fmt ", 16, tag, channels, rate, rate * block % 2 ** 32, block % 2 ** 16, bits,
         b"data", len(payload))
     path.write_bytes(header + payload + b"\0" * (len(payload) % 2))
     return path
@@ -114,9 +118,9 @@ class TestReadWav:
         np.testing.assert_allclose(w.samples, [0.25, -0.75], atol=1e-7)
 
     @settings(max_examples=80, deadline=None)
-    @given(data=st.data(), channels=st.integers(1, 3),
+    @given(data=st.data(), channels=st.integers(1, 3), block=st.integers(1, 64),
            encoding=st.sampled_from([(1, 16, "<i2", 32767.0), (3, 32, "<f4", 1.0)]))
-    def test_decoding_bit_identical_to_reference(self, data, channels, encoding,
+    def test_decoding_bit_identical_to_reference(self, data, channels, block, encoding,
                                                  tmp_path_factory):
         tag, bits, dtype, scale = encoding
         if tag == 1:
@@ -131,7 +135,9 @@ class TestReadWav:
         payload = values.tobytes() + tail
         path = _raw_wav(tmp_path_factory.mktemp("dec") / "x.wav", tag, bits,
                         channels, payload)
-        got = read_wav(path).samples
+        # decoded through a buffer of ``block`` frames
+        with mock.patch.object(audio, "_READ_BLOCK", block * bits // 8 * channels):
+            got = read_wav(path).samples
         want = _reference_decode(payload, dtype, scale, channels)
         assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
@@ -154,7 +160,8 @@ class TestReadWav:
         finally:
             tracemalloc.stop()
         assert len(w) == n
-        # the file's bytes (2), the float64 samples (8), the finiteness mask (1)
+        # the float64 samples (8) and one read buffer, under the whole-file
+        # read's bound: the file's bytes (2), the samples, a finiteness mask (1)
         assert peak <= 12 * n
 
     def test_truncated_header(self, tmp_path):
@@ -277,6 +284,187 @@ class TestExtensibleWav:
             read_wav(path)
 
 
+_U16 = st.integers(0, 2 ** 16 - 1)
+_U32 = st.integers(0, 2 ** 32 - 1)
+
+
+@st.composite
+def _mutated_wavs(draw):
+    """A WAV file's bytes with a mutated header: its tags, fmt fields, chunk
+    ids and sizes, fmt length (odd ones too) and extensible form, and the
+    order of its chunks."""
+    tag = draw(st.sampled_from([1, 3, 0xFFFE]) | _U16)
+    channels = draw(st.sampled_from([0, 1, 2, 65535]) | _U16)
+    rate = draw(st.sampled_from([0, 8000, MAX_SAMPLE_RATE, MAX_SAMPLE_RATE + 1,
+                                 2 ** 32 - 1]) | _U32)
+    bits = draw(st.sampled_from([0, 16, 24, 32]) | _U16)
+    subformat = draw(st.sampled_from([1, 3]) | _U32)
+    guid_tail = draw(st.just(GUID_TAIL) | st.binary(min_size=12, max_size=12))
+    cb_size = draw(st.sampled_from([0, 21, 22]) | _U16)
+    fmt = (struct.pack("<HHIIHHH", tag, channels, rate, draw(_U32), draw(_U16), bits,
+                       cb_size)
+           + struct.pack("<HII", bits, draw(_U32), subformat) + guid_tail)
+    fmt = fmt[:draw(st.integers(0, len(fmt)))]
+    payload = draw(st.binary(max_size=64))
+    chunks = [(b"fmt ", fmt), (b"data", payload), (b"LIST", draw(st.binary(max_size=5)))]
+    body = b""
+    for chunk_id, chunk in draw(st.permutations(chunks)):
+        chunk_id = draw(st.just(chunk_id) | st.binary(min_size=4, max_size=4))
+        size = draw(st.just(len(chunk)) | st.integers(0, 80) | _U32)
+        body += struct.pack("<4sI", chunk_id, size) + chunk + b"\0" * (len(chunk) % 2)
+    riff = draw(st.just(b"RIFF") | st.binary(min_size=4, max_size=4))
+    wave = draw(st.just(b"WAVE") | st.binary(min_size=4, max_size=4))
+    return riff + struct.pack("<I", draw(st.just(len(body) + 4) | _U32)) + wave + body
+
+
+def _chunked_wav(path, tag, bits, channels, payload, rate=8000):
+    """A WAV whose fmt chunk comes after a LIST chunk and whose data chunk,
+    padded to an even size, is followed by another chunk."""
+    fmt = struct.pack("<HHIIHH", tag, channels, rate, 0, bits // 8 * channels, bits)
+    body = b"WAVE"
+    for chunk_id, chunk in ((b"LIST", b"abc"), (b"fmt ", fmt), (b"data", payload),
+                            (b"cue ", b"\1" * 4)):
+        body += struct.pack("<4sI", chunk_id, len(chunk)) + chunk + b"\0" * (len(chunk) % 2)
+    path.write_bytes(b"RIFF" + struct.pack("<I", len(body)) + body)
+    return path
+
+
+def _traced_peak(fn, *args, **kwargs):
+    """fn's result and the most memory it had allocated at once, in bytes,
+    as tracemalloc sees it."""
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        result = fn(*args, **kwargs)
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    return result, peak
+
+
+class TestBoundedReader:
+    """read_wav reads only a regular file, refuses a data chunk it cannot or
+    should not hold before reading it, and decodes through one buffer."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(data=_mutated_wavs(), max_frames=st.none() | st.integers(0, 40))
+    @example(data=reference_wav_bytes(np.array([0.5, -0.25, 1.0]), 8000), max_frames=None)
+    def test_mutated_headers_raise_only_singersep_errors(self, data, max_frames,
+                                                         tmp_path_factory):
+        path = tmp_path_factory.mktemp("fuzz") / "x.wav"
+        path.write_bytes(data)
+        try:
+            w = read_wav(path, max_frames=max_frames)
+        except SingerSepError:
+            return
+        assert max_frames is None or len(w) <= max_frames
+        assert abs_peak(w.samples) <= 1.0
+
+    @pytest.mark.parametrize("channels", [1, 2, 3])
+    @pytest.mark.parametrize("encoding", [(1, 16, "<i2", 32767.0), (3, 32, "<f4", 1.0)],
+                             ids=["int16", "float32"])
+    @pytest.mark.parametrize("size", ["below", "at", "above"])
+    def test_blocks_decode_as_the_whole_buffer(self, tmp_path, channels, encoding, size):
+        tag, bits, dtype, scale = encoding
+        frame = bits // 8 * channels
+        frames = {"below": 1000, "at": audio._READ_BLOCK // frame,
+                  "above": 5 * audio._READ_BLOCK // (2 * frame) + 7}[size]
+        rng = np.random.default_rng(frames * channels)
+        if tag == 1:
+            values = rng.integers(-32768, 32768, frames * channels).astype(dtype)
+        else:
+            values = rng.uniform(-1.2, 1.2, frames * channels).astype(dtype)
+            values[::97] = -0.0
+        # an odd byte past the last frame: a partial sample, then the pad byte
+        payload = values.tobytes() + b"\x07"
+        got = read_wav(_chunked_wav(tmp_path / "x.wav", tag, bits, channels, payload))
+        want = _reference_decode(payload, dtype, scale, channels)
+        assert len(got) == frames
+        assert np.array_equal(got.samples, want)
+        assert got.samples.tobytes() == want.tobytes()
+
+    def test_20s_44k_read_peaks_one_block_above_its_result(self, tmp_path):
+        codes = np.random.default_rng(1).integers(-32768, 32768, 20 * 44100)
+        path = _pcm16_file(tmp_path / "stem.wav", codes, rate=44100)
+        w, peak = _traced_peak(read_wav, path)
+        assert len(w) == codes.size
+        # the samples, the 192 KiB read buffer, numpy's 64 KiB cast buffer
+        # and a few small Python objects; a whole-file read peaked 2.6 MB
+        # above the samples
+        assert peak <= w.samples.nbytes + 256 * 1024 + 16 * 1024
+
+    def test_frame_larger_than_the_block_decodes(self, tmp_path):
+        channels = audio._READ_BLOCK // 4 + 3  # one float32 frame over a block
+        values = np.random.default_rng(4).uniform(-1.5, 1.5, 3 * channels)
+        payload = values.astype("<f4").tobytes()
+        path = _raw_wav(tmp_path / "wide.wav", 3, 32, channels, payload)
+        want = _reference_decode(payload, "<f4", 1.0, channels)
+        assert read_wav(path).samples.tobytes() == want.tobytes()
+
+    def test_max_frames_refused_before_the_payload_is_read(self, tmp_path):
+        path = _pcm16_file(tmp_path / "long.wav", np.zeros(100_001))
+        assert len(read_wav(path, max_frames=100_001)) == 100_001
+        with pytest.raises(InvalidWaveformError,
+                           match=re.escape(f"{path}: 100001 frames, more than the "
+                                           "100000 allowed")):
+            read_wav(path, max_frames=100_000)
+        # nothing the size of the payload (200 KB) or its samples (800 KB)
+        _, peak = _traced_peak(_refused, read_wav, path, max_frames=10)
+        assert peak < 64 * 1024
+
+    def test_fifo_refused_at_once(self, tmp_path):
+        path = tmp_path / "pipe.wav"
+        os.mkfifo(path)
+        done = threading.Event()
+        errors = []
+
+        def read():
+            try:
+                read_wav(path)
+            except MalformedWavError as exc:
+                errors.append(str(exc))
+            done.set()
+
+        threading.Thread(target=read, daemon=True).start()
+        try:
+            assert done.wait(5), "read_wav waited for a writer"
+        finally:
+            if not done.is_set():  # let the blocked open return
+                os.close(os.open(path, os.O_WRONLY | os.O_NONBLOCK))
+        assert errors == [f"{path}: not a regular file"]
+
+    @pytest.mark.parametrize("device", ["/dev/zero", "/dev/null"])
+    def test_device_refused(self, tmp_path, device):
+        if not os.path.exists(device):
+            pytest.skip(f"no {device}")
+        link = tmp_path / "dev.wav"
+        link.symlink_to(device)
+        errors = run_capped(_READ_ERRORS, device, link)
+        assert errors == [f"MalformedWavError: {path}: not a regular file"
+                          for path in (device, link)]
+
+
+# Reads each path given, in a capped process (run_capped); prints the errors.
+_READ_ERRORS = """
+import json, sys
+from singersep import read_wav
+errors = []
+for path in sys.argv[1:]:
+    try:
+        read_wav(path)
+        errors.append(None)
+    except Exception as exc:
+        errors.append(f"{type(exc).__name__}: {exc}")
+print(json.dumps(errors))
+"""
+
+
+def _refused(read, *args, **kwargs):
+    """Call read, which must raise a SingerSepError."""
+    with pytest.raises(SingerSepError):
+        read(*args, **kwargs)
+
+
 class TestWaveform:
     @pytest.mark.parametrize("samples, rate, message", [
         (np.zeros((2, 4)), 8000, "must be 1-D"),
@@ -360,7 +548,7 @@ class TestResample:
         w = synth.sine(440.0, 2.0, rate=44100)
         out = resample(w, 8000)
         assert out.sample_rate == 8000
-        assert abs(out.duration_seconds - 2.0) <= 1 / 8000
+        assert abs(duration_seconds(out) - 2.0) <= 1 / 8000
         peak = _fft_peak_hz(out)
         assert abs(peak - 440.0) / 440.0 < 0.01
 
@@ -373,7 +561,7 @@ class TestResample:
     def test_upsample_tone(self):
         w = synth.sine(440.0, 1.0, rate=8000)
         out = resample(w, 44100)
-        assert abs(out.duration_seconds - 1.0) <= 1 / 44100
+        assert abs(duration_seconds(out) - 1.0) <= 1 / 44100
         assert abs(_fft_peak_hz(out) - 440.0) / 440.0 < 0.01
 
     def test_bad_rate(self):
@@ -759,7 +947,7 @@ class TestSegment:
             segment_length(1e-5, 8000)
 
     def test_chunks_are_prefix(self):
-        w = synth.white_noise(3.7, seed=5)
+        w = white_noise(3.7, seed=5)
         segs = segment(w, 1.0)
         joined = np.concatenate([s.audio.samples for s in segs])
         np.testing.assert_array_equal(joined, w.samples[:len(joined)])

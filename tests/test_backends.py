@@ -1,12 +1,18 @@
+import contextlib
 import json
+import os
+import re
 import sys
 import textwrap
+import threading
+import time
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 
-from singersep import synth
+from singersep import backends, synth
 from singersep.audio import quantize_pcm16, read_wav
 from singersep.backends import (
     KIND_EXTERNAL,
@@ -15,6 +21,7 @@ from singersep.backends import (
     STAGE1,
     STAGE2,
     STDERR_TAIL,
+    CandidateModel,
     OracleSpec,
     SeparationBackend,
     _reconcile,
@@ -27,7 +34,11 @@ from singersep.errors import (
     DuplicateModelIdError,
     MalformedRegistryError,
 )
+from singersep.dataset import mix_at_snr
 from singersep.metrics import si_snr
+from singersep.selection import select_model
+
+from conftest import make_duet_refs, oracle_candidate, run_capped, white_noise
 
 # stdlib-only so each subprocess starts fast, like a real external tool
 STUB = textwrap.dedent("""\
@@ -48,6 +59,8 @@ STUB = textwrap.dedent("""\
         raw = raw[:-2]
     if mode == "onelong":
         raw = raw + raw[-2:]
+    if mode == "tenfold":
+        raw = raw * 10
     if mode == "wrongrate":
         rate = 4000
     for path, frames in ((out_a, raw), (out_b, b"\\x00" * len(raw))):
@@ -98,7 +111,7 @@ class TestOracle:
     def test_leak_si_snr_matches_closed_form(self, tmp_wav, leak):
         rng = np.random.default_rng(21)
         ref_a = synth.vibrato_sine(200.0, 1.0, depth_hz=4.0)
-        ref_b = synth.white_noise(1.0, amplitude=0.5, seed=8)
+        ref_b = white_noise(1.0, amplitude=0.5, seed=8)
         pa, pb = tmp_wav(ref_a), tmp_wav(ref_b)
         backend = SeparationBackend(kind=KIND_ORACLE, stage=STAGE2,
                                     oracle=OracleSpec(str(pa), str(pb), leak=leak))
@@ -263,6 +276,115 @@ class TestExternalCommand:
         with ThreadPoolExecutor(max_workers=8) as pool:
             errors = list(pool.map(one_run, range(16)))
         assert all(e <= 2 ** -15 for e in errors)
+
+
+def _outputs_made_by(code: str) -> SeparationBackend:
+    """An external stage-2 command that exits 0 after running ``code`` with
+    its two output paths as ``sys.argv[1:]``."""
+    return SeparationBackend(
+        kind=KIND_EXTERNAL, stage=STAGE2,
+        command=f"{sys.executable} -c 'import os, sys; {code}' {{out_a}} {{out_b}}")
+
+
+def _timed_on_a_thread(fn, under):
+    """fn()'s result (or the exception it raised) and its seconds, run on a
+    daemon thread for at most 10 s. A read left blocked on a FIFO under
+    ``under`` is then let go: opening the FIFO to write lets it return."""
+    result = {}
+
+    def run():
+        start = time.monotonic()
+        try:
+            result["value"] = fn()
+        except Exception as exc:
+            result["value"] = exc
+        result["seconds"] = time.monotonic() - start
+
+    thread = threading.Thread(target=run, daemon=True)
+    thread.start()
+    thread.join(10)
+    if thread.is_alive():
+        for path in under.rglob("*.wav"):
+            with contextlib.suppress(OSError):
+                os.close(os.open(path, os.O_WRONLY | os.O_NONBLOCK))
+        pytest.fail("the run waited on a FIFO")
+    return result["value"], result["seconds"]
+
+
+# Runs the stage-2 command sys.argv[1] on a 0.5 s sine under tracemalloc,
+# in a capped process (run_capped); prints its error and its traced peak.
+_TRACED_RUN = """
+import json, sys, tracemalloc
+from singersep import synth
+from singersep.backends import STAGE2, KIND_EXTERNAL, SeparationBackend, run_backend
+backend = SeparationBackend(kind=KIND_EXTERNAL, stage=STAGE2, command=sys.argv[1])
+tracemalloc.start()
+try:
+    run_backend(backend, synth.sine(250.0, 0.5), workdir=sys.argv[2])
+    error = None
+except Exception as exc:
+    error = f"{type(exc).__name__}: {exc}"
+print(json.dumps({"error": error, "peak": tracemalloc.get_traced_memory()[1]}))
+"""
+
+
+class TestUntrustedOutputs:
+    """An external command's outputs are read only as bounded regular files."""
+
+    def test_fifo_outputs_excluded_within_1s(self, tmp_path):
+        fifos = _outputs_made_by("[os.mkfifo(p) for p in sys.argv[1:]]")
+        exc, seconds = _timed_on_a_thread(
+            lambda: run_backend(fifos, synth.sine(250.0, 0.5), workdir=tmp_path),
+            tmp_path)
+        assert isinstance(exc, BackendFailureError)
+        assert "unreadable out_a output: MalformedWavError: " in str(exc)
+        assert str(exc).endswith("out_a.wav: not a regular file")
+        assert seconds < 1.0
+
+    def test_fifo_candidate_loses_to_another(self, tmp_path):
+        (ref_a, pa), (ref_b, pb) = make_duet_refs(tmp_path, seed=2, seconds=2.0)
+        mix = mix_at_snr(ref_a, ref_b, 0.0).mixture
+        candidates = [CandidateModel("fifo", _outputs_made_by(
+                          "[os.mkfifo(p) for p in sys.argv[1:]]")),
+                      oracle_candidate("clean", pa, pb)]
+        result, _ = _timed_on_a_thread(
+            lambda: select_model(mix, candidates, workdir=tmp_path / "work"), tmp_path)
+        assert result.chosen == "clean"
+        fifo = result.scores[0]
+        assert (fifo.model_id, fifo.reason) == ("fifo", "backend_failed")
+        assert "not a regular file" in fifo.error
+
+    def test_dev_zero_outputs_excluded_under_1mb_traced(self, tmp_path):
+        if not os.path.exists("/dev/zero"):
+            pytest.skip("no /dev/zero")
+        zeros = _outputs_made_by('[os.symlink("/dev/zero", p) for p in sys.argv[1:]]')
+        result = run_capped(_TRACED_RUN, zeros.command, tmp_path)
+        assert result["error"].startswith("BackendFailureError: unreadable out_a output")
+        assert result["error"].endswith("out_a.wav: not a regular file")
+        assert result["peak"] < 1_000_000
+
+    def test_output_of_ten_times_the_input_excluded_unread(self, stub_cmd, tmp_path):
+        w = synth.sine(250.0, 1.0)
+        tracemalloc.start()
+        try:
+            with pytest.raises(BackendFailureError, match=re.escape(
+                    "80000 frames, more than the 8001 allowed")):
+                run_backend(stub_cmd("tenfold"), w, workdir=tmp_path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # decoded, the output's samples alone would take 640 KB
+        assert peak < 8 * len(w) * 10 / 2
+
+    def test_error_without_a_message_names_its_type(self, stub_cmd, tmp_path,
+                                                    monkeypatch):
+        def out_of_memory(path, max_frames=None):
+            raise MemoryError()
+
+        monkeypatch.setattr(backends, "read_wav", out_of_memory)
+        with pytest.raises(BackendFailureError) as exc:
+            run_backend(stub_cmd("ok"), synth.sine(250.0, 0.5), workdir=tmp_path)
+        assert str(exc.value) == "unreadable out_a output: MemoryError: "
 
 
 class TestRegistry:

@@ -1,4 +1,5 @@
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from singersep import dataset, synth
-from singersep.audio import Waveform, quantize_pcm16, read_wav, segment
+from singersep.audio import Waveform, quantize_pcm16, read_wav, resample, segment
 from singersep.dataset import (
     DUET,
     MAX_SNR_DB,
@@ -30,7 +31,7 @@ from singersep.errors import (
     SilentSourceError,
 )
 
-from conftest import reference_wav_bytes, write_toy_stems
+from conftest import reference_wav_bytes, white_noise, write_toy_stems
 
 
 def _entries(n_singers, songs_per_singer=1):
@@ -169,7 +170,7 @@ class TestMixAtSnr:
     def test_five_db_recomputed_from_outputs(self):
         rng = np.random.default_rng(17)
         a = synth.vibrato_sine(200.0, 1.0, depth_hz=4.0)
-        b = synth.white_noise(1.0, amplitude=0.3, seed=2)
+        b = white_noise(1.0, amplitude=0.3, seed=2)
         pair = mix_at_snr(a, b, 5.0)
         got = measured_snr_db(pair.source_a, pair.source_b)
         assert got == pytest.approx(5.0, abs=1e-6)
@@ -315,6 +316,27 @@ class TestBuildDataset:
                           out_dir=tmp_path / "out" / "ds", segment_seconds=seconds)
         assert reads == []
         assert not (tmp_path / "out").exists()
+
+    def test_no_earlier_stem_is_alive_when_the_next_is_read(self, tmp_path,
+                                                             monkeypatch):
+        manifest = write_toy_stems(tmp_path, n_singers=4, seconds=20.0, split="train")
+        resampled, alive_at_read = [], []
+
+        def read(path, *args, **kwargs):
+            alive_at_read.append(sum(ref() is not None for ref in resampled))
+            return read_wav(path, *args, **kwargs)
+
+        def tracked_resample(w, rate):
+            out = resample(w, rate)
+            resampled.append(weakref.ref(out.samples))
+            return out
+
+        monkeypatch.setattr(dataset, "read_wav", read)
+        monkeypatch.setattr(dataset, "resample", tracked_resample)
+        build_dataset(load_stem_manifest(manifest), PairingScheme(DUET),
+                      seed=3, out_dir=tmp_path / "ds")
+        assert alive_at_read == [0, 0, 0, 0]
+        assert len(resampled) == 4
 
     def test_rebuild_is_byte_identical(self, tmp_path):
         # 8 singers so every split draws at least two (duet needs them)

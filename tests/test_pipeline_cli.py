@@ -333,6 +333,15 @@ def separate_argv(setup, out, *extra, song=None, registry=None):
             "--stage1", "stage1-pass", "--out", str(out), "--seed", "3", *extra]
 
 
+def run_cli_process(argv):
+    """Run the CLI in a process of its own, at most 120 s; its result."""
+    src = str(Path(singersep.__file__).resolve().parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    return subprocess.run([sys.executable, "-m", "singersep", *argv],
+                          capture_output=True, text=True, env=env, timeout=120)
+
+
 def swap_stage1(setup, tmp_path, command):
     """setup's registry with its stage-1 entry replaced by an external command."""
     entries = json.loads(setup["registry"].read_text())
@@ -462,6 +471,19 @@ class TestCliExitCodes:
         err = capsys.readouterr().err
         assert_clean_exit(rc, err, 2)
         assert f"{song}: {message}" in err
+        assert not marker.exists() and not out.exists()
+
+    def test_fifo_song_exits_2_before_any_backend(self, duet_setup, marker_setup,
+                                                  tmp_path):
+        registry, marker = marker_setup
+        song = tmp_path / "song-pipe.wav"
+        os.mkfifo(song)
+        out = tmp_path / "out"
+        # a process of its own: a read that waits for a writer would hang the tests
+        proc = run_cli_process(separate_argv(duet_setup, out, song=song,
+                                             registry=registry))
+        assert_clean_exit(proc.returncode, proc.stderr, 2)
+        assert f"{song}: not a regular file" in proc.stderr
         assert not marker.exists() and not out.exists()
 
     @pytest.mark.parametrize("samples", [0, 100])
@@ -786,13 +808,8 @@ class TestCliScratch:
     def test_failed_candidate_warning_names_level_and_logger(self, duet_setup, tmp_path):
         registry = add_candidate(duet_setup, tmp_path, "bad",
                                  "false {input} {out_a} {out_b}")
-        src = str(Path(singersep.__file__).resolve().parents[1])
-        env = {**os.environ,
-               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-        proc = subprocess.run(
-            [sys.executable, "-m", "singersep",
-             *separate_argv(duet_setup, tmp_path / "out", registry=registry)],
-            capture_output=True, text=True, env=env, timeout=120)
+        proc = run_cli_process(separate_argv(duet_setup, tmp_path / "out",
+                                             registry=registry))
         assert proc.returncode == 0, proc.stderr
         assert any(line.startswith("WARNING singersep.selection: candidate bad failed:")
                    for line in proc.stderr.splitlines()), proc.stderr
@@ -1214,6 +1231,20 @@ class TestCliEvaluate:
         err = capsys.readouterr().err
         assert_clean_exit(rc, err, 2)
         assert f"pair {bad}: length mismatch" in err
+
+    def test_estimate_longer_than_its_reference_exits_2_unread(
+            self, built_dataset, tmp_path, capsys):
+        root, doc = built_dataset
+        est = write_oracle_estimates(root, doc, tmp_path / "est")
+        bad = doc["pairs"][-1]["pair_id"]
+        path = est / f"{bad}_b.wav"
+        src = read_wav(path)
+        write_wav(Waveform(np.tile(src.samples, 10), src.sample_rate), path)
+        rc = cli.main(["evaluate", "--dataset", str(root), "--estimates", str(est)])
+        err = capsys.readouterr().err
+        assert_clean_exit(rc, err, 2)
+        assert (f"pair {bad}: {path}: {10 * len(src)} frames, more than the "
+                f"{len(src)} allowed") in err
 
     def test_constant_estimate_exits_2_naming_the_pair(self, built_dataset, tmp_path,
                                                        capsys):

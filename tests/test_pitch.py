@@ -18,6 +18,8 @@ from singersep.pitch import (
     track_pitch,
 )
 
+from conftest import white_noise
+
 
 def loop_track_pitch(w: Waveform, config: PitchConfig | None = None) -> PitchTrack:
     """Reference tracker: d(tau) by a loop over lags, the pick by a loop over frames."""
@@ -127,7 +129,7 @@ class TestTracker:
         assert np.all(track.pitches_hz == 0)
 
     def test_white_noise_mostly_unvoiced(self):
-        track = track_pitch(synth.white_noise(2.0, amplitude=1.0, seed=42))
+        track = track_pitch(white_noise(2.0, amplitude=1.0, seed=42))
         unvoiced = 1.0 - track.voiced_fraction()
         assert unvoiced >= 0.80
 
@@ -164,7 +166,7 @@ class TestTracker:
             track_pitch(synth.sine(220.0, 0.02))
 
     def test_no_negative_or_nan_pitches(self):
-        track = track_pitch(synth.white_noise(1.0, seed=9))
+        track = track_pitch(white_noise(1.0, seed=9))
         assert np.all(np.isfinite(track.pitches_hz))
         assert np.all(track.pitches_hz >= 0)
 
