@@ -1,4 +1,5 @@
-"""Mono waveforms, WAV I/O, band-limited resampling, and fixed-length segmentation.
+"""Mono waveforms, file reading (``open_regular``: every file, regular only),
+WAV I/O, band-limited resampling, and fixed-length segmentation.
 
 Everything downstream works on ``Waveform`` values at a canonical rate of
 8000 Hz; files at other rates are resampled on the way in.
@@ -7,6 +8,7 @@ Everything downstream works on ``Waveform`` values at a canonical rate of
 from __future__ import annotations
 
 import functools
+import json
 import math
 import os
 import stat
@@ -55,9 +57,6 @@ _FINITE_CHUNK = 1 << 16
 # The fmt chunk bytes read_wav reads: the 16 bytes of plain fields and the
 # 24 of the WAVE_FORMAT_EXTENSIBLE extension after them.
 _FMT_BYTES = 40
-# Bytes read_wav reads first, in one read: in a usual file they hold every
-# chunk header, so only the payload takes another read.
-_HEAD_BYTES = 512
 
 _PCM16_SCALE = 32767.0
 # One step of the 16-bit grid, in sample units.
@@ -131,6 +130,27 @@ class Segment:
     index: int = 0
 
 
+def open_regular(path, error):
+    """``path`` open for buffered binary reading. It is opened without
+    blocking, so anything but a regular file (a FIFO, a device, a directory)
+    raises ``error("<path>: not a regular file")`` at once, never waited on."""
+    fd = os.open(path, os.O_RDONLY | os.O_NONBLOCK)
+    if not stat.S_ISREG(os.fstat(fd).st_mode):
+        os.close(fd)
+        raise error(f"{path}: not a regular file")
+    return os.fdopen(fd, "rb")
+
+
+def read_document(path, error, parse=json.loads):
+    """``parse`` (JSON by default) of the regular file ``path`` read whole as
+    UTF-8; any failure to open, decode or parse it raises ``error`` naming it."""
+    try:
+        with open_regular(path, error) as fh:
+            return parse(fh.read().decode("utf-8"))
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise error(f"{path}: {exc}") from None
+
+
 def read_wav(path, max_frames: int | None = None) -> Waveform:
     """Read a RIFF/WAVE file as a mono Waveform.
 
@@ -140,44 +160,36 @@ def read_wav(path, max_frames: int | None = None) -> Waveform:
     are mapped into [-1, 1] (int16 via 1/32767, out-of-range float data is
     clamped).
 
-    Only a regular file is read. The path is opened without blocking, so a
-    FIFO or a device is refused at once instead of being waited on or
-    drained. The chunk headers are read at their offsets, skipping each
-    body, and a ``data`` chunk that runs past the end of the file, or that
-    holds more than ``max_frames`` frames, is refused before any of it is
-    read. The payload is then decoded through one reused buffer of
-    _READ_BLOCK bytes (or of one frame, if a frame is larger) straight into
-    the returned samples.
+    Only a regular file is read (``open_regular``). The chunk headers are
+    read in turn, seeking past each body, and a ``data`` chunk that runs
+    past the end of the file, or that holds more than ``max_frames``
+    frames, is refused before any of it is read. The payload is then
+    decoded through one reused buffer of _READ_BLOCK bytes (or of one
+    frame, if a frame is larger) straight into the returned samples.
     """
-    fd = os.open(path, os.O_RDONLY | os.O_NONBLOCK)
-    try:
-        info = os.fstat(fd)
-        if not stat.S_ISREG(info.st_mode):
-            raise MalformedWavError(f"{path}: not a regular file")
-        head = os.pread(fd, _HEAD_BYTES, 0)
+    with open_regular(path, MalformedWavError) as fh:
+        file_size = os.fstat(fh.fileno()).st_size
+        head = fh.read(12)
         if len(head) < 12 or head[0:4] != b"RIFF" or head[8:12] != b"WAVE":
             raise MalformedWavError(f"{path}: not a RIFF/WAVE file")
-
-        def read_at(pos: int, size: int) -> bytes:
-            """Up to ``size`` bytes at ``pos``, from ``head`` where it holds them."""
-            if pos + size <= len(head):
-                return head[pos:pos + size]
-            return os.pread(fd, size, pos)
 
         fmt = None
         payload = None  # the data chunk's (offset, size)
         pos = 12
-        while len(header := read_at(pos, 8)) == 8:
+        while pos + 8 <= file_size:  # no seek past the end to drop the buffer
+            fh.seek(pos)
+            if len(header := fh.read(8)) < 8:
+                break
             chunk_id, chunk_size = struct.unpack("<4sI", header)
             if chunk_id == b"fmt ":
-                body = read_at(pos + 8, min(chunk_size, _FMT_BYTES))
+                body = fh.read(min(chunk_size, _FMT_BYTES))
                 if len(body) < 16:
                     raise MalformedWavError(f"{path}: fmt chunk truncated")
                 fmt = struct.unpack_from("<HHIIHH", body, 0)
                 if fmt[0] == _FMT_EXTENSIBLE:
                     fmt = (_subformat(path, body),) + fmt[1:]
             elif chunk_id == b"data":
-                if pos + 8 + chunk_size > info.st_size:
+                if pos + 8 + chunk_size > file_size:
                     raise MalformedWavError(f"{path}: data chunk truncated")
                 payload = pos + 8, chunk_size
             pos += 8 + chunk_size + (chunk_size & 1)  # chunks are word-aligned
@@ -200,16 +212,15 @@ def read_wav(path, max_frames: int | None = None) -> Waveform:
         if max_frames is not None and frames > max_frames:
             raise InvalidWaveformError(
                 f"{path}: {frames} frames, more than the {max_frames} allowed")
-        samples = _decode(path, fd, offset, frames, audio_format, bits, channels)
-    finally:
-        os.close(fd)
+        fh.seek(offset)
+        samples = _decode(path, fh, frames, audio_format, bits, channels)
     return Waveform(samples, sample_rate)
 
 
-def _decode(path, fd: int, offset: int, frames: int, audio_format: int, bits: int,
+def _decode(path, fh, frames: int, audio_format: int, bits: int,
             channels: int) -> np.ndarray:
-    """The ``frames`` frames at ``offset`` of the file open as ``fd``, as
-    mono float64 samples in [-1, 1], read block by block into one buffer."""
+    """The next ``frames`` frames of the file ``fh``, as mono float64
+    samples in [-1, 1], read block by block into one buffer."""
     dtype, scale = _DECODERS[audio_format, bits]
     frame_bytes = bits // 8 * channels
     block = max(1, _READ_BLOCK // frame_bytes)
@@ -218,7 +229,7 @@ def _decode(path, fd: int, offset: int, frames: int, audio_format: int, bits: in
     for first in range(0, frames, block):
         out = samples[first:first + block]
         raw = buffer[:len(out) * frame_bytes]
-        if os.preadv(fd, [raw], offset + first * frame_bytes) != len(raw):
+        if fh.readinto(raw) != len(raw):
             raise MalformedWavError(f"{path}: data chunk truncated")
         codes = raw.view(dtype)
         if channels == 1:

@@ -13,7 +13,6 @@ contain spaces. All exchanged audio is mono 8 kHz WAV.
 
 from __future__ import annotations
 
-import json
 import math
 import numbers
 import shlex
@@ -26,7 +25,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .audio import MAX_SNR_DB, Waveform, read_wav, write_wav
+from .audio import MAX_SNR_DB, Waveform, open_regular, read_document, read_wav, write_wav
 from .errors import (
     BackendFailureError,
     ContractViolationError,
@@ -54,14 +53,19 @@ STDERR_TAIL = 2000
 
 
 def _check_template(command: str, stage: str) -> None:
-    """Reject a command template that would fail to split or substitute."""
+    """Reject a command template that would fail to split, run or substitute."""
     try:
+        tokens = shlex.split(command)
         fields = [(name, spec, conv)
-                  for token in shlex.split(command)
+                  for token in tokens
                   for _, name, spec, conv in string.Formatter().parse(token)
                   if name is not None]
     except ValueError as exc:
         raise MalformedRegistryError(f"bad command template {command!r}: {exc}")
+    if not tokens or any("\0" in token for token in tokens):
+        raise MalformedRegistryError(
+            f"bad command template {command!r}: it must split into at least one "
+            "argument, none holding a NUL")
     allowed = {"input", *_OUTPUTS[stage]}
     for name, spec, conv in fields:
         if name not in allowed or spec or conv:
@@ -177,10 +181,9 @@ def _run_external(backend: SeparationBackend, input_w: Waveform,
     except OSError as exc:
         raise BackendFailureError(f"command could not start: {cmd}: {exc}")
     if proc.returncode != 0:
-        stderr_text = stderr_path.read_text(encoding="utf-8", errors="replace")
         raise BackendFailureError(
             f"command exited {proc.returncode}: {cmd}\n"
-            f"stderr: {stderr_text.strip()[-STDERR_TAIL:]}")
+            f"stderr: {_stderr_tail(stderr_path)}")
     outs = []
     for name, path in slots.items():
         if not path.exists():
@@ -194,6 +197,18 @@ def _run_external(backend: SeparationBackend, input_w: Waveform,
                 f"unreadable {name} output: {type(exc).__name__}: {exc}")
     shutil.rmtree(scratch, ignore_errors=True)  # kept on failure for debugging
     return outs[0], outs[1]
+
+
+def _stderr_tail(path) -> str:
+    """A failed command's stderr cut to its last STDERR_TAIL characters, read
+    from its last 4*STDERR_TAIL bytes, as a UTF-8 character has at most 4."""
+    try:
+        with open_regular(path, BackendFailureError) as fh:
+            fh.seek(max(0, fh.seek(0, 2) - 4 * STDERR_TAIL))
+            tail = fh.read(4 * STDERR_TAIL)
+    except (OSError, BackendFailureError) as exc:
+        return str(exc)  # why it could not be read
+    return tail.decode("utf-8", errors="replace").strip()[-STDERR_TAIL:]
 
 
 def _run_oracle(spec: OracleSpec, input_w: Waveform) -> tuple[Waveform, Waveform]:
@@ -278,12 +293,7 @@ def registry_load(path) -> list[CandidateModel]:
     Accepts either a bare array of entries or an object with a "models"
     array; model_ids must be unique.
     """
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except (OSError, json.JSONDecodeError, UnicodeDecodeError) as exc:
-        raise MalformedRegistryError(f"{path}: {exc}")
-
+    doc = read_document(path, MalformedRegistryError)
     if isinstance(doc, dict):
         schema = doc.get("schema", REGISTRY_SCHEMA)
         if schema != REGISTRY_SCHEMA:

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
 import json
 import logging
 import os
@@ -51,11 +52,8 @@ def _flag(key: str) -> str:
 def _config_settings(path) -> list[tuple[str, str]]:
     """The ``key = value`` lines of a config file; '#' starts a comment."""
     settings = []
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            lines = fh.readlines()
-    except UnicodeDecodeError as exc:
-        raise ConfigInvalidError(f"{path}: {exc}") from None
+    lines = audio.read_document(  # split as a text-mode file splits its lines
+        path, ConfigInvalidError, lambda text: io.StringIO(text, newline=None).readlines())
     for lineno, line in enumerate(lines, start=1):
         line = line.strip()
         if not line or line.startswith("#"):

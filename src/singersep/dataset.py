@@ -24,6 +24,7 @@ from .audio import (
     Waveform,
     abs_peak,
     quantize_pcm16,
+    read_document,
     read_wav,
     resample,
     segment,
@@ -341,16 +342,6 @@ def build_dataset(manifest: list[StemEntry],
     return doc
 
 
-def _read_json(path):
-    """A JSON document; one that does not parse, or is not UTF-8, raises
-    naming the file."""
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-        raise ValueError(f"{path}: {exc}") from None
-
-
 def _record_problem(record) -> str | None:
     """What is wrong with a manifest's pair record, or None."""
     if not isinstance(record, dict):
@@ -377,7 +368,7 @@ def load_manifest(path) -> tuple[dict, Path]:
     path = Path(path)
     if path.is_dir():
         path = path / "dataset.json"
-    doc = _read_json(path)
+    doc = read_document(path, ValueError)
     schema = doc.get("schema") if isinstance(doc, dict) else None
     if schema != MANIFEST_SCHEMA:
         raise ValueError(f"{path}: unknown manifest schema {schema!r}")
@@ -393,7 +384,7 @@ def load_manifest(path) -> tuple[dict, Path]:
 def load_stem_manifest(path) -> list[StemEntry]:
     """Read the input stem list: a JSON array of {song_id, singer_id, vocal_path}
     objects whose values are strings, each with an optional split."""
-    doc = _read_json(path)
+    doc = read_document(path, ValueError)
     if not isinstance(doc, list):
         raise ValueError(f"{path}: stem manifest must be a JSON array")
     entries = []

@@ -2,6 +2,8 @@ import contextlib
 import json
 import os
 import re
+import shlex
+import shutil
 import sys
 import textwrap
 import threading
@@ -289,7 +291,7 @@ def _outputs_made_by(code: str) -> SeparationBackend:
 def _timed_on_a_thread(fn, under):
     """fn()'s result (or the exception it raised) and its seconds, run on a
     daemon thread for at most 10 s. A read left blocked on a FIFO under
-    ``under`` is then let go: opening the FIFO to write lets it return."""
+    ``under`` is then let go: opening each FIFO to write lets it return."""
     result = {}
 
     def run():
@@ -304,9 +306,10 @@ def _timed_on_a_thread(fn, under):
     thread.start()
     thread.join(10)
     if thread.is_alive():
-        for path in under.rglob("*.wav"):
-            with contextlib.suppress(OSError):
-                os.close(os.open(path, os.O_WRONLY | os.O_NONBLOCK))
+        for path in under.rglob("*"):
+            if path.is_fifo():
+                with contextlib.suppress(OSError):
+                    os.close(os.open(path, os.O_WRONLY | os.O_NONBLOCK))
         pytest.fail("the run waited on a FIFO")
     return result["value"], result["seconds"]
 
@@ -361,6 +364,43 @@ class TestUntrustedOutputs:
         result = run_capped(_TRACED_RUN, zeros.command, tmp_path)
         assert result["error"].startswith("BackendFailureError: unreadable out_a output")
         assert result["error"].endswith("out_a.wav: not a regular file")
+        assert result["peak"] < 1_000_000
+
+    def test_stderr_fifo_excluded_within_1s(self, tmp_path):
+        fifo_stderr = SeparationBackend(kind=KIND_EXTERNAL, stage=STAGE2, command=(
+            f"{sys.executable} -c 'import os, sys; "
+            'p = os.path.join(os.path.dirname(sys.argv[1]), "stderr.txt"); '
+            "os.remove(p); os.mkfifo(p); sys.exit(1)' {out_a} {out_b}"))
+        exc, seconds = _timed_on_a_thread(
+            lambda: run_backend(fifo_stderr, synth.sine(250.0, 0.5), workdir=tmp_path),
+            tmp_path)
+        assert isinstance(exc, BackendFailureError)
+        assert seconds < 1.0
+        cmd, stderr = str(exc).split("\nstderr: ")
+        assert cmd.startswith(f"command exited 1: {shlex.quote(sys.executable)} -c ")
+        assert stderr.endswith("stderr.txt: not a regular file")
+        # and selection excludes the candidate
+        (ref_a, pa), (ref_b, pb) = make_duet_refs(tmp_path, seed=2, seconds=2.0)
+        candidates = [CandidateModel("fifo-stderr", fifo_stderr),
+                      oracle_candidate("clean", pa, pb)]
+        result, _ = _timed_on_a_thread(
+            lambda: select_model(mix_at_snr(ref_a, ref_b, 0.0).mixture, candidates,
+                                 workdir=tmp_path / "work"), tmp_path)
+        failed = result.scores[0]
+        assert (failed.model_id, failed.reason) == ("fifo-stderr", "backend_failed")
+        assert failed.error.startswith("command exited 1: ")
+
+    def test_64mib_stderr_cut_under_1mb_traced(self, tmp_path):
+        command = (f"{sys.executable} -c 'import sys; "
+                   '[sys.stderr.write("x" * 2 ** 20) for _ in range(64)]; '
+                   'sys.stderr.write("last words"); sys.exit(1)\' {input} {out_a} {out_b}')
+        result = run_capped(_TRACED_RUN, command, tmp_path)
+        for scratch in tmp_path.glob("backend-*"):  # its 64 MiB stderr.txt
+            shutil.rmtree(scratch)
+        assert result["error"].startswith("BackendFailureError: command exited 1: ")
+        stderr = result["error"].split("\nstderr: ", 1)[1]
+        assert len(stderr) == STDERR_TAIL
+        assert stderr.endswith("x" * 100 + "last words")
         assert result["peak"] < 1_000_000
 
     def test_output_of_ten_times_the_input_excluded_unread(self, stub_cmd, tmp_path):
@@ -477,8 +517,14 @@ class TestRegistry:
          "entry 0 ('m'): unknown backend kind 'neural'"),
         ([{"model_id": "m", "stage": STAGE2}],
          "entry 0 ('m'): external_command backend needs a command"),
+        *(([{"model_id": "m", "stage": STAGE2, "command": command}],
+           f"entry 0 ('m'): bad command template {command!r}: it must split into "
+           "at least one argument, none holding a NUL")
+          for command in (" ", "\t\n", "run\0 {input} {out_a} {out_b}",
+                          "run '{input}\0' {out_a} {out_b}")),
     ], ids=["schema", "models-not-list", "entry-not-object", "oracle-missing",
-            "oracle-not-object", "oracle-unknown-key", "kind", "command-missing"])
+            "oracle-not-object", "oracle-unknown-key", "kind", "command-missing",
+            "command-blank", "command-whitespace", "command-nul", "command-quoted-nul"])
     def test_malformed_document(self, tmp_path, doc, message):
         path = tmp_path / "reg.json"
         path.write_text(json.dumps(doc))

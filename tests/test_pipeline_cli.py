@@ -1,4 +1,5 @@
 import argparse
+import contextlib
 import csv
 import json
 import math
@@ -9,17 +10,27 @@ import struct
 import subprocess
 import sys
 import textwrap
+import threading
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import singersep
 from singersep import cli, dataset, metrics, pipeline, synth
 from singersep.audio import Waveform, read_wav, resample, write_wav
-from singersep.backends import STAGE1, STAGE2, registry_load
+from singersep.backends import (
+    KIND_EXTERNAL,
+    REGISTRY_SCHEMA,
+    STAGE1,
+    STAGE2,
+    SeparationBackend,
+    registry_load,
+)
 from singersep.dataset import mix_at_snr
-from singersep.errors import ConfigInvalidError
+from singersep.errors import ConfigInvalidError, MalformedRegistryError, SingerSepError
 from singersep.metrics import SENTINEL_DB
 from singersep.pipeline import separate_song
 from singersep.pitch import PitchConfig
@@ -29,6 +40,7 @@ from conftest import (
     GUID_TAIL,
     extensible_wav_bytes,
     make_duet_refs,
+    run_capped,
     write_float32_wav,
     write_registry,
     write_toy_stems,
@@ -473,6 +485,21 @@ class TestCliExitCodes:
         assert f"{song}: {message}" in err
         assert not marker.exists() and not out.exists()
 
+    @pytest.mark.parametrize("command", [" ", "run\0 {input} {out_a} {out_b}"],
+                             ids=["blank", "nul"])
+    def test_template_that_cannot_run_exits_2_before_any_backend(
+            self, duet_setup, marker_setup, tmp_path, capsys, command):
+        registry, marker = marker_setup
+        entries = json.loads(registry.read_text())
+        entries.append({"model_id": "broken", "stage": STAGE2, "command": command})
+        registry = write_registry(tmp_path / "broken-registry.json", entries)
+        out = tmp_path / "out"
+        rc = cli.main(separate_argv(duet_setup, out, registry=registry))
+        err = capsys.readouterr().err
+        assert_clean_exit(rc, err, 2)
+        assert f"entry {len(entries) - 1} ('broken'): bad command template" in err
+        assert not marker.exists() and not out.exists()
+
     def test_fifo_song_exits_2_before_any_backend(self, duet_setup, marker_setup,
                                                   tmp_path):
         registry, marker = marker_setup
@@ -843,8 +870,29 @@ class TestCliPenaltyReasons:
         assert "[penalized: backend_failed] [failed: command exited 1" in failing
 
 
+# Documents that are not regular files: each is refused at once by name,
+# never waited on (a FIFO) or drained (/dev/zero).
+_NON_REGULAR = {"fifo": os.mkfifo, "dev-zero": lambda path: path.symlink_to("/dev/zero"),
+                "directory": os.mkdir}
+_DOCUMENT_NAMES = {"registry": "registry.json", "stems": "stems.json",
+                   "dataset": "dataset.json", "config": "mirss.cfg"}
+
+
 def _bad_document(tmp_path, case):
     """The argv of a run that reads one malformed document, and its path."""
+    document, _, kind = case.partition("-")
+    if kind in _NON_REGULAR:
+        path = tmp_path / _DOCUMENT_NAMES[document]
+        _NON_REGULAR[kind](path)
+        return {
+            "registry": ["separate", str(tmp_path / "song.wav"), "--registry", str(path),
+                         "--stage1", "pass", "--out", str(tmp_path / "out")],
+            "stems": ["build-dataset", "--manifest", str(path), "--scheme", "duet",
+                      "--seed", "1", "--out", str(tmp_path / "ds")],
+            "dataset": ["evaluate", "--dataset", str(tmp_path), "--estimates", str(tmp_path)],
+            "config": ["evaluate", "--dataset", str(tmp_path), "--estimates", str(tmp_path),
+                       "--config", str(path)],
+        }[document], path
     record = {"pair_id": "test-000000", "split": "test",
               "paths": {"mix": "m.wav", "src_a": "a.wav", "src_b": "b.wav"}}
     manifest = {"schema": "mir-ss/1", "pairs": [record]}
@@ -898,16 +946,119 @@ class TestCliDocuments:
         ("invalid-stems", "line 1 column"),
         ("non-utf8-registry", "can't decode byte 0xff"),
         ("non-utf8-config", "can't decode byte 0xe9"),
+        *((f"{document}-{kind}", "not a regular file")
+          for document in _DOCUMENT_NAMES for kind in _NON_REGULAR),
     ])
     def test_malformed_document_exits_2_naming_it(self, tmp_path, capsys, monkeypatch,
                                                   case, message):
         monkeypatch.delenv("MIRSS_CONFIG", raising=False)
+        if case.endswith("-dev-zero") and not os.path.exists("/dev/zero"):
+            pytest.skip("no /dev/zero")
         argv, path = _bad_document(tmp_path, case)
-        rc = cli.main(argv)
-        err = capsys.readouterr().err
+        if case.endswith("-dev-zero"):
+            # a process of its own, capped: a read of /dev/zero never ends
+            result = run_capped(_CLI_MAIN, *argv)
+            rc, err = result["rc"], result["err"]
+        elif case.endswith("-fifo"):
+            rc = _main_on_a_watchdog_thread(argv, path)
+            err = capsys.readouterr().err
+        else:
+            rc = cli.main(argv)
+            err = capsys.readouterr().err
         assert_clean_exit(rc, err, 2)
         assert err.startswith(f"error: {path}: ")
         assert message in err
+        assert not (tmp_path / "out").exists() and not (tmp_path / "ds").exists()
+
+
+# Runs cli.main on sys.argv[1:] (in a capped process, run_capped); prints
+# its exit code and what it wrote to stderr.
+_CLI_MAIN = """
+import contextlib, io, json, sys
+from singersep import cli
+err = io.StringIO()
+with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+    rc = cli.main(sys.argv[1:])
+print(json.dumps({"rc": rc, "err": err.getvalue()}))
+"""
+
+
+def _main_on_a_watchdog_thread(argv, fifo):
+    """cli.main(argv)'s exit code, run on a daemon thread for at most 5 s. A
+    run still waiting on ``fifo`` then is let go (opening it to write lets a
+    blocked read return) and the test fails."""
+    result = {}
+    thread = threading.Thread(target=lambda: result.update(rc=cli.main(argv)),
+                              daemon=True)
+    thread.start()
+    thread.join(5)
+    if thread.is_alive():
+        with contextlib.suppress(OSError):
+            os.close(os.open(fifo, os.O_WRONLY | os.O_NONBLOCK))
+        thread.join(5)
+        pytest.fail(f"the run waited on {fifo}")
+    return result["rc"]
+
+
+# Keys of the registry and of the two manifests, and values they take.
+_DOC_KEYS = ["schema", "models", "model_id", "stage", "kind", "command", "oracle",
+             "ref_a", "ref_b", "swap", "leak", "noise_snr_db", "noise_seed",
+             "pairs", "pair_id", "split", "paths", "mix", "src_a", "src_b",
+             "song_id", "singer_id", "vocal_path"]
+_DOC_VALUES = [REGISTRY_SCHEMA, dataset.MANIFEST_SCHEMA, STAGE1, STAGE2,
+               "external_command", "oracle", "passthrough", "train", "test", "a.wav",
+               "", ".", " ", "\0", "run {input} {out_a} {out_b}", "seed = 3"]
+_json_scalars = (st.none() | st.booleans() | st.integers() | st.floats()
+                 | st.text(max_size=8) | st.sampled_from(_DOC_VALUES))
+_json_values = st.recursive(
+    _json_scalars,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.sampled_from(_DOC_KEYS) | st.text(max_size=4), inner, max_size=6),
+    max_leaves=16)
+# Command templates: placeholders, quotes, escapes, blanks and NULs.
+_commands = st.text(max_size=12) | st.lists(st.sampled_from(
+    ["run", "{input}", "{out_a}", "{out_b}", "{out_vocal}", "{out_accomp}",
+     " ", "\t", "\0", "'", '"', "\\", "{", "}"]), max_size=6).map("".join)
+_entries = st.fixed_dictionaries(
+    {"model_id": st.sampled_from(["m", "n"]) | _json_scalars,
+     "stage": st.sampled_from([STAGE1, STAGE2]) | _json_scalars},
+    optional={"kind": st.sampled_from(["external_command", "oracle", "passthrough"]),
+              "command": _commands | _json_values, "oracle": _json_values})
+_documents = (
+    _json_values
+    | st.lists(_entries, max_size=3)
+    | st.fixed_dictionaries({"models": st.lists(_entries, max_size=3)},
+                            optional={"schema": st.just(REGISTRY_SCHEMA) | _json_scalars})
+    | st.lists(st.fixed_dictionaries(
+        {k: st.text(max_size=4) | _json_scalars for k in ("song_id", "singer_id", "vocal_path")},
+        optional={"split": _json_scalars}), max_size=3)
+    | st.fixed_dictionaries({"schema": st.just(dataset.MANIFEST_SCHEMA) | _json_scalars,
+                             "pairs": st.lists(_json_values, max_size=3)}))
+
+
+class TestDocumentProperties:
+    @settings(max_examples=300, deadline=None)
+    @given(content=_documents.map(lambda doc: json.dumps(doc, ensure_ascii=False).encode())
+           | st.binary(max_size=64))
+    def test_loaders_raise_only_toolkit_or_value_errors(self, content, tmp_path_factory):
+        path = tmp_path_factory.mktemp("doc") / "doc.json"
+        path.write_bytes(content)
+        for load in (registry_load, dataset.load_manifest, dataset.load_stem_manifest,
+                     cli._config_settings):
+            try:
+                load(path)
+            except (SingerSepError, ValueError):
+                pass
+
+    @settings(max_examples=300, deadline=None)
+    @given(stage=st.sampled_from([STAGE1, STAGE2]), command=_commands)
+    def test_every_external_backend_has_arguments_free_of_nul(self, stage, command):
+        try:
+            backend = SeparationBackend(kind=KIND_EXTERNAL, stage=stage, command=command)
+        except MalformedRegistryError:
+            return
+        tokens = shlex.split(backend.command)
+        assert tokens and not any("\0" in token for token in tokens)
 
 
 class TestPublicApi:
