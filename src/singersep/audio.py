@@ -54,6 +54,12 @@ _CACHED_MAX_UD = 512
 _READ_BLOCK = 192 * 1024
 # Samples per finiteness check: its mask takes at most 64 KiB.
 _FINITE_CHUNK = 1 << 16
+# Samples write_wav encodes at a time: its float codes and their 16-bit copy
+# take 320 KiB, whatever the waveform's length.
+_WRITE_BLOCK = 1 << 15
+# Largest document (registry, manifest, config file) read_document reads; a
+# larger one is refused by its size before any of it is read.
+MAX_DOCUMENT_BYTES = 16 * 2 ** 20
 # The fmt chunk bytes read_wav reads: the 16 bytes of plain fields and the
 # 24 of the WAVE_FORMAT_EXTENSIBLE extension after them.
 _FMT_BYTES = 40
@@ -143,10 +149,20 @@ def open_regular(path, error):
 
 def read_document(path, error, parse=json.loads):
     """``parse`` (JSON by default) of the regular file ``path`` read whole as
-    UTF-8; any failure to open, decode or parse it raises ``error`` naming it."""
+    UTF-8; any failure to open, decode or parse it, or a file of more than
+    MAX_DOCUMENT_BYTES, raises ``error`` naming it. The size is checked
+    before the read, and the read takes at most one byte past the bound, so
+    a file that grows in between is refused too."""
+    too_big = error(f"{path}: larger than {MAX_DOCUMENT_BYTES >> 20} MiB, "
+                    "the most a document may hold")
     try:
         with open_regular(path, error) as fh:
-            return parse(fh.read().decode("utf-8"))
+            if os.fstat(fh.fileno()).st_size > MAX_DOCUMENT_BYTES:
+                raise too_big
+            data = fh.read(MAX_DOCUMENT_BYTES + 1)
+            if len(data) > MAX_DOCUMENT_BYTES:
+                raise too_big
+            return parse(data.decode("utf-8"))
     except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise error(f"{path}: {exc}") from None
 
@@ -262,7 +278,8 @@ def write_wav(w: Waveform, path) -> None:
     """Write a Waveform as mono 16-bit PCM, little-endian.
 
     Raises InvalidWaveformError on empty input or samples outside [-1, 1];
-    clipping must be done explicitly by the caller.
+    clipping must be done explicitly by the caller. The samples are encoded
+    and written _WRITE_BLOCK at a time, through two reused buffers.
     """
     if len(w) == 0:
         raise InvalidWaveformError("refusing to write an empty waveform")
@@ -271,21 +288,27 @@ def write_wav(w: Waveform, path) -> None:
         raise InvalidWaveformError(
             f"samples exceed [-1, 1] (peak {peak:.6f}); clip or normalize before writing")
 
-    payload = _pcm16_codes(w.samples).astype("<i2")
+    data_bytes = 2 * len(w)
     header = struct.pack(
         "<4sI4s4sIHHIIHH4sI",
-        b"RIFF", 36 + payload.nbytes, b"WAVE",
+        b"RIFF", 36 + data_bytes, b"WAVE",
         b"fmt ", 16, _FMT_PCM, 1, w.sample_rate,
         w.sample_rate * 2, 2, 16,
-        b"data", payload.nbytes)
+        b"data", data_bytes)
+    codes = np.empty(min(len(w), _WRITE_BLOCK))
+    pcm = np.empty(codes.size, dtype="<i2")
     with open(path, "wb") as fh:
         fh.write(header)
-        fh.write(payload)
+        for first in range(0, len(w), _WRITE_BLOCK):
+            block = w.samples[first:first + _WRITE_BLOCK]
+            pcm[:block.size] = _pcm16_codes(block, out=codes[:block.size])
+            fh.write(pcm[:block.size])
 
 
-def _pcm16_codes(samples: np.ndarray) -> np.ndarray:
-    """The 16-bit codes of samples clipped to [-1, 1], as floats in a new array."""
-    codes = np.clip(samples, -1.0, 1.0)
+def _pcm16_codes(samples: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """The 16-bit codes of samples clipped to [-1, 1], as floats in ``out``
+    (a new array if None)."""
+    codes = np.clip(samples, -1.0, 1.0, out=out)
     codes *= _PCM16_SCALE
     return np.rint(codes, out=codes)
 

@@ -3,7 +3,10 @@
 A backend is either an external command (the normal case: a trained model
 wrapped in any runtime, invoked as a process), an oracle (a test double
 that returns ground-truth stems, optionally leaked/swapped/noised), or a
-passthrough (input on channel one, silence on channel two).
+passthrough (input on channel one, silence on channel two). An oracle's
+outputs are its two freshly read references, mixed in place a block at a
+time, so a call holds two channel lengths, and two more of scratch while it
+adds noise.
 
 External command templates substitute ``{input}``/``{out_a}``/``{out_b}``
 for stage 2, or ``{input}``/``{out_vocal}``/``{out_accomp}`` for stage 1.
@@ -50,6 +53,8 @@ _OUTPUTS = {STAGE1: ("out_vocal", "out_accomp"), STAGE2: ("out_a", "out_b")}
 
 # A failing command's stderr is cut to its last this many characters.
 STDERR_TAIL = 2000
+# Samples an oracle mixes at a time: its temporaries take 128 KiB each.
+_MIX_BLOCK = 1 << 14
 
 
 def _check_template(command: str, stage: str) -> None:
@@ -220,16 +225,24 @@ def _run_oracle(spec: OracleSpec, input_w: Waveform) -> tuple[Waveform, Waveform
     a, b = ref_a.samples, ref_b.samples
     if a.size != b.size or ref_a.sample_rate != ref_b.sample_rate:
         raise BackendFailureError("oracle references disagree in length or rate")
-    out_a = (1.0 - spec.leak) * a + spec.leak * b
-    out_b = (1.0 - spec.leak) * b + spec.leak * a
+    # out_a = (1 - leak) * a + leak * b and its mirror, mixed in place
+    for i in range(0, a.size, _MIX_BLOCK):
+        block_a, block_b = a[i:i + _MIX_BLOCK], b[i:i + _MIX_BLOCK]
+        mixed = block_a * (1.0 - spec.leak)
+        mixed += block_b * spec.leak
+        block_b *= 1.0 - spec.leak
+        block_b += block_a * spec.leak
+        block_a[:] = mixed
+    out_a, out_b = a, b
     if spec.noise_snr_db is not None:
         rng = np.random.default_rng(spec.noise_seed)
+        squares, noise = np.empty_like(a), np.empty_like(a)
         for out in (out_a, out_b):
-            power = float(np.mean(out ** 2))
+            power = float(np.mean(np.square(out, out=squares)))
             if power > 0:
-                noise = rng.standard_normal(out.size)
+                rng.standard_normal(out=noise)
                 noise *= np.sqrt(power / 10 ** (spec.noise_snr_db / 10)
-                                 / float(np.mean(noise ** 2)))
+                                 / float(np.mean(np.square(noise, out=squares))))
                 out += noise
     if spec.swap:
         out_a, out_b = out_b, out_a

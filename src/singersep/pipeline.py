@@ -80,12 +80,15 @@ def separate_song(song_path,
     and rejected unless they match its length and are not constant, all
     before any backend runs, and the chosen pair is scored before the stems
     are written; a chosen pair that cannot be scored fails the run, naming
-    the model. Each candidate's pair is written to ``candidates/<id>/`` as
-    selection reads it, so only the chosen pair is held as floats. If the
-    run fails, the files it wrote and the directories it made are
-    removed. A failed external backend's scratch directory under
-    ``out_dir/tmp`` is kept, since its error names it; ``tmp`` itself is
-    removed only if it ends up empty.
+    the model. Stage 1's accompaniment is written as soon as stage 1
+    returns, and the song is let go then, so neither is held through
+    selection. Each candidate's pair is written to ``candidates/<id>/`` as
+    selection reads it; after that only the best pair so far is kept (see
+    ``select_model`` for the pairs that wait their turn). If the run fails,
+    the files it wrote and the directories it made are removed. A failed
+    external backend's scratch directory under ``out_dir/tmp`` is kept,
+    since its error names it; ``tmp`` itself is removed only if it ends up
+    empty.
     """
     stage1, candidates = split_registry(models, stage1_id)
     if model is not None and model not in {c.model_id for c in candidates}:
@@ -123,6 +126,9 @@ def separate_song(song_path,
         mixed_vocal, accompaniment = run_backend(stage1.backend, song,
                                                  workdir=out / "tmp")
         stage1_seconds = time.monotonic() - t_stage1
+        del song  # stage 2 reads only the mixed vocal
+        accompaniment_file = write(accompaniment, out / "accompaniment.wav")
+        del accompaniment
 
         candidate_files: dict[str, dict[str, str]] = {}
 
@@ -159,7 +165,7 @@ def separate_song(song_path,
         outputs = {
             "vocal_a": write(vocal_a, out / "vocal_a.wav"),
             "vocal_b": write(vocal_b, out / "vocal_b.wav"),
-            "accompaniment": write(accompaniment, out / "accompaniment.wav"),
+            "accompaniment": accompaniment_file,
         }
 
         candidate_entries = [{**asdict(score),

@@ -29,7 +29,7 @@ from .errors import ConfigInvalidError
 DEFAULT_FMIN_HZ = 55.0
 DEFAULT_FMAX_HZ = 1000.0
 # frames per FFT batch: bounds the tracker's working memory at any input length
-BLOCK_FRAMES = 256
+BLOCK_FRAMES = 128
 # pitch frames one trend term spans (i-1, i, i+1), and the units trends are scored in
 TREND_FRAMES = 3
 UNITS = ("hz", "semitones")

@@ -45,7 +45,7 @@ DUPLICATE_MAX_LAG = 80
 # channel_similarity's FFT length, and FFTs per batch: the batch bounds the
 # FFTs' working memory at any input length.
 SIMILARITY_FFT = 2048
-SIMILARITY_BATCH = 64
+SIMILARITY_BATCH = 16
 
 
 @dataclass
@@ -201,7 +201,10 @@ def select_model(mixed_vocal: Waveform,
     candidate's result is read, ``on_outputs(model_id, pair)`` gets its two
     channels on the calling thread (a failed candidate has none); only the
     best pair so far is kept after that, so at most one candidate's floats
-    outlive their reading.
+    outlive their reading. Before that, a pair that finishes ahead of its
+    turn in candidate order waits in its future until it is read: an
+    external candidate's, started first, at any ``jobs``, and with more
+    than one worker any pair made while an earlier one still runs.
     Failed backends are excluded (recorded with an error message) rather
     than fatal; BackendFailureError is raised only when no candidate
     succeeds. Ties break toward the lexicographically smaller model_id. If

@@ -498,6 +498,21 @@ class TestWriteWav:
         want = np.rint(np.clip(samples, -1.0, 1.0) * 32767.0) / 32767.0
         assert quantize_pcm16(samples).tobytes() == want.tobytes()
 
+    def test_blockwise_bytes_identical_to_reference(self, tmp_path):
+        samples = np.random.default_rng(6).uniform(-1.0, 1.0, 2 * audio._WRITE_BLOCK + 3)
+        samples[[0, audio._WRITE_BLOCK - 1, audio._WRITE_BLOCK, -1]] = [
+            1.0 + 1e-10, -1.0, 0.5 / 32767, -1.0 - 1e-10]
+        path = tmp_path / "long.wav"
+        write_wav(Waveform(samples, 8000), path)
+        assert path.read_bytes() == reference_wav_bytes(samples, 8000)
+
+    def test_180s_write_peaks_under_1mb(self, tmp_path):
+        w = synth.vibrato_sine(220.0, 180.0)
+        _, peak = _traced_peak(write_wav, w, tmp_path / "song.wav")
+        # the float codes and their 16-bit copy of one block; whole-length
+        # ones took about 14 MB
+        assert peak < 2 ** 20
+
     def test_roundtrip_sine(self, tmp_path):
         w = synth.sine(440.0, 1.0)
         path = tmp_path / "sine.wav"

@@ -162,6 +162,48 @@ class TestOracle:
                            match="oracle kind needs an oracle object"):
             SeparationBackend(kind=KIND_ORACLE, stage=STAGE2, oracle=oracle)
 
+    @pytest.mark.parametrize("leak", [0.0, 0.3])
+    @pytest.mark.parametrize("snr_db", [None, -10.0, 20.0])
+    @pytest.mark.parametrize("swap", [False, True])
+    def test_bits_equal_the_plain_expressions(self, tmp_wav, leak, snr_db, swap):
+        # 5 s at 8 kHz spans two whole mixing blocks and part of a third
+        pa = tmp_wav(white_noise(5.0, amplitude=0.6, seed=1))
+        pb = tmp_wav(white_noise(5.0, amplitude=0.6, seed=2))
+        backend = SeparationBackend(kind=KIND_ORACLE, stage=STAGE2, oracle=OracleSpec(
+            str(pa), str(pb), swap=swap, leak=leak, noise_snr_db=snr_db, noise_seed=4))
+        got = run_backend(backend, read_wav(pa))
+
+        a, b = read_wav(pa).samples, read_wav(pb).samples
+        want = [(1.0 - leak) * a + leak * b, (1.0 - leak) * b + leak * a]
+        if snr_db is not None:
+            rng = np.random.default_rng(4)
+            for out in want:
+                noise = rng.standard_normal(out.size)
+                out += noise * np.sqrt(np.mean(out ** 2) / 10 ** (snr_db / 10)
+                                       / np.mean(noise ** 2))
+        if swap:
+            want.reverse()
+        for out, expected in zip(got, want):
+            assert out.samples.tobytes() == np.clip(expected, -1.0, 1.0).tobytes()
+
+    @pytest.mark.parametrize("snr_db, lengths", [(None, 2), (20.0, 4)])
+    def test_leaky_call_peaks_at_two_channel_lengths_four_with_noise(
+            self, tmp_wav, snr_db, lengths):
+        pa = tmp_wav(white_noise(20.0, amplitude=0.6, seed=1))
+        pb = tmp_wav(white_noise(20.0, amplitude=0.6, seed=2))
+        backend = SeparationBackend(kind=KIND_ORACLE, stage=STAGE2, oracle=OracleSpec(
+            str(pa), str(pb), leak=0.3, noise_snr_db=snr_db))
+        song = read_wav(pa)
+        tracemalloc.start()
+        try:
+            run_backend(backend, song)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the two references, mixed into in place, plus the noise and its
+        # squares; the mix and the noise through temporaries took six
+        assert peak <= lengths * song.samples.nbytes + 2 ** 20
+
     def test_references_of_different_lengths_fail(self, tmp_wav):
         pa = tmp_wav(synth.sine(220.0, 1.0))
         pb = tmp_wav(synth.sine(330.0, 0.5))

@@ -19,7 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import singersep
-from singersep import cli, dataset, metrics, pipeline, synth
+from singersep import backends, cli, dataset, metrics, pipeline, selection, synth
 from singersep.audio import Waveform, read_wav, resample, write_wav
 from singersep.backends import (
     KIND_EXTERNAL,
@@ -99,6 +99,27 @@ class TestSeparateSong:
         assert sorted(ids) == ["clean", "leaky"]
         for c in report["candidates"]:
             assert c["score"] is not None
+
+    def test_accompaniment_written_before_any_stage2_backend(self, duet_setup, tmp_path,
+                                                             monkeypatch):
+        copy = (f"{sys.executable} -c 'import shutil, sys; "
+                "[shutil.copy(sys.argv[1], p) for p in sys.argv[2:]]' "
+                "{input} {out_vocal} {out_accomp}")
+        registry = swap_stage1(duet_setup, tmp_path, copy)
+        out = tmp_path / "out"
+        written = []
+
+        def run_backend(backend, input_w, workdir=None):
+            written.append((out / "accompaniment.wav").is_file())
+            return backends.run_backend(backend, input_w, workdir)
+
+        monkeypatch.setattr(selection, "run_backend", run_backend)
+        report = separate_song(duet_setup["song"], registry_load(registry),
+                               stage1_id="stage1-pass", out_dir=out)
+        assert written == [True, True]
+        assert report["outputs"]["accompaniment"] == "accompaniment.wav"
+        # the stage-1 command's accompaniment is its input, the 8 kHz song
+        assert (out / "accompaniment.wav").read_bytes() == duet_setup["song"].read_bytes()
 
     def test_model_bypass_runs_single_backend(self, duet_setup, tmp_path):
         report = separate_song(duet_setup["song"],
@@ -870,10 +891,17 @@ class TestCliPenaltyReasons:
         assert "[penalized: backend_failed] [failed: command exited 1" in failing
 
 
+def _sparse_2gib(path):
+    with open(path, "wb") as fh:
+        fh.truncate(2 ** 31)
+
+
 # Documents that are not regular files: each is refused at once by name,
-# never waited on (a FIFO) or drained (/dev/zero).
+# never waited on (a FIFO) or drained (/dev/zero). A sparse 2 GiB document
+# is refused by its size, before any of it is read.
 _NON_REGULAR = {"fifo": os.mkfifo, "dev-zero": lambda path: path.symlink_to("/dev/zero"),
                 "directory": os.mkdir}
+_HOSTILE = {**_NON_REGULAR, "huge": _sparse_2gib}
 _DOCUMENT_NAMES = {"registry": "registry.json", "stems": "stems.json",
                    "dataset": "dataset.json", "config": "mirss.cfg"}
 
@@ -881,9 +909,9 @@ _DOCUMENT_NAMES = {"registry": "registry.json", "stems": "stems.json",
 def _bad_document(tmp_path, case):
     """The argv of a run that reads one malformed document, and its path."""
     document, _, kind = case.partition("-")
-    if kind in _NON_REGULAR:
+    if kind in _HOSTILE:
         path = tmp_path / _DOCUMENT_NAMES[document]
-        _NON_REGULAR[kind](path)
+        _HOSTILE[kind](path)
         return {
             "registry": ["separate", str(tmp_path / "song.wav"), "--registry", str(path),
                          "--stage1", "pass", "--out", str(tmp_path / "out")],
@@ -948,6 +976,8 @@ class TestCliDocuments:
         ("non-utf8-config", "can't decode byte 0xe9"),
         *((f"{document}-{kind}", "not a regular file")
           for document in _DOCUMENT_NAMES for kind in _NON_REGULAR),
+        *((f"{document}-huge", "larger than 16 MiB, the most a document may hold")
+          for document in _DOCUMENT_NAMES),
     ])
     def test_malformed_document_exits_2_naming_it(self, tmp_path, capsys, monkeypatch,
                                                   case, message):
@@ -955,10 +985,12 @@ class TestCliDocuments:
         if case.endswith("-dev-zero") and not os.path.exists("/dev/zero"):
             pytest.skip("no /dev/zero")
         argv, path = _bad_document(tmp_path, case)
-        if case.endswith("-dev-zero"):
-            # a process of its own, capped: a read of /dev/zero never ends
+        if case.endswith(("-dev-zero", "-huge")):
+            # a process of its own, capped: a read of /dev/zero never ends,
+            # and one of the 2 GiB file would not fit
             result = run_capped(_CLI_MAIN, *argv)
             rc, err = result["rc"], result["err"]
+            assert result["seconds"] < 1.0
         elif case.endswith("-fifo"):
             rc = _main_on_a_watchdog_thread(argv, path)
             err = capsys.readouterr().err
@@ -972,14 +1004,15 @@ class TestCliDocuments:
 
 
 # Runs cli.main on sys.argv[1:] (in a capped process, run_capped); prints
-# its exit code and what it wrote to stderr.
+# its exit code, what it wrote to stderr and the seconds it took.
 _CLI_MAIN = """
-import contextlib, io, json, sys
+import contextlib, io, json, sys, time
 from singersep import cli
 err = io.StringIO()
+start = time.monotonic()
 with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
     rc = cli.main(sys.argv[1:])
-print(json.dumps({"rc": rc, "err": err.getvalue()}))
+print(json.dumps({"rc": rc, "err": err.getvalue(), "seconds": time.monotonic() - start}))
 """
 
 

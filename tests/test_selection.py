@@ -5,6 +5,7 @@ import signal
 import sys
 import threading
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -272,6 +273,19 @@ class TestDuplicateChannels:
         x = synth.vibrato_sine(220.0, 1.0).samples
         assert channel_similarity(x, np.zeros_like(x)) == 0.0
         assert channel_similarity(np.zeros_like(x), x) == 0.0
+
+    def test_20s_call_peaks_under_2mb(self):
+        rng = np.random.default_rng(9)
+        a, b = rng.uniform(-1.0, 1.0, (2, 20 * 8000))
+        tracemalloc.start()
+        try:
+            channel_similarity(a, b)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # a batch of SIMILARITY_BATCH = 16 FFTs, or the one middle-window
+        # square beside it; batches of 64 took 3.2 MB
+        assert peak < 2 * 10 ** 6
 
     def test_copy_of_the_mix_loses_to_the_clean_oracle(self, tmp_path):
         (ref_a, pa), (ref_b, pb) = make_duet_refs(tmp_path, seed=6, seconds=4.0)
