@@ -88,8 +88,7 @@ def _merge_settings(args, argv: list[str]):
         verb = argv.index(args.command) + 1
         args = build_parser(_SettingsParser).parse_args(
             argv[:verb] + leading + argv[verb:])
-    if args.jobs is not None and args.jobs < 1:
-        raise ConfigInvalidError(f"jobs must be at least 1, got {args.jobs}")
+    selection.check_jobs(args.jobs)
     return args
 
 

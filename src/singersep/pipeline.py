@@ -15,7 +15,7 @@ from .backends import STAGE1, STAGE2, CandidateModel, run_backend
 from .errors import DegenerateInputError, MalformedRegistryError, SingerSepError
 from .metrics import pit_evaluate, zero_variance
 from .pitch import PitchConfig
-from .selection import SelectionResult, TrendScore, select_model
+from .selection import SelectionResult, TrendScore, check_jobs, select_model
 
 
 def split_registry(models: list[CandidateModel], stage1_id: str):
@@ -83,13 +83,14 @@ def separate_song(song_path,
     the model. Stage 1's accompaniment is written as soon as stage 1
     returns, and the song is let go then, so neither is held through
     selection. Each candidate's pair is written to ``candidates/<id>/`` as
-    selection reads it; after that only the best pair so far is kept (see
-    ``select_model`` for the pairs that wait their turn). If the run fails,
+    soon as the candidate finishes; after that only the best pair so far is
+    kept. ``jobs`` under 1 is refused before any backend runs. If the run fails,
     the files it wrote and the directories it made are removed. A failed
     external backend's scratch directory under ``out_dir/tmp`` is kept,
     since its error names it; ``tmp`` itself is removed only if it ends up
     empty.
     """
+    check_jobs(jobs)
     stage1, candidates = split_registry(models, stage1_id)
     if model is not None and model not in {c.model_id for c in candidates}:
         raise MalformedRegistryError(f"--model {model!r} is not a stage-2 candidate")

@@ -20,7 +20,7 @@ from __future__ import annotations
 import logging
 import os
 from collections.abc import Callable
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor, as_completed
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -147,8 +147,9 @@ def channel_similarity(a: np.ndarray, b: np.ndarray) -> float:
     # what has slid off its front, plus what has slid onto its back
     front = np.concatenate(([0.0], np.cumsum(a[:2 * lag] ** 2)))
     back = np.concatenate(([0.0], np.cumsum(a[width:width + 2 * lag] ** 2)))
-    window_energy = np.maximum(np.sum(a[:width] ** 2) - front + back, 0.0)
-    denom = np.sqrt(window_energy * np.sum(middle ** 2))
+    # einsum sums the squares without a full-length temporary
+    window_energy = np.maximum(np.einsum("i,i->", a[:width], a[:width]) - front + back, 0.0)
+    denom = np.sqrt(window_energy * np.einsum("ij,ij->", middle, middle))
     rho = np.zeros_like(corr)
     np.divide(np.abs(corr), denom, out=rho, where=denom > 0)
     return float(rho.max())
@@ -182,6 +183,12 @@ def score_candidate(outputs: tuple[Waveform, Waveform], cfg: PitchConfig) -> Tre
     return trend_distance(ta, tb, block_frames=cfg.block_frames)
 
 
+def check_jobs(jobs: int | None) -> None:
+    """Refuse a worker count under 1; None means one worker per CPU."""
+    if jobs is not None and jobs < 1:
+        raise ConfigInvalidError(f"jobs must be at least 1, got {jobs}")
+
+
 def select_model(mixed_vocal: Waveform,
                  candidates: list[CandidateModel],
                  pitch_config: PitchConfig | None = None,
@@ -192,19 +199,18 @@ def select_model(mixed_vocal: Waveform,
     """Run every stage-2 candidate and keep the one with the closest trends.
 
     ``pitch_config`` (default ``PitchConfig()``) is the whole scoring rule.
-    Candidates run concurrently (up to ``jobs`` workers, which run the
-    backends and the scoring alike; backend temp files are namespaced per
-    invocation). External-command candidates start first, each group in
-    candidate order, so their processes run beside the in-process scoring;
-    warnings may print in that order. Results are read in candidate order,
-    so neither start nor completion order changes the outcome. As each
-    candidate's result is read, ``on_outputs(model_id, pair)`` gets its two
-    channels on the calling thread (a failed candidate has none); only the
-    best pair so far is kept after that, so at most one candidate's floats
-    outlive their reading. Before that, a pair that finishes ahead of its
-    turn in candidate order waits in its future until it is read: an
-    external candidate's, started first, at any ``jobs``, and with more
-    than one worker any pair made while an earlier one still runs.
+    Candidates run concurrently (up to ``jobs`` workers, at least 1; None
+    means one per CPU), which run the backends and the scoring alike;
+    backend temp files are namespaced per invocation. External-command
+    candidates start first, each group in candidate order, so their
+    processes run beside the in-process scoring; warnings may print in that
+    order. Each result is taken as its candidate finishes: its score is
+    stored at the candidate's place in ``scores``, and
+    ``on_outputs(model_id, pair)`` gets its two channels on the calling
+    thread at once (a failed candidate has none). After that only the best
+    pair so far is kept; beside it selection holds the pair being handed
+    over, any pair that finishes meanwhile, and each worker's scratch. The
+    outcome depends on the scores alone, not on start or completion order.
     Failed backends are excluded (recorded with an error message) rather
     than fatal; BackendFailureError is raised only when no candidate
     succeeds. Ties break toward the lexicographically smaller model_id. If
@@ -212,6 +218,7 @@ def select_model(mixed_vocal: Waveform,
     with ``all_penalized`` set.
     """
     cfg = pitch_config or PitchConfig()
+    check_jobs(jobs)
     if not candidates:
         raise BackendFailureError("no stage-2 candidates to select from")
 
@@ -225,21 +232,21 @@ def select_model(mixed_vocal: Waveform,
         result = score_candidate(pair, cfg)
         return replace(result, model_id=cand.model_id), pair
 
-    scores, runnable = [], []
+    scores: list[TrendScore | None] = [None] * len(candidates)
     best = best_pair = None
     # external processes first, so they run beside the in-process scoring
     order = sorted(range(len(candidates)),
                    key=lambda i: candidates[i].backend.kind != KIND_EXTERNAL)
     with ThreadPoolExecutor(max_workers=jobs or os.cpu_count() or 1) as pool:
-        futures = {i: pool.submit(run_one, candidates[i]) for i in order}
-        for i in range(len(candidates)):
-            score, pair = futures.pop(i).result()
-            scores.append(score)
+        futures = {pool.submit(run_one, candidates[i]): i for i in order}
+        for future in as_completed(futures):
+            score, pair = future.result()
+            scores[futures.pop(future)] = score
+            del future  # its result holds the pair
             if pair is None:
                 continue
             if on_outputs is not None:
                 on_outputs(score.model_id, pair)
-            runnable.append(score)
             if best is None or (score.score, score.model_id) < (best.score, best.model_id):
                 best, best_pair = score, pair
             del pair  # not held while the next candidate is awaited
@@ -249,7 +256,7 @@ def select_model(mixed_vocal: Waveform,
             "every candidate backend failed: "
             + "; ".join(f"{s.model_id}: {s.error}" for s in scores))
 
-    all_penalized = all(s.penalized for s in runnable)
+    all_penalized = all(s.penalized for s in scores if s.reason != "backend_failed")
     if all_penalized:
         log.warning("all candidates penalized; returning argmin %s", best.model_id)
     return SelectionResult(

@@ -181,6 +181,23 @@ class TestSeparateSong:
         assert not (tmp_path / "out").exists()
 
 
+    @pytest.mark.parametrize("jobs", [0, -1])
+    def test_jobs_under_one_rejected_before_any_backend(
+            self, duet_setup, marker_setup, tmp_path, jobs):
+        # the library calls keep the CLI's rule: None is one worker per CPU,
+        # and a count under 1 is refused before stage 1 or any candidate runs
+        registry, marker = marker_setup
+        models = registry_load(registry)
+        with pytest.raises(ConfigInvalidError, match=f"jobs must be at least 1, got {jobs}"):
+            separate_song(duet_setup["song"], models, stage1_id="stage1-pass",
+                          out_dir=tmp_path / "out", jobs=jobs)
+        candidates = [m for m in models if m.backend.stage == STAGE2]
+        with pytest.raises(ConfigInvalidError, match=f"jobs must be at least 1, got {jobs}"):
+            select_model(duet_setup["mix"], candidates, workdir=tmp_path, jobs=jobs)
+        assert not marker.exists()
+        assert not (tmp_path / "out").exists()
+
+
 class TestCliSeparate:
     def test_exit_zero_and_outputs(self, duet_setup, tmp_path, capsys):
         out = tmp_path / "cli-out"

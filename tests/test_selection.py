@@ -6,6 +6,7 @@ import sys
 import threading
 import time
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -274,17 +275,18 @@ class TestDuplicateChannels:
         assert channel_similarity(x, np.zeros_like(x)) == 0.0
         assert channel_similarity(np.zeros_like(x), x) == 0.0
 
-    def test_20s_call_peaks_under_2mb(self):
+    @pytest.mark.parametrize("seconds", [20, 180])
+    def test_call_peaks_under_2mb(self, seconds):
         rng = np.random.default_rng(9)
-        a, b = rng.uniform(-1.0, 1.0, (2, 20 * 8000))
+        a, b = rng.uniform(-1.0, 1.0, (2, seconds * 8000))
         tracemalloc.start()
         try:
             channel_similarity(a, b)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # a batch of SIMILARITY_BATCH = 16 FFTs, or the one middle-window
-        # square beside it; batches of 64 took 3.2 MB
+        # a batch of SIMILARITY_BATCH = 16 FFTs, at any length; batches of
+        # 64 took 3.2 MB, and squaring the windows whole 11.7 MB at 180 s
         assert peak < 2 * 10 ** 6
 
     def test_copy_of_the_mix_loses_to_the_clean_oracle(self, tmp_path):
@@ -529,7 +531,8 @@ class TestStartOrder:
                               on_outputs=lambda model_id, pair: handed.append(model_id))
         assert ran == ["ext", "clean", "leaky"]
         assert [s.model_id for s in result.scores] == ["clean", "leaky", "ext"]
-        assert handed == ["clean", "leaky", "ext"]
+        # one worker hands each pair over as it finishes, in start order
+        assert handed == ["ext", "clean", "leaky"]
 
     @settings(max_examples=8, deadline=None)
     @given(order=st.permutations(range(4)), jobs=st.sampled_from([1, 2, 4]))
@@ -545,7 +548,7 @@ class TestStartOrder:
 
         result = select_model(mix, given_order, workdir=tmp, jobs=jobs, on_outputs=take)
         assert [s.model_id for s in result.scores] == [c.model_id for c in given_order]
-        assert list(handed) == [c.model_id for c in given_order]
+        assert handed.keys() == {c.model_id for c in given_order}
         assert result.chosen_pair is handed[result.chosen]
         for got, want in zip(result.chosen_pair, baseline.chosen_pair):
             assert got.samples.tobytes() == want.samples.tobytes()
@@ -553,3 +556,50 @@ class TestStartOrder:
         assert all(s == by_id[s.model_id] for s in result.scores)
         assert result.chosen == baseline.chosen
         assert result.all_penalized == baseline.all_penalized
+
+    def test_pairs_handed_over_as_they_finish(self, tmp_path, monkeypatch):
+        # each backend waits for the hand-off of the candidate after it in
+        # the registry, so they finish in reverse registry order; a reader
+        # in registry order would wait on the first until the gates time out
+        (ref_a, pa), (ref_b, pb) = make_duet_refs(tmp_path, seed=7, seconds=2.0)
+        mix = mix_at_snr(ref_a, ref_b, 0.0).mixture
+        cands = [oracle_candidate("clean", pa, pb),
+                 oracle_candidate("leaky", pa, pb, leak=0.3),
+                 oracle_candidate("swap", pa, pb, swap=True)]
+        ids = [c.model_id for c in cands]
+        following = dict(zip(ids, ids[1:]))
+        handed_over = {model_id: threading.Event() for model_id in ids}
+        made = {}
+        alive_at_start, alive_at_hand_off = [], []
+        run_backend = selection.run_backend
+
+        def alive():
+            return sum(any(ref() is not None for ref in refs) for refs in made.values())
+
+        def gated(backend, *args, **kwargs):
+            model_id = next(c.model_id for c in cands if c.backend is backend)
+            gate = following.get(model_id)
+            if gate and not handed_over[gate].wait(timeout=10.0):
+                raise AssertionError(f"{gate} was not handed over")
+            # the calling thread lets go of the pair it handed over before
+            # it awaits the next result; give it the moment that takes
+            deadline = time.monotonic() + 5.0
+            while alive() > 1 and time.monotonic() < deadline:
+                time.sleep(0.001)
+            alive_at_start.append(alive())
+            pair = run_backend(backend, *args, **kwargs)
+            made[model_id] = [weakref.ref(w) for w in pair]
+            return pair
+
+        def take(model_id, pair):
+            alive_at_hand_off.append(alive())
+            handed_over[model_id].set()
+
+        monkeypatch.setattr(selection, "run_backend", gated)
+        result = select_model(mix, cands, workdir=tmp_path, jobs=len(cands),
+                              on_outputs=take)
+        assert [s.model_id for s in result.scores] == ids
+        # while a candidate runs, only the best pair so far; at a hand-off,
+        # that one and the pair handed over
+        assert alive_at_start == [0, 1, 1]
+        assert alive_at_hand_off == [1, 2, 2]
