@@ -151,15 +151,20 @@ def read_document(path, error, parse=json.loads):
     """``parse`` (JSON by default) of the regular file ``path`` read whole as
     UTF-8; any failure to open, decode or parse it, or a file of more than
     MAX_DOCUMENT_BYTES, raises ``error`` naming it. The size is checked
-    before the read, and the read takes at most one byte past the bound, so
-    a file that grows in between is refused too."""
+    before the read, which asks for one byte past that size, so a small
+    document costs its own size, not the bound. A file found longer than its
+    size (it grew in between) is read on to one byte past the bound, and
+    refused if it passes it."""
     too_big = error(f"{path}: larger than {MAX_DOCUMENT_BYTES >> 20} MiB, "
                     "the most a document may hold")
     try:
         with open_regular(path, error) as fh:
-            if os.fstat(fh.fileno()).st_size > MAX_DOCUMENT_BYTES:
+            size = os.fstat(fh.fileno()).st_size
+            if size > MAX_DOCUMENT_BYTES:
                 raise too_big
-            data = fh.read(MAX_DOCUMENT_BYTES + 1)
+            data = fh.read(size + 1)
+            if len(data) > size:
+                data += fh.read(MAX_DOCUMENT_BYTES + 1 - len(data))
             if len(data) > MAX_DOCUMENT_BYTES:
                 raise too_big
             return parse(data.decode("utf-8"))

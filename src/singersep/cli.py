@@ -2,7 +2,10 @@
 
 Run settings resolve as flags > MIRSS_<KEY> environment variables > config
 file (key=value lines). Exit codes: 0 success, 1 a failed selftest check,
-2 configuration error, 3 backend failure, 4 evaluation incomplete.
+4 evaluation incomplete. An error exits with its class's ``exit_code`` and
+prints one stderr line starting with its ``label`` (see ``errors.py``): 2
+and ``error:`` for a configuration error, and for any ValueError or
+OSError; 3 and ``backend failure:`` for a backend failure.
 """
 
 from __future__ import annotations
@@ -21,11 +24,9 @@ from pathlib import Path
 import numpy as np
 
 from . import audio, backends, dataset, metrics, pipeline, pitch, selection, synth
-from .errors import BackendFailureError, ConfigInvalidError, SingerSepError
+from .errors import ConfigInvalidError, SingerSepError
 
 EXIT_OK = 0
-EXIT_CONFIG = 2
-EXIT_BACKEND = 3
 EXIT_INCOMPLETE = 4
 
 # The pitch settings, each with the PitchConfig field it sets.
@@ -467,12 +468,10 @@ def main(argv=None) -> int:
         if "config" in vars(args):  # every verb but selftest
             args = _merge_settings(args, argv)
         return args.func(args)
-    except BackendFailureError as exc:
-        print(f"backend failure: {exc}", file=sys.stderr)
-        return EXIT_BACKEND
     except (SingerSepError, ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+        policy = exc if isinstance(exc, SingerSepError) else SingerSepError
+        print(f"{policy.label}: {exc}", file=sys.stderr)
+        return policy.exit_code
 
 
 if __name__ == "__main__":

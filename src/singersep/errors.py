@@ -1,8 +1,17 @@
-"""Exception types raised across the toolkit."""
+"""Exception types raised across the toolkit, each with its failure policy.
+
+A class states how the CLI reports it: ``exit_code`` is the status a verb
+exits with and ``label`` starts its stderr line (``f"{label}: {message}"``).
+A class that excludes a stage-2 candidate also states the penalty
+``reason`` that selection records for it.
+"""
 
 
 class SingerSepError(Exception):
     """Base class for all toolkit errors."""
+
+    exit_code = 2
+    label = "error"
 
 
 # --- audio I/O ---
@@ -55,6 +64,10 @@ class FrameMismatchError(SingerSepError):
 
 class BackendFailureError(SingerSepError):
     """Backend process failed or produced unreadable outputs."""
+
+    exit_code = 3
+    label = "backend failure"
+    reason = "backend_failed"
 
 
 class ContractViolationError(BackendFailureError):

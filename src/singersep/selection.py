@@ -227,7 +227,7 @@ def select_model(mixed_vocal: Waveform,
             pair = run_backend(cand.backend, mixed_vocal, workdir=workdir)
         except BackendFailureError as exc:
             log.warning("candidate %s failed: %s", cand.model_id, exc)
-            return TrendScore.penalty("backend_failed", cand.model_id,
+            return TrendScore.penalty(exc.reason, cand.model_id,
                                       error=str(exc)), None
         result = score_candidate(pair, cfg)
         return replace(result, model_id=cand.model_id), pair
@@ -256,7 +256,7 @@ def select_model(mixed_vocal: Waveform,
             "every candidate backend failed: "
             + "; ".join(f"{s.model_id}: {s.error}" for s in scores))
 
-    all_penalized = all(s.penalized for s in scores if s.reason != "backend_failed")
+    all_penalized = all(s.penalized for s in scores if s.reason != BackendFailureError.reason)
     if all_penalized:
         log.warning("all candidates penalized; returning argmin %s", best.model_id)
     return SelectionResult(

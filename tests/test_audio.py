@@ -1,7 +1,9 @@
 import functools
+import json
 import math
 import os
 import re
+import stat
 import struct
 import subprocess
 import sys
@@ -31,6 +33,7 @@ from singersep.audio import (
     segment_length,
     write_wav,
 )
+from singersep.backends import registry_load
 from singersep.errors import (
     InvalidWaveformError,
     MalformedWavError,
@@ -463,6 +466,51 @@ def _refused(read, *args, **kwargs):
     """Call read, which must raise a SingerSepError."""
     with pytest.raises(SingerSepError):
         read(*args, **kwargs)
+
+
+def _understating_fstat(size):
+    """os.fstat, but reporting every file as ``size`` bytes long."""
+    real = os.fstat
+
+    def fstat(fd):
+        fields = list(real(fd))
+        fields[stat.ST_SIZE] = size
+        return os.stat_result(fields)
+    return fstat
+
+
+class TestReadDocument:
+    def test_1kb_registry_peaks_under_1mb(self, tmp_path):
+        entries = [{"model_id": f"oracle-{i}", "stage": "stage2_two_vocals",
+                    "kind": "oracle", "oracle": {"ref_a": f"refs/a{i}.wav",
+                                                 "ref_b": f"refs/b{i}.wav"}}
+                   for i in range(8)]
+        path = tmp_path / "registry.json"
+        path.write_text(json.dumps(entries))
+        assert 900 <= path.stat().st_size <= 1100
+        models, peak = _traced_peak(registry_load, path)
+        assert [m.model_id for m in models] == [e["model_id"] for e in entries]
+        # the document and its parse, not a buffer the size of the bound
+        assert peak < 2 ** 20
+
+    def test_longer_than_its_size_is_read_whole(self, tmp_path):
+        path = tmp_path / "stems.json"
+        path.write_text(json.dumps({"stems": list(range(300))}))
+        with mock.patch.object(audio.os, "fstat", _understating_fstat(10)):
+            assert audio.read_document(path, ValueError) == {"stems": list(range(300))}
+
+    @pytest.mark.parametrize("past", [0, 1])
+    def test_longer_than_its_size_refused_past_the_bound(self, tmp_path, past):
+        path = tmp_path / "grown.json"
+        with open(path, "wb") as fh:
+            fh.truncate(audio.MAX_DOCUMENT_BYTES + past)
+        with mock.patch.object(audio.os, "fstat", _understating_fstat(10)):
+            if past:
+                with pytest.raises(ValueError, match="larger than 16 MiB"):
+                    audio.read_document(path, ValueError, parse=len)
+            else:
+                assert audio.read_document(path, ValueError, parse=len) == \
+                    audio.MAX_DOCUMENT_BYTES
 
 
 class TestWaveform:

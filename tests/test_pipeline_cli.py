@@ -19,7 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import singersep
-from singersep import backends, cli, dataset, metrics, pipeline, selection, synth
+from singersep import backends, cli, dataset, errors, metrics, pipeline, selection, synth
 from singersep.audio import Waveform, read_wav, resample, write_wav
 from singersep.backends import (
     KIND_EXTERNAL,
@@ -1638,6 +1638,67 @@ class TestCliSettingsPerVerb:
         err = capsys.readouterr().err
         assert_clean_exit(rc, err, 2)
         assert f"{cfg}:2: expected key=value" in err
+
+
+def _error_classes(cls=errors.SingerSepError):
+    """SingerSepError and every class below it."""
+    yield cls
+    for sub in cls.__subclasses__():
+        yield from _error_classes(sub)
+
+
+ERROR_CLASSES = list(_error_classes())
+
+
+def _policy(cls):
+    """The class whose exit_code and label the CLI reports ``cls`` with: a
+    ValueError or an OSError is reported as a SingerSepError."""
+    return cls if issubclass(cls, errors.SingerSepError) else errors.SingerSepError
+
+
+class TestErrorTaxonomy:
+    """Each error class carries its exit code and stderr label; the CLI reads
+    them from the class, and README's exit-code table lists every class."""
+
+    @pytest.mark.parametrize("cls", [*ERROR_CLASSES, ValueError, OSError],
+                             ids=lambda cls: cls.__name__)
+    def test_verb_raising_it_exits_with_its_code_and_label(self, tmp_path, capsys,
+                                                           monkeypatch, cls):
+        def fail(args):
+            raise cls("it broke")
+
+        monkeypatch.setattr(cli, "cmd_evaluate", fail)
+        rc = cli.main(verb_argv("evaluate", tmp_path))
+        policy = _policy(cls)
+        assert rc == policy.exit_code
+        assert capsys.readouterr().err == f"{policy.label}: it broke\n"
+
+    def test_only_backend_failures_exit_3_and_carry_a_penalty_reason(self):
+        backend = [errors.BackendFailureError, errors.ContractViolationError]
+        assert {cls.exit_code for cls in ERROR_CLASSES} == {2, 3}
+        assert [cls for cls in ERROR_CLASSES if cls.exit_code == 3] == backend
+        assert [cls for cls in ERROR_CLASSES if cls.label != "error"] == backend
+        assert [cls for cls in ERROR_CLASSES if hasattr(cls, "reason")] == backend
+        assert {cls.reason for cls in backend} == {"backend_failed"}
+
+    def test_readme_exit_code_table_matches_errors(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(
+            encoding="utf-8")
+        rows = re.findall(r"^\| (\d) \| [^|]+ \|([^|]*)\|([^|]*)\|$", readme, re.M)
+        assert [int(code) for code, *_ in rows] == [0, 1, 2, 3, 4]
+        documented = []
+        for code, prefix, names in rows:
+            for name in re.findall(r"`(\w+)`", names):
+                cls = getattr(errors, name, None) or {"ValueError": ValueError,
+                                                      "OSError": OSError}[name]
+                policy = _policy(cls)
+                assert (int(code), prefix.strip()) == (policy.exit_code,
+                                                       f"`{policy.label}:`")
+                documented.append(cls)
+            if not names.strip():
+                assert not prefix.strip()
+        assert len(documented) == len(set(documented))
+        assert set(documented) == {*ERROR_CLASSES, ValueError, OSError}
 
 
 class TestCliSelftest:

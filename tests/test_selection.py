@@ -382,6 +382,26 @@ class TestSelectModel:
         by_id = {s.model_id: s for s in result.scores}
         assert by_id["broken"].error is not None
 
+    def test_failed_backend_penalized_with_its_class_reason(self, tmp_path, monkeypatch):
+        class StalledError(BackendFailureError):
+            reason = "stalled"
+
+        def run_backend(backend, mixed, workdir=None):
+            if backend.oracle.ref_a == "stalled.wav":
+                raise StalledError("no output in time")
+            return real(backend, mixed, workdir)
+
+        real = selection.run_backend
+        monkeypatch.setattr(selection, "run_backend", run_backend)
+        (ref_a, pa), (_, pb) = make_duet_refs(tmp_path, seed=4, seconds=3.0)
+        cands = [oracle_candidate("stalled", "stalled.wav", pb),
+                 oracle_candidate("ok", pa, pb)]
+        result = select_model(ref_a, cands, workdir=tmp_path)
+        assert result.chosen == "ok"
+        stalled = result.scores[0]
+        assert (stalled.reason, stalled.error) == ("stalled", "no output in time")
+        assert stalled.penalized
+
     def test_all_backends_failed_raises(self, tmp_path):
         broken = CandidateModel("broken", SeparationBackend(
             kind=KIND_ORACLE, stage=STAGE2,
