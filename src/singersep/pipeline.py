@@ -6,6 +6,7 @@ from __future__ import annotations
 import contextlib
 import json
 import math
+import shutil
 import time
 from dataclasses import asdict
 from pathlib import Path
@@ -83,9 +84,13 @@ def separate_song(song_path,
     the model. Stage 1's accompaniment is written as soon as stage 1
     returns, and the song is let go then, so neither is held through
     selection. Each candidate's pair is written to ``candidates/<id>/`` as
-    soon as the candidate finishes; after that only the best pair so far is
-    kept. ``jobs`` under 1 is refused before any backend runs. If the run fails,
-    the files it wrote and the directories it made are removed. A failed
+    soon as the candidate finishes and is let go then, unless ``refs`` are
+    given and it leads selection: evaluation needs the float samples, which
+    the 16-bit files do not keep. ``vocal_a.wav`` and ``vocal_b.wav`` are
+    byte copies of the chosen candidate's two files, with or without
+    ``model``. ``jobs`` under 1 is refused before any backend runs. If the
+    run fails, the files it wrote, a part-written one included, and the
+    directories it made are removed. A failed
     external backend's scratch directory under ``out_dir/tmp`` is kept,
     since its error names it; ``tmp`` itself is removed only if it ends up
     empty.
@@ -114,11 +119,12 @@ def separate_song(song_path,
                               if not d.exists()]))
         directory.mkdir(parents=True, exist_ok=True)
 
-    def write(w: Waveform, path: Path) -> str:
-        """Write a WAV, remember it for rollback; return its report path."""
+    def write(source, path: Path, writer) -> str:
+        """Write path by ``writer(source, path)``, remembering it for rollback
+        first, so that a file left part-written goes too; return its report path."""
         makedirs(path.parent)
-        write_wav(w, path)
         written.append(path)
+        writer(source, path)
         return str(path.relative_to(out))
 
     try:
@@ -128,44 +134,48 @@ def separate_song(song_path,
                                                  workdir=out / "tmp")
         stage1_seconds = time.monotonic() - t_stage1
         del song  # stage 2 reads only the mixed vocal
-        accompaniment_file = write(accompaniment, out / "accompaniment.wav")
+        accompaniment_file = write(accompaniment, out / "accompaniment.wav", write_wav)
         del accompaniment
 
         candidate_files: dict[str, dict[str, str]] = {}
+        kept_pair = None  # the leading pair's samples, kept only to be evaluated
 
-        def write_candidate(model_id: str, pair: tuple[Waveform, Waveform]) -> None:
+        def write_candidate(model_id: str, pair: tuple[Waveform, Waveform],
+                            leads: bool) -> None:
+            nonlocal kept_pair
             cdir = out / "candidates" / model_id
-            candidate_files[model_id] = {"a": write(pair[0], cdir / "a.wav"),
-                                         "b": write(pair[1], cdir / "b.wav")}
+            candidate_files[model_id] = {"a": write(pair[0], cdir / "a.wav", write_wav),
+                                         "b": write(pair[1], cdir / "b.wav", write_wav)}
+            if leads and ref_waves is not None:
+                kept_pair = pair
 
         t_select = time.monotonic()
         if model is not None:
             chosen_cand = next(c for c in candidates if c.model_id == model)
-            pair = run_backend(chosen_cand.backend, mixed_vocal, workdir=out / "tmp")
-            write_candidate(model, pair)
+            write_candidate(model, run_backend(chosen_cand.backend, mixed_vocal,
+                                               workdir=out / "tmp"), True)
             selection = SelectionResult(
                 chosen=model,
                 scores=[TrendScore(model_id=c.model_id, score=None)
-                        for c in candidates],
-                chosen_pair=pair)
+                        for c in candidates])
         else:
             selection = select_model(mixed_vocal, candidates, pitch_config=cfg,
                                      workdir=out / "tmp", jobs=jobs,
                                      on_outputs=write_candidate)
         selection_seconds = time.monotonic() - t_select
 
-        vocal_a, vocal_b = selection.chosen_pair
         evaluation = None
         if ref_waves is not None:
             try:
-                evaluation = asdict(pit_evaluate(ref_waves, (vocal_a, vocal_b), mixed_vocal))
+                evaluation = asdict(pit_evaluate(ref_waves, kept_pair, mixed_vocal))
             except SingerSepError as exc:
                 raise type(exc)(
                     f"chosen model {selection.chosen!r} cannot be evaluated: {exc}") from exc
 
+        chosen_files = candidate_files[selection.chosen]
         outputs = {
-            "vocal_a": write(vocal_a, out / "vocal_a.wav"),
-            "vocal_b": write(vocal_b, out / "vocal_b.wav"),
+            "vocal_a": write(out / chosen_files["a"], out / "vocal_a.wav", shutil.copyfile),
+            "vocal_b": write(out / chosen_files["b"], out / "vocal_b.wav", shutil.copyfile),
             "accompaniment": accompaniment_file,
         }
 

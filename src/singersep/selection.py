@@ -159,7 +159,6 @@ def channel_similarity(a: np.ndarray, b: np.ndarray) -> float:
 class SelectionResult:
     chosen: str
     scores: list[TrendScore]
-    chosen_pair: tuple[Waveform, Waveform]  # the chosen candidate's two channels
     all_penalized: bool = False
 
 
@@ -194,7 +193,7 @@ def select_model(mixed_vocal: Waveform,
                  pitch_config: PitchConfig | None = None,
                  workdir=None,
                  jobs: int | None = None,
-                 on_outputs: Callable[[str, tuple[Waveform, Waveform]], None]
+                 on_outputs: Callable[[str, tuple[Waveform, Waveform], bool], None]
                  | None = None) -> SelectionResult:
     """Run every stage-2 candidate and keep the one with the closest trends.
 
@@ -206,11 +205,14 @@ def select_model(mixed_vocal: Waveform,
     processes run beside the in-process scoring; warnings may print in that
     order. Each result is taken as its candidate finishes: its score is
     stored at the candidate's place in ``scores``, and
-    ``on_outputs(model_id, pair)`` gets its two channels on the calling
-    thread at once (a failed candidate has none). After that only the best
-    pair so far is kept; beside it selection holds the pair being handed
-    over, any pair that finishes meanwhile, and each worker's scratch. The
-    outcome depends on the scores alone, not on start or completion order.
+    ``on_outputs(model_id, pair, leads)`` gets its two channels on the
+    calling thread at once (a failed candidate has none). ``leads`` is true
+    when the candidate is the best so far by the rule below, so the last
+    pair handed over with it set is the chosen candidate's. Selection keeps
+    no pair: it lets go of each once handed over, and holds only the pair
+    being handed over, any pair that finishes meanwhile, and each worker's
+    scratch. The result is the verdict alone, with no audio. The outcome
+    depends on the scores alone, not on start or completion order.
     Failed backends are excluded (recorded with an error message) rather
     than fatal; BackendFailureError is raised only when no candidate
     succeeds. Ties break toward the lexicographically smaller model_id. If
@@ -233,7 +235,7 @@ def select_model(mixed_vocal: Waveform,
         return replace(result, model_id=cand.model_id), pair
 
     scores: list[TrendScore | None] = [None] * len(candidates)
-    best = best_pair = None
+    best = None
     # external processes first, so they run beside the in-process scoring
     order = sorted(range(len(candidates)),
                    key=lambda i: candidates[i].backend.kind != KIND_EXTERNAL)
@@ -245,11 +247,11 @@ def select_model(mixed_vocal: Waveform,
             del future  # its result holds the pair
             if pair is None:
                 continue
-            if on_outputs is not None:
-                on_outputs(score.model_id, pair)
             if best is None or (score.score, score.model_id) < (best.score, best.model_id):
-                best, best_pair = score, pair
-            del pair  # not held while the next candidate is awaited
+                best = score
+            if on_outputs is not None:
+                on_outputs(score.model_id, pair, best is score)
+            del pair  # handed over: not held while the next candidate is awaited
 
     if best is None:
         raise BackendFailureError(
@@ -262,6 +264,5 @@ def select_model(mixed_vocal: Waveform,
     return SelectionResult(
         chosen=best.model_id,
         scores=scores,
-        chosen_pair=best_pair,
         all_penalized=all_penalized,
     )

@@ -1,16 +1,19 @@
 import argparse
 import contextlib
 import csv
+import errno
 import json
 import math
 import re
 import os
 import shlex
+import shutil
 import struct
 import subprocess
 import sys
 import textwrap
 import threading
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -397,6 +400,129 @@ def swap_stage1(setup, tmp_path, command):
     entries = json.loads(setup["registry"].read_text())
     entries[0] = {"model_id": "stage1-pass", "stage": STAGE1, "command": command}
     return write_registry(tmp_path / "stage1-registry.json", entries)
+
+
+def oracle_entry(model_id, refs, **spec):
+    """A registry entry for a stage-2 oracle over the two reference files."""
+    return {"model_id": model_id, "stage": STAGE2, "kind": "oracle",
+            "oracle": {"ref_a": str(refs[0]), "ref_b": str(refs[1]), **spec}}
+
+
+class TestChosenStems:
+    """``vocal_a.wav`` and ``vocal_b.wav`` are byte copies of the chosen
+    candidate's files, and the evaluation scores the float pair that the
+    candidate's backend returned."""
+
+    @pytest.mark.parametrize("with_refs", [False, True], ids=["no-refs", "refs"])
+    @pytest.mark.parametrize("model", [None, "leak-1"], ids=["selected", "bypassed"])
+    def test_stems_copy_the_chosen_candidate(self, duet_setup, tmp_path, monkeypatch,
+                                             model, with_refs):
+        # leaky oracles, so that every metric is a finite value below the cap
+        models = registry_load(write_registry(tmp_path / "leaky-registry.json", [
+            {"model_id": "stage1-pass", "stage": STAGE1, "kind": "passthrough"},
+            oracle_entry("leak-1", duet_setup["refs"], leak=0.1),
+            oracle_entry("leak-3", duet_setup["refs"], leak=0.3),
+        ]))
+        returned, writes = {}, []
+
+        def recording(backend, *args, **kwargs):
+            result = backends.run_backend(backend, *args, **kwargs)
+            returned[next(m.model_id for m in models if m.backend is backend)] = result
+            return result
+
+        def counting(w, path):
+            writes.append(Path(path).relative_to(out))
+            write_wav(w, path)
+
+        monkeypatch.setattr(pipeline, "run_backend", recording)
+        monkeypatch.setattr(selection, "run_backend", recording)
+        monkeypatch.setattr(pipeline, "write_wav", counting)
+        out = tmp_path / "out"
+        report = separate_song(duet_setup["song"], models, stage1_id="stage1-pass",
+                               out_dir=out, model=model,
+                               refs=duet_setup["refs"] if with_refs else None)
+        chosen = report["chosen"]
+        assert chosen == (model or "leak-3")
+        for ch in "ab":
+            assert ((out / f"vocal_{ch}.wav").read_bytes()
+                    == (out / "candidates" / chosen / f"{ch}.wav").read_bytes())
+        # the accompaniment and each candidate's pair, each encoded once
+        ran = returned.keys() - {"stage1-pass"}
+        assert len(ran) == (1 if model else 2)
+        assert len(writes) == 1 + 2 * len(ran)
+        assert sorted(map(str, writes)) == sorted(
+            ["accompaniment.wav"]
+            + [f"candidates/{m}/{ch}.wav" for m in ran for ch in "ab"])
+        if not with_refs:
+            assert report["evaluation"] is None
+            return
+        ref_waves = tuple(resample(read_wav(p), 8000) for p in duet_setup["refs"])
+        mixed_vocal = returned["stage1-pass"][0]
+        expected = asdict(metrics.pit_evaluate(ref_waves, returned[chosen], mixed_vocal))
+        assert report["evaluation"] == expected
+        assert all(math.isfinite(v) and v < SENTINEL_DB
+                   for k, v in expected["mean"].items() if k != "permutation")
+
+    @pytest.mark.parametrize("jobs", [1, 3])
+    @pytest.mark.parametrize("reverse", [False, True], ids=["registry", "reversed"])
+    def test_a_tie_keeps_the_pair_selection_chose(self, duet_setup, tmp_path, capsys,
+                                                 reverse, jobs):
+        # a-swap is b-clean with its channels exchanged: the two score the
+        # same, model_id breaks the tie toward a-swap, and the evaluation
+        # scores a-swap's pair whichever of the two is handed over first
+        entries = [oracle_entry("b-clean", duet_setup["refs"], leak=0.2),
+                   oracle_entry("a-swap", duet_setup["refs"], leak=0.2, swap=True)]
+        if reverse:
+            entries.reverse()
+        registry = write_registry(tmp_path / "tie-registry.json", [
+            {"model_id": "stage1-pass", "stage": STAGE1, "kind": "passthrough"},
+            *entries])
+        out = tmp_path / "out"
+        rc = cli.main(separate_argv(duet_setup, out, "--jobs", str(jobs),
+                                    "--ref-a", str(duet_setup["refs"][0]),
+                                    "--ref-b", str(duet_setup["refs"][1]),
+                                    registry=registry))
+        assert rc == 0, capsys.readouterr().err
+        report = json.loads((out / "report.json").read_text())
+        scores = {c["model_id"]: c["score"] for c in report["candidates"]}
+        assert scores["a-swap"] == scores["b-clean"]
+        assert report["chosen"] == "a-swap"
+        evaluation = report["evaluation"]
+        assert evaluation["mean"]["permutation"] == {"0": 1, "1": 0}
+        assert evaluation["per_source"][0]["permutation"] == {"0": 1, "1": 0}
+        assert round(evaluation["per_source"][0]["si_snr_db"], 4) == 12.0412
+        for ch in "ab":
+            assert ((out / f"vocal_{ch}.wav").read_bytes()
+                    == (out / "candidates" / "a-swap" / f"{ch}.wav").read_bytes())
+
+    @pytest.mark.parametrize("target", ["candidates/clean/b.wav", "vocal_b.wav"])
+    def test_part_written_file_is_rolled_back(self, duet_setup, tmp_path, capsys,
+                                              monkeypatch, target):
+        # the disk fills after the file is made: the run exits 2 and the
+        # part-written file goes with every other output
+        out = tmp_path / "out"
+        copyfile = shutil.copyfile
+
+        def fill_disk_at(path):
+            if Path(path) == out / target:
+                Path(path).write_bytes(b"RIFF")
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC), str(path))
+
+        def failing_write(w, path):
+            fill_disk_at(path)
+            write_wav(w, path)
+
+        def failing_copy(src, dst, **kwargs):
+            fill_disk_at(dst)
+            return copyfile(src, dst, **kwargs)
+
+        monkeypatch.setattr(pipeline, "write_wav", failing_write)
+        monkeypatch.setattr(shutil, "copyfile", failing_copy)
+        rc = cli.main(separate_argv(duet_setup, out))
+        err = capsys.readouterr().err
+        assert_clean_exit(rc, err, 2)
+        assert f"{os.strerror(errno.ENOSPC)}: '{out / target}'" in err
+        assert not out.exists()
 
 
 class TestCliExitCodes:

@@ -494,9 +494,11 @@ class TestScoringConfig:
         (ref_a, pa), (ref_b, pb) = make_duet_refs(tmp_path, seed=6, seconds=3.0)
         mix = mix_at_snr(ref_a, ref_b, 0.0).mixture
         cfg = PitchConfig(segment_seconds=segment_seconds)
+        handed = []
         result = select_model(mix, [oracle_candidate("clean", pa, pb)],
-                              pitch_config=cfg, workdir=tmp_path, jobs=1)
-        out_a, out_b = result.chosen_pair
+                              pitch_config=cfg, workdir=tmp_path, jobs=1,
+                              on_outputs=lambda model_id, pair, leads: handed.append(pair))
+        ((out_a, out_b),) = handed
         expected = trend_distance(track_pitch(out_a, cfg), track_pitch(out_b, cfg),
                                   block_frames=cfg.block_frames)
         (score,) = result.scores
@@ -518,7 +520,7 @@ def copy_command(model_id, ref_a_path, ref_b_path):
 @pytest.fixture(scope="module")
 def mixed_registry(tmp_path_factory):
     """A 2 s duet, three oracles and one external candidate (registry order),
-    and the registry-order selection with one worker."""
+    the registry-order selection with one worker, and the pairs it handed over."""
     tmp = tmp_path_factory.mktemp("order")
     (ref_a, pa), (ref_b, pb) = make_duet_refs(tmp, seed=9, seconds=2.0)
     mix = mix_at_snr(ref_a, ref_b, 0.0).mixture
@@ -526,8 +528,13 @@ def mixed_registry(tmp_path_factory):
              oracle_candidate("swap", pa, pb, swap=True),
              oracle_candidate("noise", pa, pb, noise_snr_db=10.0, noise_seed=1),
              copy_command("ext", pa, pb)]
-    baseline = select_model(mix, cands, workdir=tmp, jobs=1)
-    return mix, cands, baseline, tmp
+    pairs = {}
+
+    def take(model_id, pair, leads):
+        pairs[model_id] = pair
+
+    baseline = select_model(mix, cands, workdir=tmp, jobs=1, on_outputs=take)
+    return mix, cands, baseline, pairs, tmp
 
 
 class TestStartOrder:
@@ -548,7 +555,7 @@ class TestStartOrder:
         monkeypatch.setattr(selection, "run_backend", recording)
         handed = []
         result = select_model(mix, cands, workdir=tmp_path, jobs=1,
-                              on_outputs=lambda model_id, pair: handed.append(model_id))
+                              on_outputs=lambda model_id, pair, leads: handed.append(model_id))
         assert ran == ["ext", "clean", "leaky"]
         assert [s.model_id for s in result.scores] == ["clean", "leaky", "ext"]
         # one worker hands each pair over as it finishes, in start order
@@ -558,19 +565,22 @@ class TestStartOrder:
     @given(order=st.permutations(range(4)), jobs=st.sampled_from([1, 2, 4]))
     def test_outcome_independent_of_registry_order_and_jobs(
             self, mixed_registry, order, jobs):
-        mix, cands, baseline, tmp = mixed_registry
+        mix, cands, baseline, baseline_pairs, tmp = mixed_registry
         given_order = [cands[i] for i in order]
-        handed = {}
+        handed, leading = {}, []
 
-        def take(model_id, pair):
+        def take(model_id, pair, leads):
             assert threading.current_thread() is threading.main_thread()
             handed[model_id] = pair
+            if leads:
+                leading.append(model_id)
 
         result = select_model(mix, given_order, workdir=tmp, jobs=jobs, on_outputs=take)
         assert [s.model_id for s in result.scores] == [c.model_id for c in given_order]
         assert handed.keys() == {c.model_id for c in given_order}
-        assert result.chosen_pair is handed[result.chosen]
-        for got, want in zip(result.chosen_pair, baseline.chosen_pair):
+        # the last pair handed over as leading is the chosen one's
+        assert leading[-1] == result.chosen
+        for got, want in zip(handed[result.chosen], baseline_pairs[baseline.chosen]):
             assert got.samples.tobytes() == want.samples.tobytes()
         by_id = {s.model_id: s for s in baseline.scores}
         assert all(s == by_id[s.model_id] for s in result.scores)
@@ -604,14 +614,14 @@ class TestStartOrder:
             # the calling thread lets go of the pair it handed over before
             # it awaits the next result; give it the moment that takes
             deadline = time.monotonic() + 5.0
-            while alive() > 1 and time.monotonic() < deadline:
+            while alive() and time.monotonic() < deadline:
                 time.sleep(0.001)
             alive_at_start.append(alive())
             pair = run_backend(backend, *args, **kwargs)
             made[model_id] = [weakref.ref(w) for w in pair]
             return pair
 
-        def take(model_id, pair):
+        def take(model_id, pair, leads):
             alive_at_hand_off.append(alive())
             handed_over[model_id].set()
 
@@ -619,7 +629,7 @@ class TestStartOrder:
         result = select_model(mix, cands, workdir=tmp_path, jobs=len(cands),
                               on_outputs=take)
         assert [s.model_id for s in result.scores] == ids
-        # while a candidate runs, only the best pair so far; at a hand-off,
-        # that one and the pair handed over
-        assert alive_at_start == [0, 1, 1]
-        assert alive_at_hand_off == [1, 2, 2]
+        # selection keeps no pair: none while a candidate runs, and at a
+        # hand-off only the pair handed over
+        assert alive_at_start == [0, 0, 0]
+        assert alive_at_hand_off == [1, 1, 1]
