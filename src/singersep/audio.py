@@ -1,5 +1,6 @@
-"""Mono waveforms, file reading (``open_regular``: every file, regular only),
-WAV I/O, band-limited resampling, and fixed-length segmentation.
+"""Mono waveforms, file opening (``open_regular`` to read, ``create_regular``
+to write: regular files only), WAV I/O, band-limited resampling, and
+fixed-length segmentation.
 
 Everything downstream works on ``Waveform`` values at a canonical rate of
 8000 Hz; files at other rates are resampled on the way in.
@@ -7,6 +8,7 @@ Everything downstream works on ``Waveform`` values at a canonical rate of
 
 from __future__ import annotations
 
+import errno
 import functools
 import json
 import math
@@ -145,6 +147,24 @@ def open_regular(path, error):
         os.close(fd)
         raise error(f"{path}: not a regular file")
     return os.fdopen(fd, "rb")
+
+
+def create_regular(path, mode="wb", **kwargs):
+    """``path`` created or truncated and open for writing, as by
+    ``open(path, mode, **kwargs)``. It is opened without blocking, so
+    anything but a regular file (a FIFO, a device) raises
+    ``OSError("<path>: not a regular file")`` at once, never waited on, and
+    a directory raises ``IsADirectoryError``."""
+    try:
+        fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_TRUNC | os.O_NONBLOCK, 0o666)
+    except OSError as exc:
+        if exc.errno != errno.ENXIO:  # ENXIO: a FIFO without a reader
+            raise
+        raise OSError(f"{path}: not a regular file") from None
+    if not stat.S_ISREG(os.fstat(fd).st_mode):
+        os.close(fd)
+        raise OSError(f"{path}: not a regular file")
+    return os.fdopen(fd, mode, **kwargs)
 
 
 def read_document(path, error, parse=json.loads):
@@ -302,7 +322,7 @@ def write_wav(w: Waveform, path) -> None:
         b"data", data_bytes)
     codes = np.empty(min(len(w), _WRITE_BLOCK))
     pcm = np.empty(codes.size, dtype="<i2")
-    with open(path, "wb") as fh:
+    with create_regular(path) as fh:
         fh.write(header)
         for first in range(0, len(w), _WRITE_BLOCK):
             block = w.samples[first:first + _WRITE_BLOCK]

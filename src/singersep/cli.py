@@ -226,7 +226,7 @@ def cmd_evaluate(args) -> int:
                   f"the reference: SI-SNRi at the {metrics.SENTINEL_DB:g} dB cap, "
                   "left out of the mean")
         csv_path = Path(args.csv) if args.csv else estimates / "evaluation.csv"
-        with open(csv_path, "w", newline="", encoding="utf-8") as fh:
+        with audio.create_regular(csv_path, "w", newline="", encoding="utf-8") as fh:
             writer = csv.DictWriter(fh, fieldnames=["pair_id", *metrics.METRICS])
             writer.writeheader()
             writer.writerows(rows)

@@ -23,6 +23,7 @@ from .audio import (
     Segment,
     Waveform,
     abs_peak,
+    create_regular,
     quantize_pcm16,
     read_document,
     read_wav,
@@ -231,6 +232,55 @@ def _stem_segments(entry: StemEntry, segment_seconds: float) -> list[Segment]:
                    segment_seconds, song_id=entry.song_id, singer_id=entry.singer_id)
 
 
+def _write_splits(entries: list[StemEntry], scheme: PairingScheme,
+                  segment_seconds: float, snr_range: tuple[float, float],
+                  pairing_base: int, rng: np.random.Generator,
+                  out: Path) -> tuple[list[dict], dict]:
+    """Pair each split's segments, mix each pair at an SNR drawn from
+    ``snr_range``, write it under ``out``, and return the manifest's pair
+    records and per-split summary."""
+    lo, hi = snr_range
+    pair_records = []
+    summary = {}
+    for split_index, split in enumerate(SPLITS):
+        split_entries = sorted((e for e in entries if e.split == split),
+                               key=lambda e: (e.singer_id, e.song_id))
+        if not split_entries:
+            continue
+        segs_by_singer: dict[str, list[Segment]] = {}
+        for e in split_entries:
+            for s in _stem_segments(e, segment_seconds):
+                segs_by_singer.setdefault(e.singer_id, []).append(s)
+        if not segs_by_singer:
+            continue
+
+        pairs = pair_segments(segs_by_singer, scheme,
+                              seed=(pairing_base + split_index) % (2 ** 31))
+        snrs = rng.uniform(lo, hi, size=len(pairs))
+
+        for i, ((seg_a, seg_b), snr) in enumerate(zip(pairs, snrs)):
+            pair_id = f"{split}-{i:06d}"
+            _write_pair(mix_at_snr(seg_a.audio, seg_b.audio, float(snr)),
+                        out / split / pair_id)
+            pair_records.append({
+                "pair_id": pair_id,
+                "split": split,
+                "snr_db": float(snr),
+                "paths": {key: f"{split}/{pair_id}/{name}"
+                          for key, name in _PAIR_FILES.items()},
+                "song_a": seg_a.song_id, "singer_a": seg_a.singer_id,
+                "segment_a": seg_a.index,
+                "song_b": seg_b.song_id, "singer_b": seg_b.singer_id,
+                "segment_b": seg_b.index,
+                "pairing_scheme": scheme.kind,
+            })
+        summary[split] = {
+            "pairs": len(pairs),
+            "duration_seconds": len(pairs) * segment_seconds,
+        }
+    return pair_records, summary
+
+
 def build_dataset(manifest: list[StemEntry],
                   scheme: PairingScheme,
                   snr_range: tuple[float, float] = (-5.0, 5.0),
@@ -285,60 +335,29 @@ def build_dataset(manifest: list[StemEntry],
 
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-
-    rng = np.random.default_rng(snr_child)
-    pair_records = []
-    summary = {}
-    for split_index, split in enumerate(SPLITS):
-        split_entries = sorted((e for e in entries if e.split == split),
-                               key=lambda e: (e.singer_id, e.song_id))
-        if not split_entries:
-            continue
-        segs_by_singer: dict[str, list[Segment]] = {}
-        for e in split_entries:
-            for s in _stem_segments(e, segment_seconds):
-                segs_by_singer.setdefault(e.singer_id, []).append(s)
-        if not segs_by_singer:
-            continue
-
-        pairs = pair_segments(segs_by_singer, scheme,
-                              seed=(pairing_base + split_index) % (2 ** 31))
-        snrs = rng.uniform(lo, hi, size=len(pairs))
-
-        for i, ((seg_a, seg_b), snr) in enumerate(zip(pairs, snrs)):
-            pair_id = f"{split}-{i:06d}"
-            _write_pair(mix_at_snr(seg_a.audio, seg_b.audio, float(snr)),
-                        out / split / pair_id)
-            pair_records.append({
-                "pair_id": pair_id,
-                "split": split,
-                "snr_db": float(snr),
-                "paths": {key: f"{split}/{pair_id}/{name}"
-                          for key, name in _PAIR_FILES.items()},
-                "song_a": seg_a.song_id, "singer_a": seg_a.singer_id,
-                "segment_a": seg_a.index,
-                "song_b": seg_b.song_id, "singer_b": seg_b.singer_id,
-                "segment_b": seg_b.index,
-                "pairing_scheme": scheme.kind,
-            })
-        summary[split] = {
-            "pairs": len(pairs),
-            "duration_seconds": len(pairs) * segment_seconds,
-        }
-
-    doc = {
-        "schema": MANIFEST_SCHEMA,
-        "seed": seed,
-        "scheme": {"kind": scheme.kind, "repeats": scheme.repeats},
-        "snr_range_db": [lo, hi],
-        "sample_rate": CANONICAL_RATE,
-        "segment_seconds": segment_seconds,
-        "pairs": pair_records,
-        "summary": summary,
-    }
-    with open(out / "dataset.json", "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    manifest_path = out / "dataset.json"
+    # opened before any pair is written, so an output that cannot take the
+    # manifest stops the build before it writes anything
+    with create_regular(manifest_path, "w", encoding="utf-8") as fh:
+        try:
+            pair_records, summary = _write_splits(
+                entries, scheme, segment_seconds, (lo, hi), pairing_base,
+                np.random.default_rng(snr_child), out)
+            doc = {
+                "schema": MANIFEST_SCHEMA,
+                "seed": seed,
+                "scheme": {"kind": scheme.kind, "repeats": scheme.repeats},
+                "snr_range_db": [lo, hi],
+                "sample_rate": CANONICAL_RATE,
+                "segment_seconds": segment_seconds,
+                "pairs": pair_records,
+                "summary": summary,
+            }
+            json.dump(doc, fh, indent=2, sort_keys=True)
+            fh.write("\n")
+        except Exception:
+            manifest_path.unlink()  # no manifest for pairs not all written
+            raise
     return doc
 
 

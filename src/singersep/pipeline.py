@@ -11,7 +11,7 @@ import time
 from dataclasses import asdict
 from pathlib import Path
 
-from .audio import CANONICAL_RATE, Waveform, read_wav, resample, write_wav
+from .audio import CANONICAL_RATE, Waveform, create_regular, read_wav, resample, write_wav
 from .backends import STAGE1, STAGE2, CandidateModel, run_backend
 from .errors import DegenerateInputError, MalformedRegistryError, SingerSepError
 from .metrics import pit_evaluate, zero_variance
@@ -200,7 +200,7 @@ def separate_song(song_path,
             },
         }
         report_path = out / "report.json"
-        with open(report_path, "w", encoding="utf-8") as fh:
+        with create_regular(report_path, "w", encoding="utf-8") as fh:
             written.append(report_path)
             try:
                 json.dump(report, fh, indent=2, sort_keys=True, allow_nan=False)
@@ -211,7 +211,8 @@ def separate_song(song_path,
         return report
     except Exception:
         for path in written:
-            path.unlink(missing_ok=True)
+            if path.is_file():  # a FIFO or directory found there is not ours
+                path.unlink()
         raise
     finally:
         # rmdir takes only empty directories: tmp unless it keeps a failed

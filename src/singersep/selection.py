@@ -19,8 +19,9 @@ from __future__ import annotations
 
 import logging
 import os
+import threading
 from collections.abc import Callable
-from concurrent.futures import ThreadPoolExecutor, as_completed
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -203,16 +204,16 @@ def select_model(mixed_vocal: Waveform,
     backend temp files are namespaced per invocation. External-command
     candidates start first, each group in candidate order, so their
     processes run beside the in-process scoring; warnings may print in that
-    order. Each result is taken as its candidate finishes: its score is
-    stored at the candidate's place in ``scores``, and
-    ``on_outputs(model_id, pair, leads)`` gets its two channels on the
-    calling thread at once (a failed candidate has none). ``leads`` is true
-    when the candidate is the best so far by the rule below, so the last
-    pair handed over with it set is the chosen candidate's. Selection keeps
-    no pair: it lets go of each once handed over, and holds only the pair
-    being handed over, any pair that finishes meanwhile, and each worker's
-    scratch. The result is the verdict alone, with no audio. The outcome
-    depends on the scores alone, not on start or completion order.
+    order. The worker that ran a candidate stores its score at the
+    candidate's place in ``scores`` and hands its two channels to
+    ``on_outputs(model_id, pair, leads)`` itself (a failed candidate has
+    none), one call at a time. ``leads`` is true when the candidate is the
+    best so far by the rule below, so the last pair handed over with it set
+    is the chosen candidate's. Selection keeps no pair: a worker lets go of
+    its pair once handed over, so at most ``jobs`` pairs are alive, each
+    beside its worker's scratch. The result is the verdict alone, with no
+    audio. The outcome depends on the scores alone, not on start or
+    completion order.
     Failed backends are excluded (recorded with an error message) rather
     than fatal; BackendFailureError is raised only when no candidate
     succeeds. Ties break toward the lexicographically smaller model_id. If
@@ -224,34 +225,31 @@ def select_model(mixed_vocal: Waveform,
     if not candidates:
         raise BackendFailureError("no stage-2 candidates to select from")
 
-    def run_one(cand: CandidateModel):
+    scores: list[TrendScore | None] = [None] * len(candidates)
+    best = None
+    handing_over = threading.Lock()
+
+    def run_one(i: int) -> None:
+        nonlocal best
+        cand = candidates[i]
         try:
             pair = run_backend(cand.backend, mixed_vocal, workdir=workdir)
         except BackendFailureError as exc:
             log.warning("candidate %s failed: %s", cand.model_id, exc)
-            return TrendScore.penalty(exc.reason, cand.model_id,
-                                      error=str(exc)), None
-        result = score_candidate(pair, cfg)
-        return replace(result, model_id=cand.model_id), pair
+            scores[i] = TrendScore.penalty(exc.reason, cand.model_id, error=str(exc))
+            return
+        score = scores[i] = replace(score_candidate(pair, cfg), model_id=cand.model_id)
+        with handing_over:
+            if best is None or (score.score, score.model_id) < (best.score, best.model_id):
+                best = score
+            if on_outputs is not None:
+                on_outputs(cand.model_id, pair, best is score)
 
-    scores: list[TrendScore | None] = [None] * len(candidates)
-    best = None
     # external processes first, so they run beside the in-process scoring
     order = sorted(range(len(candidates)),
                    key=lambda i: candidates[i].backend.kind != KIND_EXTERNAL)
     with ThreadPoolExecutor(max_workers=jobs or os.cpu_count() or 1) as pool:
-        futures = {pool.submit(run_one, candidates[i]): i for i in order}
-        for future in as_completed(futures):
-            score, pair = future.result()
-            scores[futures.pop(future)] = score
-            del future  # its result holds the pair
-            if pair is None:
-                continue
-            if best is None or (score.score, score.model_id) < (best.score, best.model_id):
-                best = score
-            if on_outputs is not None:
-                on_outputs(score.model_id, pair, best is score)
-            del pair  # handed over: not held while the next candidate is awaited
+        list(pool.map(run_one, order))
 
     if best is None:
         raise BackendFailureError(

@@ -1162,18 +1162,71 @@ print(json.dumps({"rc": rc, "err": err.getvalue(), "seconds": time.monotonic() -
 def _main_on_a_watchdog_thread(argv, fifo):
     """cli.main(argv)'s exit code, run on a daemon thread for at most 5 s. A
     run still waiting on ``fifo`` then is let go (opening it to write lets a
-    blocked read return) and the test fails."""
+    blocked reader's open return, and opening it to read a blocked writer's)
+    and the test fails."""
     result = {}
     thread = threading.Thread(target=lambda: result.update(rc=cli.main(argv)),
                               daemon=True)
     thread.start()
     thread.join(5)
     if thread.is_alive():
-        with contextlib.suppress(OSError):
-            os.close(os.open(fifo, os.O_WRONLY | os.O_NONBLOCK))
+        for flags in (os.O_WRONLY, os.O_RDONLY):
+            with contextlib.suppress(OSError):
+                os.close(os.open(fifo, flags | os.O_NONBLOCK))
         thread.join(5)
         pytest.fail(f"the run waited on {fifo}")
     return result["rc"]
+
+
+def _files(root):
+    """Every path under root that is not a directory."""
+    return {p for p in root.rglob("*") if not p.is_dir()}
+
+
+class TestFifoOutputs:
+    """A FIFO at an output path is refused at once, naming it, and left in
+    place; the run leaves no other file behind."""
+
+    @pytest.mark.parametrize("name", ["accompaniment.wav", "candidates/clean/a.wav",
+                                      "vocal_a.wav", "report.json"])
+    def test_separate(self, duet_setup, tmp_path, capsys, name):
+        fifo = tmp_path / "out" / name
+        fifo.parent.mkdir(parents=True)
+        os.mkfifo(fifo)
+        rc = _main_on_a_watchdog_thread(separate_argv(duet_setup, tmp_path / "out"), fifo)
+        err = capsys.readouterr().err
+        assert_clean_exit(rc, err, 2)
+        assert str(fifo) in err
+        assert fifo.is_fifo()
+        assert _files(tmp_path / "out") == {fifo}
+
+    def test_build_dataset(self, tmp_path, capsys):
+        manifest = write_toy_stems(tmp_path, n_singers=2, seconds=20.0, split="test")
+        fifo = tmp_path / "ds" / "dataset.json"
+        fifo.parent.mkdir()
+        os.mkfifo(fifo)
+        rc = _main_on_a_watchdog_thread(
+            ["build-dataset", "--manifest", str(manifest), "--scheme", "duet",
+             "--out", str(fifo.parent), "--seed", "2"], fifo)
+        err = capsys.readouterr().err
+        assert_clean_exit(rc, err, 2)
+        assert err.startswith(f"error: {fifo}: not a regular file")
+        assert fifo.is_fifo()
+        assert _files(fifo.parent) == {fifo}
+
+    def test_evaluate(self, built_dataset, tmp_path, capsys):
+        root, doc = built_dataset
+        est = write_oracle_estimates(root, doc, tmp_path / "est")
+        estimates = _files(est)
+        fifo = est / "evaluation.csv"
+        os.mkfifo(fifo)
+        rc = _main_on_a_watchdog_thread(
+            ["evaluate", "--dataset", str(root), "--estimates", str(est)], fifo)
+        err = capsys.readouterr().err
+        assert_clean_exit(rc, err, 2)
+        assert err.startswith(f"error: {fifo}: not a regular file")
+        assert fifo.is_fifo()
+        assert _files(est) == estimates | {fifo}
 
 
 # Keys of the registry and of the two manifests, and values they take.

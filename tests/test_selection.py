@@ -517,6 +517,20 @@ def copy_command(model_id, ref_a_path, ref_b_path):
         kind=KIND_EXTERNAL, stage=STAGE2, command=copy))
 
 
+class _Yielding(float):
+    """A score that lets other threads run while it is compared."""
+
+    def __eq__(self, other):
+        time.sleep(0)
+        return float.__eq__(self, other)
+
+    def __lt__(self, other):
+        time.sleep(0)
+        return float.__lt__(self, other)
+
+    __hash__ = float.__hash__
+
+
 @pytest.fixture(scope="module")
 def mixed_registry(tmp_path_factory):
     """A 2 s duet, three oracles and one external candidate (registry order),
@@ -567,17 +581,24 @@ class TestStartOrder:
             self, mixed_registry, order, jobs):
         mix, cands, baseline, baseline_pairs, tmp = mixed_registry
         given_order = [cands[i] for i in order]
-        handed, leading = {}, []
+        handed, leading, under_way = {}, [], []
+        calls = 0  # hand-offs entered and not yet left
 
         def take(model_id, pair, leads):
-            assert threading.current_thread() is threading.main_thread()
+            nonlocal calls
+            calls += 1
+            under_way.append(calls)
+            time.sleep(0.001)  # room for another hand-off to overlap this one
             handed[model_id] = pair
             if leads:
                 leading.append(model_id)
+            calls -= 1
 
         result = select_model(mix, given_order, workdir=tmp, jobs=jobs, on_outputs=take)
         assert [s.model_id for s in result.scores] == [c.model_id for c in given_order]
         assert handed.keys() == {c.model_id for c in given_order}
+        # the workers hand their pairs over one at a time
+        assert under_way == [1] * len(given_order)
         # the last pair handed over as leading is the chosen one's
         assert leading[-1] == result.chosen
         for got, want in zip(handed[result.chosen], baseline_pairs[baseline.chosen]):
@@ -611,8 +632,8 @@ class TestStartOrder:
             gate = following.get(model_id)
             if gate and not handed_over[gate].wait(timeout=10.0):
                 raise AssertionError(f"{gate} was not handed over")
-            # the calling thread lets go of the pair it handed over before
-            # it awaits the next result; give it the moment that takes
+            # a worker lets go of the pair it handed over when its task
+            # returns; give it the moment that takes
             deadline = time.monotonic() + 5.0
             while alive() and time.monotonic() < deadline:
                 time.sleep(0.001)
@@ -633,3 +654,63 @@ class TestStartOrder:
         # hand-off only the pair handed over
         assert alive_at_start == [0, 0, 0]
         assert alive_at_hand_off == [1, 1, 1]
+
+    def test_at_most_jobs_pairs_alive(self, tmp_path, monkeypatch):
+        # the first hand-off is slow, so the other candidates all finish
+        # while it runs; none may make a pair beyond one per worker
+        (ref_a, pa), (ref_b, pb) = make_duet_refs(tmp_path, seed=7, seconds=2.0)
+        mix = mix_at_snr(ref_a, ref_b, 0.0).mixture
+        cands = [oracle_candidate("clean", pa, pb),
+                 oracle_candidate("leaky", pa, pb, leak=0.3),
+                 oracle_candidate("swap", pa, pb, swap=True),
+                 oracle_candidate("noisy", pa, pb, noise_snr_db=10.0, noise_seed=1)]
+        made = []
+        alive_at_hand_off = []
+        run_backend = selection.run_backend
+
+        def tracked(*args, **kwargs):
+            pair = run_backend(*args, **kwargs)
+            made.append([weakref.ref(w) for w in pair])
+            return pair
+
+        def take(model_id, pair, leads):
+            alive_at_hand_off.append(
+                sum(any(ref() is not None for ref in refs) for refs in made))
+            if len(alive_at_hand_off) == 1:
+                time.sleep(0.3)
+
+        monkeypatch.setattr(selection, "run_backend", tracked)
+        select_model(mix, cands, workdir=tmp_path, jobs=2, on_outputs=take)
+        assert len(alive_at_hand_off) == len(cands)
+        assert max(alive_at_hand_off) <= 2, alive_at_hand_off
+
+    def test_concurrent_hand_offs_keep_the_best(self, monkeypatch):
+        # more workers than cores, a short switch interval and scores that
+        # yield mid-comparison: a lost update of the best so far would set
+        # ``leads`` wrongly or choose another candidate than the argmin
+        rng = np.random.default_rng(3)
+        cands = [CandidateModel(f"m{i:02d}", SeparationBackend(
+                     kind=KIND_EXTERNAL, stage=STAGE2, command=f"run{i} {{input}}"))
+                 for i in range(24)]
+        values = {c.backend.command: float(v) for c, v in zip(cands, rng.integers(0, 5, size=24))}
+        monkeypatch.setattr(selection, "run_backend", lambda backend, *args, **kwargs: (
+            Waveform(np.full(4, values[backend.command]), 8000),) * 2)
+        monkeypatch.setattr(selection, "score_candidate", lambda pair, cfg: selection.TrendScore(
+            model_id="", score=_Yielding(pair[0].samples[0])))
+        keys = {c.model_id: (values[c.backend.command], c.model_id) for c in cands}
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            deadline = time.monotonic() + 10.0
+            for _ in range(20):
+                handed = []
+                result = select_model(Waveform(np.zeros(4), 8000), cands, jobs=8,
+                                      on_outputs=lambda model_id, pair, leads:
+                                      handed.append((keys[model_id], leads)))
+                assert result.chosen == min(keys, key=keys.get)
+                assert [leads for _, leads in handed] == [
+                    all(key < earlier for earlier, _ in handed[:i])
+                    for i, (key, _) in enumerate(handed)]
+                assert time.monotonic() < deadline
+        finally:
+            sys.setswitchinterval(interval)
