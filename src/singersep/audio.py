@@ -1,6 +1,6 @@
 """Mono waveforms, file opening (``open_regular`` to read, ``create_regular``
-to write: regular files only), WAV I/O, band-limited resampling, and
-fixed-length segmentation.
+to write: regular files only), a run's outputs (``Outputs``: removed if it
+fails), WAV I/O, band-limited resampling, and fixed-length segmentation.
 
 Everything downstream works on ``Waveform`` values at a canonical rate of
 8000 Hz; files at other rates are resampled on the way in.
@@ -8,14 +8,17 @@ Everything downstream works on ``Waveform`` values at a canonical rate of
 
 from __future__ import annotations
 
+import contextlib
 import errno
 import functools
+import itertools
 import json
 import math
 import os
 import stat
 import struct
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -165,6 +168,60 @@ def create_regular(path, mode="wb", **kwargs):
         os.close(fd)
         raise OSError(f"{path}: not a regular file")
     return os.fdopen(fd, mode, **kwargs)
+
+
+class Outputs:
+    """The files one run writes under ``root``, and the directories it
+    makes there, used as a context manager that removes them if the run
+    fails.
+
+    ``file(name)`` records ``root / name`` as an output before anything is
+    written there, and ``makedirs(name)`` makes the directory ``root /
+    name``; each makes the missing directories on the way, found by walking
+    up only as far as the first path that exists, and records them. Leaving
+    the block by any exception, an interrupt included, removes every
+    recorded path that holds a regular file, a part-written one included (a
+    FIFO, device or directory found there is not the run's). Leaving it
+    either way removes every directory made here that is left empty, so a
+    directory the run did not make is left as it was. Calls come one at a
+    time: selection hands each candidate's pair over under one lock.
+    """
+
+    def __init__(self, root):
+        self.root = Path(root)
+        self._files: list[Path] = []
+        self._dirs: list[Path] = []
+
+    def __enter__(self) -> "Outputs":
+        return self
+
+    def __exit__(self, exc_type, exc, tb) -> None:
+        if exc_type is not None:
+            for path in self._files:
+                if path.is_file():
+                    path.unlink()
+        for directory in reversed(self._dirs):
+            with contextlib.suppress(OSError):  # rmdir takes only an empty one
+                directory.rmdir()
+
+    def makedirs(self, name) -> Path:
+        """``root / name``, made as a directory with its missing parents."""
+        return self._make(self.root / name)
+
+    def file(self, name) -> Path:
+        """``root / name``, recorded as an output, with its missing parents made."""
+        path = self.root / name
+        self._make(path.parent)
+        self._files.append(path)
+        return path
+
+    def _make(self, directory: Path) -> Path:
+        missing = itertools.takewhile(lambda d: not d.exists(),
+                                      (directory, *directory.parents))
+        for d in reversed(list(missing)):
+            self._dirs.append(d)  # first, so an interrupt after mkdir finds it recorded
+            d.mkdir()
+        return directory
 
 
 def read_document(path, error, parse=json.loads):

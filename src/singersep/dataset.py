@@ -20,6 +20,7 @@ from .audio import (
     CANONICAL_RATE,
     MAX_SNR_DB,
     PCM16_LSB,
+    Outputs,
     Segment,
     Waveform,
     abs_peak,
@@ -235,10 +236,11 @@ def _stem_segments(entry: StemEntry, segment_seconds: float) -> list[Segment]:
 def _write_splits(entries: list[StemEntry], scheme: PairingScheme,
                   segment_seconds: float, snr_range: tuple[float, float],
                   pairing_base: int, rng: np.random.Generator,
-                  out: Path) -> tuple[list[dict], dict]:
+                  outputs: Outputs) -> tuple[list[dict], dict]:
     """Pair each split's segments, mix each pair at an SNR drawn from
-    ``snr_range``, write it under ``out``, and return the manifest's pair
-    records and per-split summary."""
+    ``snr_range``, write it under ``outputs.root``, and return the
+    manifest's pair records and per-split summary. Each pair's three files
+    are recorded in ``outputs`` before any of them is written."""
     lo, hi = snr_range
     pair_records = []
     summary = {}
@@ -260,14 +262,16 @@ def _write_splits(entries: list[StemEntry], scheme: PairingScheme,
 
         for i, ((seg_a, seg_b), snr) in enumerate(zip(pairs, snrs)):
             pair_id = f"{split}-{i:06d}"
+            paths = {key: f"{split}/{pair_id}/{name}" for key, name in _PAIR_FILES.items()}
+            for path in paths.values():
+                outputs.file(path)
             _write_pair(mix_at_snr(seg_a.audio, seg_b.audio, float(snr)),
-                        out / split / pair_id)
+                        outputs.root / split / pair_id)
             pair_records.append({
                 "pair_id": pair_id,
                 "split": split,
                 "snr_db": float(snr),
-                "paths": {key: f"{split}/{pair_id}/{name}"
-                          for key, name in _PAIR_FILES.items()},
+                "paths": paths,
                 "song_a": seg_a.song_id, "singer_a": seg_a.singer_id,
                 "segment_a": seg_a.index,
                 "song_b": seg_b.song_id, "singer_b": seg_b.singer_id,
@@ -293,6 +297,9 @@ def build_dataset(manifest: list[StemEntry],
     Entries pin their split all together or not at all; unpinned ones are
     split by singer first. Every setting is checked before any stem is read.
     Returns the manifest dict (also written to ``out_dir/dataset.json``).
+    Every output is recorded in one ``Outputs``: a build that fails or is
+    interrupted removes the files it wrote, the manifest and every pair, and
+    the directories it made.
     """
     if seed < 0:
         raise ValueError(f"seed must be a non-negative integer, got {seed}")
@@ -333,31 +340,25 @@ def build_dataset(manifest: list[StemEntry],
             raise PairingImpossibleError(
                 f"singers appear in multiple splits: {sorted(offenders)}")
 
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    manifest_path = out / "dataset.json"
-    # opened before any pair is written, so an output that cannot take the
-    # manifest stops the build before it writes anything
-    with create_regular(manifest_path, "w", encoding="utf-8") as fh:
-        try:
-            pair_records, summary = _write_splits(
-                entries, scheme, segment_seconds, (lo, hi), pairing_base,
-                np.random.default_rng(snr_child), out)
-            doc = {
-                "schema": MANIFEST_SCHEMA,
-                "seed": seed,
-                "scheme": {"kind": scheme.kind, "repeats": scheme.repeats},
-                "snr_range_db": [lo, hi],
-                "sample_rate": CANONICAL_RATE,
-                "segment_seconds": segment_seconds,
-                "pairs": pair_records,
-                "summary": summary,
-            }
-            json.dump(doc, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        except Exception:
-            manifest_path.unlink()  # no manifest for pairs not all written
-            raise
+    # dataset.json is opened before any pair is written, so an output that
+    # cannot take the manifest stops the build before it writes anything
+    with Outputs(out_dir) as outputs, create_regular(
+            outputs.file("dataset.json"), "w", encoding="utf-8") as fh:
+        pair_records, summary = _write_splits(
+            entries, scheme, segment_seconds, (lo, hi), pairing_base,
+            np.random.default_rng(snr_child), outputs)
+        doc = {
+            "schema": MANIFEST_SCHEMA,
+            "seed": seed,
+            "scheme": {"kind": scheme.kind, "repeats": scheme.repeats},
+            "snr_range_db": [lo, hi],
+            "sample_rate": CANONICAL_RATE,
+            "segment_seconds": segment_seconds,
+            "pairs": pair_records,
+            "summary": summary,
+        }
+        json.dump(doc, fh, indent=2, sort_keys=True)
+        fh.write("\n")
     return doc
 
 

@@ -3,15 +3,14 @@ trend-based selection, output stems, and a run report."""
 
 from __future__ import annotations
 
-import contextlib
 import json
 import math
 import shutil
 import time
 from dataclasses import asdict
-from pathlib import Path
 
-from .audio import CANONICAL_RATE, Waveform, create_regular, read_wav, resample, write_wav
+from .audio import (CANONICAL_RATE, Outputs, Waveform, create_regular, open_regular,
+                    read_wav, resample, write_wav)
 from .backends import STAGE1, STAGE2, CandidateModel, run_backend
 from .errors import DegenerateInputError, MalformedRegistryError, SingerSepError
 from .metrics import pit_evaluate, zero_variance
@@ -60,6 +59,12 @@ def _non_finite_key(value, key: str = "") -> str | None:
     return next(filter(None, (_non_finite_key(v, k) for k, v in items)), None)
 
 
+def _copy(source, path) -> None:
+    """Copy the regular file ``source`` to ``path``, opened by ``create_regular``."""
+    with open_regular(source, OSError) as src, create_regular(path) as dst:
+        shutil.copyfileobj(src, dst)
+
+
 def separate_song(song_path,
                   models: list[CandidateModel],
                   stage1_id: str,
@@ -88,12 +93,13 @@ def separate_song(song_path,
     given and it leads selection: evaluation needs the float samples, which
     the 16-bit files do not keep. ``vocal_a.wav`` and ``vocal_b.wav`` are
     byte copies of the chosen candidate's two files, with or without
-    ``model``. ``jobs`` under 1 is refused before any backend runs. If the
-    run fails, the files it wrote, a part-written one included, and the
-    directories it made are removed. A failed
-    external backend's scratch directory under ``out_dir/tmp`` is kept,
-    since its error names it; ``tmp`` itself is removed only if it ends up
-    empty.
+    ``model``. ``jobs`` under 1 is refused before any backend runs. Every
+    output is recorded in one ``Outputs``: if the run fails or is
+    interrupted, the files it wrote, a part-written one included, are
+    removed, and on any exit so are the directories it made that are left
+    empty. External backends' scratch directories go under ``out_dir/tmp``;
+    a failed one's is kept, since its error names it, so ``tmp`` is removed
+    only if it ends up empty, and only if this run made it.
     """
     check_jobs(jobs)
     stage1, candidates = split_registry(models, stage1_id)
@@ -109,32 +115,13 @@ def separate_song(song_path,
             f"needs at least {cfg.trend_span} (three pitch frames)")
     ref_waves = None if refs is None else tuple(_read_reference(p, song) for p in refs)
 
-    out = Path(out_dir)
-    made: list[Path] = []
-    written: list[Path] = []
-
-    def makedirs(directory: Path) -> None:
-        """Make a directory and its missing parents, remembering them for rollback."""
-        made.extend(reversed([d for d in (directory, *directory.parents)
-                              if not d.exists()]))
-        directory.mkdir(parents=True, exist_ok=True)
-
-    def write(source, path: Path, writer) -> str:
-        """Write path by ``writer(source, path)``, remembering it for rollback
-        first, so that a file left part-written goes too; return its report path."""
-        makedirs(path.parent)
-        written.append(path)
-        writer(source, path)
-        return str(path.relative_to(out))
-
-    try:
-        makedirs(out)
+    with Outputs(out_dir) as outputs:
+        workdir = outputs.makedirs("tmp")
         t_stage1 = time.monotonic()
-        mixed_vocal, accompaniment = run_backend(stage1.backend, song,
-                                                 workdir=out / "tmp")
+        mixed_vocal, accompaniment = run_backend(stage1.backend, song, workdir=workdir)
         stage1_seconds = time.monotonic() - t_stage1
         del song  # stage 2 reads only the mixed vocal
-        accompaniment_file = write(accompaniment, out / "accompaniment.wav", write_wav)
+        write_wav(accompaniment, outputs.file("accompaniment.wav"))
         del accompaniment
 
         candidate_files: dict[str, dict[str, str]] = {}
@@ -143,9 +130,9 @@ def separate_song(song_path,
         def write_candidate(model_id: str, pair: tuple[Waveform, Waveform],
                             leads: bool) -> None:
             nonlocal kept_pair
-            cdir = out / "candidates" / model_id
-            candidate_files[model_id] = {"a": write(pair[0], cdir / "a.wav", write_wav),
-                                         "b": write(pair[1], cdir / "b.wav", write_wav)}
+            candidate_files[model_id] = {ch: f"candidates/{model_id}/{ch}.wav" for ch in "ab"}
+            for w, name in zip(pair, candidate_files[model_id].values()):
+                write_wav(w, outputs.file(name))
             if leads and ref_waves is not None:
                 kept_pair = pair
 
@@ -153,14 +140,14 @@ def separate_song(song_path,
         if model is not None:
             chosen_cand = next(c for c in candidates if c.model_id == model)
             write_candidate(model, run_backend(chosen_cand.backend, mixed_vocal,
-                                               workdir=out / "tmp"), True)
+                                               workdir=workdir), True)
             selection = SelectionResult(
                 chosen=model,
                 scores=[TrendScore(model_id=c.model_id, score=None)
                         for c in candidates])
         else:
             selection = select_model(mixed_vocal, candidates, pitch_config=cfg,
-                                     workdir=out / "tmp", jobs=jobs,
+                                     workdir=workdir, jobs=jobs,
                                      on_outputs=write_candidate)
         selection_seconds = time.monotonic() - t_select
 
@@ -172,12 +159,8 @@ def separate_song(song_path,
                 raise type(exc)(
                     f"chosen model {selection.chosen!r} cannot be evaluated: {exc}") from exc
 
-        chosen_files = candidate_files[selection.chosen]
-        outputs = {
-            "vocal_a": write(out / chosen_files["a"], out / "vocal_a.wav", shutil.copyfile),
-            "vocal_b": write(out / chosen_files["b"], out / "vocal_b.wav", shutil.copyfile),
-            "accompaniment": accompaniment_file,
-        }
+        for ch, name in candidate_files[selection.chosen].items():
+            _copy(outputs.root / name, outputs.file(f"vocal_{ch}.wav"))
 
         candidate_entries = [{**asdict(score),
                               "outputs": candidate_files.get(score.model_id)}
@@ -190,7 +173,8 @@ def separate_song(song_path,
             "chosen": selection.chosen,
             "all_penalized": selection.all_penalized,
             "selection_bypassed": model is not None,
-            "outputs": outputs,
+            "outputs": {"vocal_a": "vocal_a.wav", "vocal_b": "vocal_b.wav",
+                        "accompaniment": "accompaniment.wav"},
             "evaluation": evaluation,
             "seed": seed,
             "timings": {
@@ -199,25 +183,12 @@ def separate_song(song_path,
                 "total_seconds": time.monotonic() - t_start,
             },
         }
-        report_path = out / "report.json"
+        report_path = outputs.file("report.json")
         with create_regular(report_path, "w", encoding="utf-8") as fh:
-            written.append(report_path)
             try:
                 json.dump(report, fh, indent=2, sort_keys=True, allow_nan=False)
             except ValueError as exc:
                 raise ValueError(
                     f"{report_path}: {exc} at {_non_finite_key(report)}") from exc
             fh.write("\n")
-        return report
-    except Exception:
-        for path in written:
-            if path.is_file():  # a FIFO or directory found there is not ours
-                path.unlink()
-        raise
-    finally:
-        # rmdir takes only empty directories: tmp unless it keeps a failed
-        # backend's scratch, and those made here only after a failure, since
-        # a success leaves an output in each
-        for directory in (out / "tmp", *reversed(made)):
-            with contextlib.suppress(OSError):
-                directory.rmdir()
+    return report

@@ -338,6 +338,24 @@ class TestBuildDataset:
         assert alive_at_read == [0, 0, 0, 0]
         assert len(resampled) == 4
 
+    def test_interrupt_rolls_back_every_output(self, tmp_path, monkeypatch):
+        # two pairs are written, and the manifest opened, when the interrupt comes
+        calls = []
+
+        def interrupted_third(*args):
+            calls.append(args)
+            if len(calls) == 3:
+                raise KeyboardInterrupt
+            return mix_at_snr(*args)
+
+        monkeypatch.setattr(dataset, "mix_at_snr", interrupted_third)
+        manifest = write_toy_stems(tmp_path, n_singers=2, seconds=20.0, split="train")
+        with pytest.raises(KeyboardInterrupt):
+            build_dataset(load_stem_manifest(manifest), PairingScheme(DUET), seed=3,
+                          out_dir=tmp_path / "ds")
+        assert len(calls) == 3
+        assert not (tmp_path / "ds").exists()
+
     def test_rebuild_is_byte_identical(self, tmp_path):
         # 8 singers so every split draws at least two (duet needs them)
         manifest = write_toy_stems(tmp_path, n_singers=8, seconds=20.0)

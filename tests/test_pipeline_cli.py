@@ -7,7 +7,6 @@ import math
 import re
 import os
 import shlex
-import shutil
 import struct
 import subprocess
 import sys
@@ -145,6 +144,17 @@ class TestSeparateSong:
         mean = report["evaluation"]["mean"]
         # clean oracle returns the references themselves
         assert mean["si_snr_db"] == SENTINEL_DB
+
+    def test_interrupt_rolls_back_every_output(self, duet_setup, tmp_path, monkeypatch):
+        def interrupted(*args):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(pipeline, "pit_evaluate", interrupted)
+        out = tmp_path / "out"
+        with pytest.raises(KeyboardInterrupt):
+            separate_song(duet_setup["song"], registry_load(duet_setup["registry"]),
+                          stage1_id="stage1-pass", out_dir=out, refs=duet_setup["refs"])
+        assert not out.exists()
 
     def test_reports_deterministic_modulo_timings(self, duet_setup, tmp_path):
         reports = []
@@ -501,7 +511,7 @@ class TestChosenStems:
         # the disk fills after the file is made: the run exits 2 and the
         # part-written file goes with every other output
         out = tmp_path / "out"
-        copyfile = shutil.copyfile
+        copy = pipeline._copy
 
         def fill_disk_at(path):
             if Path(path) == out / target:
@@ -512,12 +522,12 @@ class TestChosenStems:
             fill_disk_at(path)
             write_wav(w, path)
 
-        def failing_copy(src, dst, **kwargs):
+        def failing_copy(src, dst):
             fill_disk_at(dst)
-            return copyfile(src, dst, **kwargs)
+            copy(src, dst)
 
         monkeypatch.setattr(pipeline, "write_wav", failing_write)
-        monkeypatch.setattr(shutil, "copyfile", failing_copy)
+        monkeypatch.setattr(pipeline, "_copy", failing_copy)
         rc = cli.main(separate_argv(duet_setup, out))
         err = capsys.readouterr().err
         assert_clean_exit(rc, err, 2)
@@ -1184,8 +1194,8 @@ def _files(root):
 
 
 class TestFifoOutputs:
-    """A FIFO at an output path is refused at once, naming it, and left in
-    place; the run leaves no other file behind."""
+    """A FIFO, or a link to a device, at an output path is refused at once,
+    naming it, and left in place; the run leaves no other file behind."""
 
     @pytest.mark.parametrize("name", ["accompaniment.wav", "candidates/clean/a.wav",
                                       "vocal_a.wav", "report.json"])
@@ -1199,6 +1209,19 @@ class TestFifoOutputs:
         assert str(fifo) in err
         assert fifo.is_fifo()
         assert _files(tmp_path / "out") == {fifo}
+
+    def test_separate_link_to_a_device(self, duet_setup, tmp_path, capsys):
+        # the chosen stems are opened like every other output: a link to
+        # /dev/null is refused, not written through with the stem lost
+        link = tmp_path / "out" / "vocal_a.wav"
+        link.parent.mkdir()
+        link.symlink_to(os.devnull)
+        rc = cli.main(separate_argv(duet_setup, tmp_path / "out"))
+        err = capsys.readouterr().err
+        assert_clean_exit(rc, err, 2)
+        assert f"{link}: not a regular file" in err
+        assert link.readlink() == Path(os.devnull)
+        assert _files(tmp_path / "out") == {link}
 
     def test_build_dataset(self, tmp_path, capsys):
         manifest = write_toy_stems(tmp_path, n_singers=2, seconds=20.0, split="test")
@@ -1327,6 +1350,29 @@ class TestCliBuildDataset:
         assert rc == 0
         doc = json.loads((tmp_path / "z" / "dataset.json").read_text())
         assert all(p["snr_db"] == 0.0 for p in doc["pairs"])
+
+    @pytest.mark.parametrize("made", [True, False], ids=["made-out", "existing-out"])
+    def test_failed_build_leaves_nothing(self, tmp_path, capsys, made):
+        # the last test stem is missing: the train pairs are written by then,
+        # and go with the manifest
+        manifest = write_toy_stems(tmp_path, n_singers=4, seconds=20.0)
+        rows = json.loads(manifest.read_text())
+        for i, row in enumerate(rows):
+            row["split"] = "train" if i < len(rows) // 2 else "test"
+        missing = rows[-1]["vocal_path"] = str(tmp_path / "no-such-stem.wav")
+        manifest.write_text(json.dumps(rows))
+        out = tmp_path / "ds"
+        if not made:
+            out.mkdir()
+        rc = cli.main(["build-dataset", "--manifest", str(manifest), "--scheme", "duet",
+                       "--out", str(out), "--seed", "3"])
+        err = capsys.readouterr().err
+        assert_clean_exit(rc, err, 2)
+        assert missing in err
+        if made:
+            assert not out.exists()
+        else:
+            assert list(out.iterdir()) == []
 
     def test_self_scheme_single_segment_singer_exits_2(self, tmp_path, capsys):
         manifest = write_toy_stems(tmp_path, n_singers=2, seconds=10.0,
@@ -1700,6 +1746,53 @@ class TestCliEvaluate:
         with open(tmp_path / "m.csv", newline="") as fh:
             rows = list(csv.DictReader(fh))
         assert all(abs(float(r[k])) < 1e3 for r in rows for k in metrics.METRICS)
+
+
+def _tree_bytes(root):
+    """Every file under root, by its path relative to root, as bytes; a
+    report's timings left out."""
+    tree = {}
+    for path in _files(root):
+        data = path.read_bytes()
+        if path.name == "report.json":
+            data = json.loads(data)
+            data.pop("timings")
+        tree[path.relative_to(root)] = data
+    return tree
+
+
+class TestRelativeOutputPaths:
+    """An output path relative to the working directory writes what the
+    absolute one does; the input paths are the same absolute ones."""
+
+    def test_separate(self, duet_setup, tmp_path, monkeypatch, capsys):
+        refs = ["--ref-a", str(duet_setup["refs"][0]), "--ref-b", str(duet_setup["refs"][1])]
+        assert cli.main(separate_argv(duet_setup, tmp_path / "abs", *refs)) == 0
+        monkeypatch.chdir(tmp_path)
+        assert cli.main(separate_argv(duet_setup, "rel", *refs)) == 0
+        tree = _tree_bytes(tmp_path / "abs")
+        assert {"report.json", "vocal_a.wav", "candidates/clean/a.wav"} <= set(map(str, tree))
+        assert _tree_bytes(tmp_path / "rel") == tree
+
+    def test_build_dataset(self, tmp_path, monkeypatch):
+        manifest = write_toy_stems(tmp_path, n_singers=4, seconds=20.0, split="train")
+        argv = ["build-dataset", "--manifest", str(manifest), "--scheme", "duet",
+                "--seed", "5", "--out"]
+        assert cli.main([*argv, str(tmp_path / "abs")]) == 0
+        monkeypatch.chdir(tmp_path)
+        assert cli.main([*argv, "rel"]) == 0
+        tree = _tree_bytes(tmp_path / "abs")
+        assert len(tree) == 1 + 3 * 8  # the manifest and 8 pairs
+        assert _tree_bytes(tmp_path / "rel") == tree
+
+    def test_evaluate(self, built_dataset, tmp_path, monkeypatch):
+        root, doc = built_dataset
+        est = write_oracle_estimates(root, doc, tmp_path / "est")
+        argv = ["evaluate", "--dataset", str(root), "--estimates", str(est), "--csv"]
+        assert cli.main([*argv, str(tmp_path / "abs.csv")]) == 0
+        monkeypatch.chdir(tmp_path)
+        assert cli.main([*argv, "rel.csv"]) == 0
+        assert (tmp_path / "rel.csv").read_bytes() == (tmp_path / "abs.csv").read_bytes()
 
 
 # the run settings each verb declares
