@@ -38,7 +38,8 @@ _PITCH_FIELDS = {"pitch_threshold": "threshold", "pitch_fmin": "fmin_hz",
 # MIRSS_<KEY> and config lines, so one environment and config serve all verbs.
 _SETTINGS = {
     "seed": {"type": int},
-    "jobs": {"type": int, "help": "worker pool size, at least 1 (default: CPUs)"},
+    "jobs": {"type": int, "help": "workers, at least 1, counting the calling thread, "
+                                  "so N - 1 threads are started (default: CPUs)"},
     **{key: {"type": float, "default": getattr(pitch.PitchConfig, field)}
        for key, field in _PITCH_FIELDS.items()},
     "units": {"choices": pitch.UNITS, "default": pitch.PitchConfig.units,
@@ -184,6 +185,9 @@ def _evaluate_pair(root: Path, estimates: Path, record: dict):
 
 
 def cmd_evaluate(args) -> int:
+    """Score each pair's estimates on ``--jobs`` workers, the calling thread
+    one of them (``selection.run_jobs``), and print and write the rows in
+    manifest order."""
     doc, root = dataset.load_manifest(args.dataset)
     estimates = Path(args.estimates)
 
@@ -192,9 +196,10 @@ def cmd_evaluate(args) -> int:
     if not records:
         raise ConfigInvalidError(f"no pairs in split {args.split!r}")
 
-    with ThreadPoolExecutor(max_workers=args.jobs or os.cpu_count() or 1) as pool:
-        results = list(pool.map(
-            lambda r: _evaluate_pair(root, estimates, r), records))
+    workers = args.jobs or os.cpu_count() or 1
+    with ThreadPoolExecutor(max_workers=max(1, workers - 1)) as pool:
+        results = selection.run_jobs(
+            pool, lambda r: _evaluate_pair(root, estimates, r), records, workers)
 
     rows = []
     sources = []

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -130,6 +131,14 @@ def pair_segments(segments_by_singer: dict[str, list[Segment]],
     self-harmonic partners are a different segment of the same singer.
     Draws are independent across passes.
     """
+    return list(_draw_pairs(segments_by_singer, scheme, seed))
+
+
+def _draw_pairs(segments_by_singer: dict[str, list[Segment]],
+                scheme: PairingScheme,
+                seed: int = 0) -> Iterator[tuple[Segment, Segment]]:
+    """``pair_segments``' pairs, each drawn when it is taken. A grouping
+    that cannot be paired raises here, before any pair is drawn."""
     singers = sorted(segments_by_singer)
     if scheme.kind == DUET and len(singers) < 2:
         raise PairingImpossibleError(
@@ -149,18 +158,19 @@ def pair_segments(segments_by_singer: dict[str, list[Segment]],
     by_singer = {sid: sorted(segs, key=seg_key)
                  for sid, segs in segments_by_singer.items()}
     rng = np.random.default_rng(seed)
-    pairs: list[tuple[Segment, Segment]] = []
-    for _ in range(scheme.repeats):
-        for seg_a in ordered:
-            if scheme.kind == DUET:
-                others = [sid for sid in singers if sid != seg_a.singer_id]
-                pool = by_singer[others[int(rng.integers(len(others)))]]
-            else:
-                pool = [s for s in by_singer[seg_a.singer_id]
-                        if seg_key(s) != seg_key(seg_a)]
-            seg_b = pool[int(rng.integers(len(pool)))]
-            pairs.append((seg_a, seg_b))
-    return pairs
+
+    def draws():
+        for _ in range(scheme.repeats):
+            for seg_a in ordered:
+                if scheme.kind == DUET:
+                    others = [sid for sid in singers if sid != seg_a.singer_id]
+                    pool = by_singer[others[int(rng.integers(len(others)))]]
+                else:
+                    pool = [s for s in by_singer[seg_a.singer_id]
+                            if seg_key(s) != seg_key(seg_a)]
+                yield seg_a, pool[int(rng.integers(len(pool)))]
+
+    return draws()
 
 
 def mix_at_snr(a: Waveform, b: Waveform, snr_db: float) -> MixPair:
@@ -233,55 +243,73 @@ def _stem_segments(entry: StemEntry, segment_seconds: float) -> list[Segment]:
                    segment_seconds, song_id=entry.song_id, singer_id=entry.singer_id)
 
 
+def _write_split(split: str, entries: list[StemEntry], scheme: PairingScheme,
+                 segment_seconds: float, snr_range: tuple[float, float],
+                 pairing_seed: int, rng: np.random.Generator,
+                 pair_records: list[dict], outputs: Outputs) -> int:
+    """Read one split's stems, pair their segments, mix each pair at an SNR
+    drawn from ``snr_range``, write it under ``outputs.root`` and append its
+    manifest record to ``pair_records``; return the number of pairs.
+
+    Each pair and its SNR are drawn as it is written, so no pair plan is
+    held, and the split's segments die on return, before the next split's
+    stems are read. Each pair's three files are recorded in ``outputs``
+    before any of them is written."""
+    segs_by_singer: dict[str, list[Segment]] = {}
+    for e in entries:
+        for s in _stem_segments(e, segment_seconds):
+            segs_by_singer.setdefault(e.singer_id, []).append(s)
+    if not segs_by_singer:
+        return 0
+
+    lo, hi = snr_range
+    count = 0
+    for seg_a, seg_b in _draw_pairs(segs_by_singer, scheme, seed=pairing_seed):
+        # one scalar draw per pair: the same stream as one vector draw
+        snr = float(rng.uniform(lo, hi))
+        pair_id = f"{split}-{count:06d}"
+        paths = {key: f"{split}/{pair_id}/{name}" for key, name in _PAIR_FILES.items()}
+        for path in paths.values():
+            outputs.file(path)
+        _write_pair(mix_at_snr(seg_a.audio, seg_b.audio, snr),
+                    outputs.root / split / pair_id)
+        pair_records.append({
+            "pair_id": pair_id,
+            "split": split,
+            "snr_db": snr,
+            "paths": paths,
+            "song_a": seg_a.song_id, "singer_a": seg_a.singer_id,
+            "segment_a": seg_a.index,
+            "song_b": seg_b.song_id, "singer_b": seg_b.singer_id,
+            "segment_b": seg_b.index,
+            "pairing_scheme": scheme.kind,
+        })
+        count += 1
+    return count
+
+
 def _write_splits(entries: list[StemEntry], scheme: PairingScheme,
                   segment_seconds: float, snr_range: tuple[float, float],
                   pairing_base: int, rng: np.random.Generator,
                   outputs: Outputs) -> tuple[list[dict], dict]:
-    """Pair each split's segments, mix each pair at an SNR drawn from
-    ``snr_range``, write it under ``outputs.root``, and return the
-    manifest's pair records and per-split summary. Each pair's three files
-    are recorded in ``outputs`` before any of them is written."""
-    lo, hi = snr_range
-    pair_records = []
+    """Write each split in turn (``_write_split``), one split's segments
+    alive at a time; return the manifest's pair records and per-split
+    summary."""
+    pair_records: list[dict] = []
     summary = {}
     for split_index, split in enumerate(SPLITS):
         split_entries = sorted((e for e in entries if e.split == split),
                                key=lambda e: (e.singer_id, e.song_id))
         if not split_entries:
             continue
-        segs_by_singer: dict[str, list[Segment]] = {}
-        for e in split_entries:
-            for s in _stem_segments(e, segment_seconds):
-                segs_by_singer.setdefault(e.singer_id, []).append(s)
-        if not segs_by_singer:
-            continue
-
-        pairs = pair_segments(segs_by_singer, scheme,
-                              seed=(pairing_base + split_index) % (2 ** 31))
-        snrs = rng.uniform(lo, hi, size=len(pairs))
-
-        for i, ((seg_a, seg_b), snr) in enumerate(zip(pairs, snrs)):
-            pair_id = f"{split}-{i:06d}"
-            paths = {key: f"{split}/{pair_id}/{name}" for key, name in _PAIR_FILES.items()}
-            for path in paths.values():
-                outputs.file(path)
-            _write_pair(mix_at_snr(seg_a.audio, seg_b.audio, float(snr)),
-                        outputs.root / split / pair_id)
-            pair_records.append({
-                "pair_id": pair_id,
-                "split": split,
-                "snr_db": float(snr),
-                "paths": paths,
-                "song_a": seg_a.song_id, "singer_a": seg_a.singer_id,
-                "segment_a": seg_a.index,
-                "song_b": seg_b.song_id, "singer_b": seg_b.singer_id,
-                "segment_b": seg_b.index,
-                "pairing_scheme": scheme.kind,
-            })
-        summary[split] = {
-            "pairs": len(pairs),
-            "duration_seconds": len(pairs) * segment_seconds,
-        }
+        pairs = _write_split(split, split_entries, scheme, segment_seconds, snr_range,
+                             (pairing_base + split_index) % (2 ** 31), rng,
+                             pair_records, outputs)
+        if pairs:
+            summary[split] = {
+                "pairs": pairs,
+                "duration_seconds": pairs * segment_seconds,
+            }
     return pair_records, summary
 
 

@@ -20,7 +20,7 @@ from __future__ import annotations
 import logging
 import os
 import threading
-from collections.abc import Callable
+from collections.abc import Callable, Sequence
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
@@ -189,6 +189,50 @@ def check_jobs(jobs: int | None) -> None:
         raise ConfigInvalidError(f"jobs must be at least 1, got {jobs}")
 
 
+def run_jobs(pool: ThreadPoolExecutor, fn: Callable, items: Sequence, jobs: int) -> list:
+    """``[fn(item) for item in items]`` on ``jobs`` workers: the calling
+    thread and ``jobs - 1`` tasks submitted to ``pool``, each taking the
+    next item when it finishes one. ``jobs`` 1 submits nothing, so a pool
+    that starts its threads on submit starts none.
+
+    After an item fails no item starts; those under way finish, and the
+    failure of the first item in order is raised. An interrupt of the
+    calling thread is raised as itself once the pool's tasks have returned.
+    """
+    results = [None] * len(items)
+    failures: dict[int, Exception] = {}
+    lock = threading.Lock()
+    taken = 0
+    stop = False
+
+    def work() -> None:
+        nonlocal taken, stop
+        while True:
+            with lock:
+                if stop or taken == len(items):
+                    return
+                i, taken = taken, taken + 1
+            try:
+                results[i] = fn(items[i])
+            except Exception as exc:
+                with lock:
+                    stop = True
+                    failures[i] = exc
+                return
+
+    helpers = [pool.submit(work) for _ in range(min(jobs, len(items)) - 1)]
+    try:
+        work()
+    finally:
+        with lock:
+            stop = True  # an interrupt of the calling thread stops the helpers too
+        for helper in helpers:
+            helper.result()
+    if failures:
+        raise failures[min(failures)]
+    return results
+
+
 def select_model(mixed_vocal: Waveform,
                  candidates: list[CandidateModel],
                  pitch_config: PitchConfig | None = None,
@@ -199,8 +243,9 @@ def select_model(mixed_vocal: Waveform,
     """Run every stage-2 candidate and keep the one with the closest trends.
 
     ``pitch_config`` (default ``PitchConfig()``) is the whole scoring rule.
-    Candidates run concurrently (up to ``jobs`` workers, at least 1; None
-    means one per CPU), which run the backends and the scoring alike;
+    Candidates run concurrently on ``jobs`` workers (at least 1; None means
+    one per CPU) counting the calling thread, so ``jobs - 1`` threads start
+    (``run_jobs``). The workers run the backends and the scoring alike;
     backend temp files are namespaced per invocation. External-command
     candidates start first, each group in candidate order, so their
     processes run beside the in-process scoring; warnings may print in that
@@ -248,8 +293,9 @@ def select_model(mixed_vocal: Waveform,
     # external processes first, so they run beside the in-process scoring
     order = sorted(range(len(candidates)),
                    key=lambda i: candidates[i].backend.kind != KIND_EXTERNAL)
-    with ThreadPoolExecutor(max_workers=jobs or os.cpu_count() or 1) as pool:
-        list(pool.map(run_one, order))
+    workers = jobs or os.cpu_count() or 1
+    with ThreadPoolExecutor(max_workers=max(1, workers - 1)) as pool:
+        run_jobs(pool, run_one, order, workers)
 
     if best is None:
         raise BackendFailureError(

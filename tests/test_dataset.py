@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -8,7 +9,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from singersep import dataset, synth
-from singersep.audio import Waveform, quantize_pcm16, read_wav, resample, segment
+from singersep.audio import Outputs, Segment, Waveform, quantize_pcm16, read_wav, resample, segment
 from singersep.dataset import (
     DUET,
     MAX_SNR_DB,
@@ -431,3 +432,122 @@ class TestBuildDataset:
         for rec in doc["pairs"]:
             assert rec["singer_a"] != rec["singer_b"]
             assert rec["pairing_scheme"] == DUET
+
+
+class _Stop(Exception):
+    pass
+
+
+class TestOneSplitAtATime:
+    """Each pair is drawn as it is written, and a split's segments die before
+    the next split's stems are read."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(kind=st.sampled_from([DUET, SELF_HARMONIC]), singers=st.integers(2, 4),
+           per_singer=st.integers(2, 4), repeats=st.integers(1, 3),
+           seeds=st.tuples(st.integers(0, 2 ** 31 - 1), st.integers(0, 2 ** 31 - 1)),
+           snr_seed=st.integers(0, 2 ** 32 - 1), lo=st.floats(-20.0, 20.0),
+           width=st.floats(0.0, 20.0))
+    def test_written_pairs_are_the_plan_and_one_vector_draw(
+            self, tmp_path_factory, kind, singers, per_singer, repeats, seeds, snr_seed,
+            lo, width):
+        # two splits in turn from one SNR stream, each against pair_segments'
+        # list and one vector draw of its length, taken in the same order
+        rng = np.random.default_rng(0)
+        snr_range = (lo, lo + width)
+        scheme = PairingScheme(kind, repeats=repeats)
+        splits = {}
+        for split, seed in zip(("train", "test"), seeds):
+            groups = {f"{split}-singer-{s}": [
+                Segment(Waveform(rng.standard_normal(8), 8000), f"{split}-song-{s}",
+                        f"{split}-singer-{s}", index=k) for k in range(per_singer)]
+                for s in range(singers)}
+            entries = [StemEntry(segs[0].song_id, sid, "-", split)
+                       for sid, segs in groups.items()]
+            splits[split] = groups, entries, seed
+        segments_of = {e.song_id: groups[e.singer_id]
+                       for groups, entries, _ in splits.values() for e in entries}
+
+        records = []
+        snr_rng = np.random.default_rng(snr_seed)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(dataset, "_stem_segments",
+                          lambda entry, seconds: segments_of[entry.song_id])
+            patch.setattr(dataset, "_write_pair", lambda pair, pair_dir: None)
+            with Outputs(tmp_path_factory.mktemp("ds")) as outputs:
+                counts = [dataset._write_split(split, entries, scheme, 1.0, snr_range,
+                                               seed, snr_rng, records, outputs)
+                          for split, (_, entries, seed) in splits.items()]
+
+        want = []
+        vector = np.random.default_rng(snr_seed)
+        for split, (groups, _, seed) in splits.items():
+            plan = pair_segments(groups, scheme, seed=seed)
+            snrs = vector.uniform(*snr_range, size=len(plan))
+            want += [(f"{split}-{i:06d}", a.singer_id, a.song_id, a.index,
+                      b.singer_id, b.song_id, b.index, float(snr))
+                     for i, ((a, b), snr) in enumerate(zip(plan, snrs))]
+        got = [(r["pair_id"], r["singer_a"], r["song_a"], r["segment_a"], r["singer_b"],
+                r["song_b"], r["segment_b"], r["snr_db"]) for r in records]
+        assert got == want
+        assert counts == [singers * per_singer * repeats] * 2
+
+    def test_no_pair_plan_is_built_before_the_first_write(self, tmp_path, monkeypatch):
+        # 10**5 passes over four segments: drawn all at once, the 400,000
+        # pairs and their SNRs take about 30 MB before the first write
+        manifest = write_toy_stems(tmp_path, n_singers=2, seconds=2.0, split="train")
+        peaks = []
+
+        def first_write(pair, pair_dir):
+            peaks.append(tracemalloc.get_traced_memory()[1] - start)
+            raise _Stop
+
+        monkeypatch.setattr(dataset, "_write_pair", first_write)
+        entries = load_stem_manifest(manifest)
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            with pytest.raises(_Stop):
+                build_dataset(entries, PairingScheme(DUET, repeats=10 ** 5), seed=3,
+                              out_dir=tmp_path / "ds", segment_seconds=1.0)
+        finally:
+            tracemalloc.stop()
+        assert len(peaks) == 1
+        assert peaks[0] < 2 * 2 ** 20, peaks
+        assert not (tmp_path / "ds").exists()
+
+    def test_a_finished_split_is_not_held(self, tmp_path, monkeypatch):
+        # two train singers, then two test singers, each with one 20 s stem:
+        # the peak while each test stem is read is the peak of the train
+        # stem read at the same place in its split, without train's segments
+        manifest = write_toy_stems(tmp_path, n_singers=4, seconds=20.0)
+        entries = load_stem_manifest(manifest)
+        for e in entries:
+            e.split = "train" if e.singer_id in ("singer-0", "singer-1") else "test"
+        peaks = {"train": [], "test": []}
+        train_bytes = 0
+        stem_segments = dataset._stem_segments
+
+        def traced(entry, seconds):
+            nonlocal train_bytes
+            tracemalloc.reset_peak()
+            segs = stem_segments(entry, seconds)
+            peaks[entry.split].append(tracemalloc.get_traced_memory()[1] - start)
+            if entry.split == "train":
+                train_bytes += sum(s.audio.samples.nbytes for s in segs)
+            return segs
+
+        monkeypatch.setattr(dataset, "_stem_segments", traced)
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            doc = build_dataset(entries, PairingScheme(DUET), seed=3,
+                                out_dir=tmp_path / "ds")
+        finally:
+            tracemalloc.stop()
+        assert {split: row["pairs"] for split, row in doc["summary"].items()} == \
+            {"train": 4, "test": 4}
+        assert train_bytes == 2 * 20 * 8000 * 8
+        assert len(peaks["test"]) == 2
+        for train_peak, test_peak in zip(peaks["train"], peaks["test"]):
+            assert test_peak - train_peak < train_bytes / 4, peaks

@@ -12,6 +12,7 @@ import subprocess
 import sys
 import textwrap
 import threading
+import time
 from dataclasses import asdict
 from pathlib import Path
 
@@ -1746,6 +1747,33 @@ class TestCliEvaluate:
         with open(tmp_path / "m.csv", newline="") as fh:
             rows = list(csv.DictReader(fh))
         assert all(abs(float(r[k])) < 1e3 for r in rows for k in metrics.METRICS)
+
+    @pytest.mark.parametrize("jobs, started", [(1, 0), (2, 1), (3, 2)])
+    def test_jobs_count_the_calling_thread(self, built_dataset, tmp_path, monkeypatch,
+                                           jobs, started):
+        # each pair waits a moment, so every worker takes one; the threads
+        # alive beside it are the ones evaluate started
+        root, doc = built_dataset
+        est = write_oracle_estimates(root, doc, tmp_path / "est")
+        alive = []
+        evaluate_pair = cli._evaluate_pair
+
+        def counted(*args):
+            alive.append(threading.active_count())
+            time.sleep(0.05)
+            return evaluate_pair(*args)
+
+        monkeypatch.setattr(cli, "_evaluate_pair", counted)
+        before = threading.active_count()
+        rc = cli.main(["evaluate", "--dataset", str(root), "--estimates", str(est),
+                       "--jobs", str(jobs), "--csv", str(tmp_path / f"j{jobs}.csv")])
+        assert rc == 0
+        assert len(alive) == len(doc["pairs"])
+        assert max(alive) - before == started
+        assert threading.active_count() == before
+        with open(tmp_path / f"j{jobs}.csv", newline="") as fh:
+            assert [r["pair_id"] for r in csv.DictReader(fh)] == \
+                [r["pair_id"] for r in doc["pairs"]] + ["mean"]
 
 
 def _tree_bytes(root):

@@ -7,6 +7,7 @@ import threading
 import time
 import tracemalloc
 import weakref
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -35,6 +36,7 @@ from singersep.selection import (
     DUPLICATE_SIMILARITY,
     PENALTY_SCORE,
     channel_similarity,
+    run_jobs,
     score_candidate,
     select_model,
     trend_distance,
@@ -711,6 +713,99 @@ class TestStartOrder:
                 assert [leads for _, leads in handed] == [
                     all(key < earlier for earlier, _ in handed[:i])
                     for i, (key, _) in enumerate(handed)]
+                assert time.monotonic() < deadline
+        finally:
+            sys.setswitchinterval(interval)
+
+
+def _run_jobs(fn, items, jobs):
+    """run_jobs with a pool sized as its callers size it."""
+    with ThreadPoolExecutor(max_workers=max(1, jobs - 1)) as pool:
+        return run_jobs(pool, fn, items, jobs)
+
+
+class TestRunJobs:
+    @pytest.mark.parametrize("jobs", [1, 2, 5])
+    def test_results_in_item_order(self, jobs):
+        # later items finish first, and each thread takes the next item
+        def fn(i):
+            time.sleep(0.002 * (12 - i))
+            return (i, threading.get_ident())
+
+        results = _run_jobs(fn, list(range(12)), jobs)
+        assert [i for i, _ in results] == list(range(12))
+        assert len({ident for _, ident in results}) <= jobs
+
+    def test_lone_worker_is_the_calling_thread(self):
+        before = threading.active_count()
+        seen = _run_jobs(lambda i: (threading.get_ident(), threading.active_count()),
+                         list(range(4)), 1)
+        assert seen == [(threading.get_ident(), before)] * 4
+
+    def test_first_failure_in_item_order_is_raised(self):
+        # item 3 fails last, after item 6 has failed; 3 is raised
+        def fn(i):
+            if i == 3:
+                time.sleep(0.2)
+                raise ValueError(i)
+            if i == 6:
+                raise ValueError(i)
+            return i
+
+        with pytest.raises(ValueError) as info:
+            _run_jobs(fn, list(range(10)), 5)
+        assert info.value.args == (3,)
+
+    def test_no_item_starts_after_a_failure(self):
+        # one worker sleeps in item 0 while the other fails item 1; without
+        # the stop, the second would take items 2..9 meanwhile
+        started = []
+
+        def fn(i):
+            started.append(i)
+            if i == 0:
+                time.sleep(0.2)
+            elif i == 1:
+                raise ValueError(i)
+            return i
+
+        with pytest.raises(ValueError):
+            _run_jobs(fn, list(range(10)), 2)
+        assert sorted(started) == [0, 1]
+
+    def test_interrupt_of_the_calling_thread_raised_after_the_helpers(self):
+        # the helpers' items fail later with another error, and still the
+        # interrupt is what the caller sees, once they have finished
+        caller = threading.get_ident()
+        finished = []
+
+        def fn(i):
+            if threading.get_ident() == caller:
+                time.sleep(0.05)
+                raise KeyboardInterrupt
+            try:
+                time.sleep(0.2)
+                raise ValueError(i)
+            finally:
+                finished.append(i)
+
+        with pytest.raises(KeyboardInterrupt):
+            _run_jobs(fn, list(range(10)), 3)
+        assert len(finished) == 2
+
+    def test_every_item_runs_once_under_contention(self):
+        # more workers than cores and a short switch interval: a lost update
+        # of the next item would run an item twice or skip one
+        ran = []
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            deadline = time.monotonic() + 10.0
+            for _ in range(5):
+                ran.clear()
+                items = list(range(2000))
+                assert _run_jobs(lambda i: ran.append(i) or -i, items, 8) == [-i for i in items]
+                assert sorted(ran) == items
                 assert time.monotonic() < deadline
         finally:
             sys.setswitchinterval(interval)
