@@ -231,11 +231,18 @@ def cmd_evaluate(args) -> int:
                   f"the reference: SI-SNRi at the {metrics.SENTINEL_DB:g} dB cap, "
                   "left out of the mean")
         csv_path = Path(args.csv) if args.csv else estimates / "evaluation.csv"
-        with audio.create_regular(csv_path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.DictWriter(fh, fieldnames=["pair_id", *metrics.METRICS])
-            writer.writeheader()
-            writer.writerows(rows)
-            writer.writerow({"pair_id": "mean", **means})
+        # a write that fails, on a full disk say, names the CSV and leaves none
+        with audio.Outputs(csv_path.parent) as outputs:
+            fh = audio.create_regular(outputs.file(csv_path.name), "w",
+                                      newline="", encoding="utf-8")
+            try:
+                with fh:
+                    writer = csv.DictWriter(fh, fieldnames=["pair_id", *metrics.METRICS])
+                    writer.writeheader()
+                    writer.writerows(rows)
+                    writer.writerow({"pair_id": "mean", **means})
+            except OSError as exc:
+                raise OSError(f"{csv_path}: {exc}") from exc
         print(f"csv: {csv_path}")
 
     if missing:

@@ -325,9 +325,10 @@ def build_dataset(manifest: list[StemEntry],
     Entries pin their split all together or not at all; unpinned ones are
     split by singer first. Every setting is checked before any stem is read.
     Returns the manifest dict (also written to ``out_dir/dataset.json``).
-    Every output is recorded in one ``Outputs``: a build that fails or is
-    interrupted removes the files it wrote, the manifest and every pair, and
-    the directories it made.
+    A build that writes no pair, all stems shorter than one segment, raises
+    PairingImpossibleError. Every output is recorded in one ``Outputs``: a
+    build that fails or is interrupted removes the files it wrote, the
+    manifest and every pair, and the directories it made.
     """
     if seed < 0:
         raise ValueError(f"seed must be a non-negative integer, got {seed}")
@@ -375,6 +376,9 @@ def build_dataset(manifest: list[StemEntry],
         pair_records, summary = _write_splits(
             entries, scheme, segment_seconds, (lo, hi), pairing_base,
             np.random.default_rng(snr_child), outputs)
+        if not pair_records:
+            raise PairingImpossibleError(
+                f"no pairs to write: no stem lasts one {segment_seconds:g} s segment")
         doc = {
             "schema": MANIFEST_SCHEMA,
             "seed": seed,

@@ -1,8 +1,10 @@
+import io
 import json
 import os
 import struct
 import subprocess
 import sys
+import wave
 from pathlib import Path
 
 import numpy as np
@@ -71,6 +73,20 @@ def extensible_wav_bytes(data, guid=None, extension_bytes=22):
                       len(extension)) + extension
     body = b"WAVE" + struct.pack("<4sI", b"fmt ", len(fmt)) + fmt + data[36:]
     return b"RIFF" + struct.pack("<I", len(body)) + body
+
+
+def two_channel_wav_bytes(data):
+    """A mono 16-bit PCM WAV (``data``) rewritten as two channels that each
+    hold its samples."""
+    with wave.open(io.BytesIO(data)) as src:
+        rate, frames = src.getframerate(), src.readframes(src.getnframes())
+    out = io.BytesIO()
+    with wave.open(out, "wb") as dst:
+        dst.setnchannels(2)
+        dst.setsampwidth(2)
+        dst.setframerate(rate)
+        dst.writeframes(np.repeat(np.frombuffer(frames, "<i2"), 2).tobytes())
+    return out.getvalue()
 
 
 def reference_wav_bytes(samples, rate):
