@@ -170,6 +170,20 @@ def create_regular(path, mode="wb", **kwargs):
     return os.fdopen(fd, mode, **kwargs)
 
 
+def write_json(path, doc, **kwargs) -> None:
+    """Write ``doc`` to ``path``, opened by ``create_regular``, as indented
+    JSON with sorted keys and a final newline; ``kwargs`` go to
+    ``json.dump``. An OSError from writing or closing the file, on a full
+    disk say, is raised again as ``OSError("<path>: <error>")``."""
+    fh = create_regular(path, "w", encoding="utf-8")
+    try:
+        with fh:
+            json.dump(doc, fh, indent=2, sort_keys=True, **kwargs)
+            fh.write("\n")
+    except OSError as exc:
+        raise OSError(f"{path}: {exc}") from exc
+
+
 class Outputs:
     """The files one run writes under ``root``, and the directories it
     makes there, used as a context manager that removes them if the run

@@ -9,7 +9,6 @@ mixture/source WAV triples plus a ``dataset.json`` manifest (schema
 
 from __future__ import annotations
 
-import json
 import math
 from collections.abc import Iterator
 from dataclasses import dataclass, replace
@@ -32,6 +31,7 @@ from .audio import (
     resample,
     segment,
     segment_length,
+    write_json,
     write_wav,
 )
 from .errors import (
@@ -369,10 +369,11 @@ def build_dataset(manifest: list[StemEntry],
             raise PairingImpossibleError(
                 f"singers appear in multiple splits: {sorted(offenders)}")
 
-    # dataset.json is opened before any pair is written, so an output that
-    # cannot take the manifest stops the build before it writes anything
-    with Outputs(out_dir) as outputs, create_regular(
-            outputs.file("dataset.json"), "w", encoding="utf-8") as fh:
+    with Outputs(out_dir) as outputs:
+        # dataset.json is made before any pair is written, so an output that
+        # cannot take the manifest stops the build before it writes anything
+        manifest_path = outputs.file("dataset.json")
+        create_regular(manifest_path).close()
         pair_records, summary = _write_splits(
             entries, scheme, segment_seconds, (lo, hi), pairing_base,
             np.random.default_rng(snr_child), outputs)
@@ -389,8 +390,7 @@ def build_dataset(manifest: list[StemEntry],
             "pairs": pair_records,
             "summary": summary,
         }
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        write_json(manifest_path, doc)
     return doc
 
 

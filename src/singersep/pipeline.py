@@ -3,14 +3,13 @@ trend-based selection, output stems, and a run report."""
 
 from __future__ import annotations
 
-import json
 import math
 import shutil
 import time
 from dataclasses import asdict
 
 from .audio import (CANONICAL_RATE, Outputs, Waveform, create_regular, open_regular,
-                    read_wav, resample, write_wav)
+                    read_wav, resample, write_json, write_wav)
 from .backends import STAGE1, STAGE2, CandidateModel, run_backend
 from .errors import DegenerateInputError, MalformedRegistryError, SingerSepError
 from .metrics import pit_evaluate, zero_variance
@@ -184,11 +183,9 @@ def separate_song(song_path,
             },
         }
         report_path = outputs.file("report.json")
-        with create_regular(report_path, "w", encoding="utf-8") as fh:
-            try:
-                json.dump(report, fh, indent=2, sort_keys=True, allow_nan=False)
-            except ValueError as exc:
-                raise ValueError(
-                    f"{report_path}: {exc} at {_non_finite_key(report)}") from exc
-            fh.write("\n")
+        try:
+            write_json(report_path, report, allow_nan=False)
+        except ValueError as exc:
+            raise ValueError(
+                f"{report_path}: {exc} at {_non_finite_key(report)}") from exc
     return report

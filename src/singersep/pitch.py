@@ -8,11 +8,13 @@ below the silence floor, are emitted as 0 (unvoiced).
 
 The difference function is computed in the algebraic form of de Cheveigne
 & Kawahara, "YIN, a fundamental frequency estimator for speech and music"
-(JASA 2002, section II): d(tau) = e_0 + e_tau - 2 r(tau), with the window
-energies from a cumulative sum of squares and the correlation r(tau) from
-one FFT per frame. The pick runs on whole arrays, with no loop over lags
-or frames. Frames go through in fixed blocks of ``BLOCK_FRAMES``, so the
-working memory stays flat with input length.
+(JASA 2002, section II): d(tau) = e_0 + e_tau - 2 r(tau), with e_0 + e_tau
+from one running sum over the lags and the correlation r(tau) from one
+forward FFT of each frame and its reversed head, stacked into one call,
+and one inverse FFT. The pick runs on whole arrays, with no loop over lags
+or frames. Frames go through in blocks of ``BLOCK_FRAMES``, in one set of
+buffers per call that every block reuses, so the working memory stays flat
+with input length.
 """
 
 from __future__ import annotations
@@ -28,8 +30,9 @@ from .errors import ConfigInvalidError
 
 DEFAULT_FMIN_HZ = 55.0
 DEFAULT_FMAX_HZ = 1000.0
-# frames per FFT batch: bounds the tracker's working memory at any input length
-BLOCK_FRAMES = 128
+# frames per FFT batch: bounds the tracker's working memory at any input
+# length, about 10.5 KB a frame at the default settings
+BLOCK_FRAMES = 256
 # pitch frames one trend term spans (i-1, i, i+1), and the units trends are scored in
 TREND_FRAMES = 3
 UNITS = ("hz", "semitones")
@@ -168,68 +171,108 @@ def track_pitch(w: Waveform, config: PitchConfig | None = None) -> PitchTrack:
 
     frames = sliding_window_view(w.samples, frame_len)[::cfg.hop_length]
     pitches = np.empty(frames.shape[0])
-    for start in range(0, frames.shape[0], BLOCK_FRAMES):
-        block = frames[start:start + BLOCK_FRAMES]
-        pitches[start:start + block.shape[0]] = _block_pitches(block, cfg)
+    _track_blocks(frames, cfg, out=pitches)
     return PitchTrack(pitches, cfg.hop_seconds)
 
 
-def _block_pitches(frames: np.ndarray, cfg: PitchConfig) -> np.ndarray:
-    """Pitch in Hz (0 = unvoiced) of each row of a (frames, frame_len) block."""
-    n_frames, frame_len = frames.shape
+def _track_blocks(frames: np.ndarray, cfg: PitchConfig, out: np.ndarray) -> None:
+    """Write the pitch in Hz (0 = unvoiced) of each row of a (frames,
+    frame_len) array to ``out``, BLOCK_FRAMES rows at a time. The buffers
+    are made once per call and reused by every block, so concurrent calls
+    each have their own."""
+    frame_len = frames.shape[1]
     tau_min, tau_max = cfg.lag_range
     window = frame_len - tau_max
-    lags = np.arange(tau_max + 1)
+    rows = min(BLOCK_FRAMES, frames.shape[0])
+    # [0]: twice the rebased frame's first `window` samples, reversed, then
+    # zeros; [1]: the rebased frame. Once the FFT has read them, each row is
+    # reused as the later stages need
+    signal = np.empty((2, rows, frame_len))
+    spectrum = np.empty((2, rows, frame_len // 2 + 1), dtype=complex)
+    # [0]: lags under the threshold; [1]: lags whose successor is not lower
+    masks = np.empty((2, rows, tau_max + 1), dtype=bool)
+    shift = np.empty(rows)
+    lags = np.arange(tau_max + 1, dtype=float)
 
-    # d(tau) = e_0 + e_tau - 2 r(tau). The energies e_tau of the window
-    # shifted by tau come from one cumulative sum of squares; r(tau) comes
-    # from one FFT, whose length frame_len = (window - 1 + tau_max) + 1 keeps
-    # every lag from wrapping around. d(tau) does not change when a constant
-    # is added to a frame, so each frame's first sample is subtracted first:
-    # a DC offset then costs no precision, and a frame that opens with a run
-    # of equal samples (digital silence) keeps the exact zeros that the
-    # direct sum of squares gives its leading lags.
-    rms = np.sqrt(np.mean(frames ** 2, axis=1))
-    rebased = frames - frames[:, :1]
-    energy = np.zeros((n_frames, frame_len + 1))
-    np.cumsum(rebased ** 2, axis=1, out=energy[:, 1:])
-    shifted = energy[:, window:] - energy[:, :tau_max + 1]
-    spectrum = np.conj(np.fft.rfft(rebased[:, :window], frame_len))
-    spectrum *= np.fft.rfft(rebased, frame_len)
-    corr = np.fft.irfft(spectrum, frame_len)[:, :tau_max + 1]
-    diff = shifted[:, :1] + shifted - 2.0 * corr
-    np.maximum(diff, 0.0, out=diff)
-    diff[:, 0] = 0.0
+    for start in range(0, frames.shape[0], BLOCK_FRAMES):
+        block = frames[start:start + BLOCK_FRAMES]
+        n = block.shape[0]
+        stacked, fft = signal[:, :n], spectrum[:, :n]
+        head, frame = stacked
+        below, rising = masks[:, :n]
+        # (n, lags) arrays in the rows' memory once it is spent
+        cmndf = frame.reshape(-1)[:below.size].reshape(below.shape)
+        running = head.reshape(-1)[:below.size].reshape(below.shape)
 
-    # cumulative mean-normalized difference d'(tau)
-    running = np.cumsum(diff[:, 1:], axis=1)
-    cmndf = np.ones_like(diff)
-    np.divide(diff[:, 1:] * lags[1:], running,
-              out=cmndf[:, 1:], where=running > 0)
+        # d(tau) = e_0 + e_tau - 2 r(tau). d(tau) does not change when a
+        # constant is added to a frame, so each frame's first sample is
+        # subtracted first: a DC offset then costs no precision, and a frame
+        # that opens with a run of equal samples (digital silence) keeps the
+        # exact zeros that the direct sum of squares gives its leading lags.
+        # r(tau) is a convolution of the frame with its head reversed, read
+        # at window - 1 + tau: one FFT, whose length frame_len = window +
+        # tau_max keeps every lag from wrapping around. The head is doubled,
+        # so the product gives 2 r(tau) exactly.
+        np.subtract(block, block[:, :1], out=frame)
+        np.multiply(frame[:, window - 1::-1], 2.0, out=head[:, :window])
+        head[:, window:] = 0.0
+        np.fft.rfft(stacked, axis=-1, out=fft)
+        fft[0] *= fft[1]
 
-    # first lag in range under the threshold, then on down to the local
-    # minimum: the first lag from there on whose successor is not lower
-    below = (cmndf < cfg.threshold) & (lags >= tau_min)
-    voiced = below.any(axis=1) & (rms >= SILENCE_RMS)
-    first = np.argmax(below, axis=1)
-    descending = np.zeros_like(below)
-    descending[:, :-1] = cmndf[:, 1:] < cmndf[:, :-1]
-    tau = np.argmax(~descending & (lags >= first[:, None]), axis=1)
+        # e_0 + e_tau for every tau is the cumulative sum of the head row's
+        # first lags: [2 e_0, sq[window] - sq[0], sq[window + 1] - sq[1],
+        # ...]. The flat difference crosses rows past them, where nothing
+        # is read.
+        np.square(frame, out=frame)
+        sq = frame.reshape(-1)
+        np.subtract(sq[window:], sq[:-window], out=head.reshape(-1)[1:1 - window or None])
+        np.einsum("ij->i", frame[:, :window], out=head[:, 0])
+        head[:, 0] *= 2.0
+        np.cumsum(head[:, :tau_max + 1], axis=1, out=cmndf)
+        np.fft.irfft(fft[0], frame_len, axis=-1, out=head)
+        cmndf -= head[:, window - 1:]
+        np.maximum(cmndf, 0.0, out=cmndf)
+        cmndf[:, 0] = 0.0
 
-    # parabolic refinement through the neighbours of the minimum
-    rows = np.arange(n_frames)
-    prev = cmndf[rows, tau - 1]
-    here = cmndf[rows, tau]
-    after = cmndf[rows, np.minimum(tau + 1, tau_max)]
-    denom = prev - 2 * here + after
-    shift = np.zeros(n_frames)
-    np.divide(0.5 * (prev - after), denom, out=shift,
-              where=(tau >= 1) & (tau < tau_max) & (denom > 0))
-    refined = tau + np.clip(shift, -1.0, 1.0)
+        # cumulative mean-normalized difference d'(tau) = d(tau) tau /
+        # running(tau), and 1 where the running sum is 0, where d(tau) is 0
+        # too: both are raised by 1 there
+        np.cumsum(cmndf, axis=1, out=running)
+        np.equal(running, 0.0, out=below)
+        running += below
+        cmndf *= lags
+        cmndf += below
+        cmndf /= running
 
-    pitches = np.zeros(n_frames)
-    pitches[voiced] = np.clip(CANONICAL_RATE / refined[voiced], cfg.fmin_hz, cfg.fmax_hz)
-    return pitches
+        # the first lag in range under the threshold, then on down to the
+        # local minimum: as d'(tau) only falls on the way down, that is the
+        # first lag in range under the threshold whose successor is not lower.
+        # The flat comparison crosses rows at the last lag, where every
+        # descent ends.
+        np.less(cmndf, cfg.threshold, out=below)
+        flat = cmndf.reshape(-1)
+        np.greater_equal(flat[1:], flat[:-1], out=rising.reshape(-1)[:-1])
+        rising[:, -1] = True
+        below &= rising
+        tau = np.argmax(below[:, tau_min:], axis=1)
+        tau += tau_min
+        index = np.arange(n)
+        voiced = below[index, tau]
+        loud = np.einsum("ij,ij->i", block, block)
+        voiced &= np.sqrt(loud / frame_len) >= SILENCE_RMS
+
+        # parabolic refinement through the neighbours of the minimum
+        prev = cmndf[index, tau - 1]
+        here = cmndf[index, tau]
+        after = cmndf[index, np.minimum(tau + 1, tau_max)]
+        denom = prev - 2 * here + after
+        step = shift[:n]
+        step.fill(0.0)
+        np.divide(0.5 * (prev - after), denom, out=step,
+                  where=(tau < tau_max) & (denom > 0))
+        refined = tau + np.clip(step, -1.0, 1.0)
+        np.multiply(np.clip(CANONICAL_RATE / refined, cfg.fmin_hz, cfg.fmax_hz),
+                    voiced, out=out[start:start + n])
 
 
 def to_semitones(track: PitchTrack) -> PitchTrack:

@@ -9,9 +9,15 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 import singersep
 from singersep import audio, backends, synth
+
+
+# CI runs the tracker-equivalence test once more under this profile, with
+# `--hypothesis-profile tracker`
+settings.register_profile("tracker", max_examples=1000)
 
 
 @pytest.fixture

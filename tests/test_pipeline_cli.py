@@ -90,6 +90,12 @@ def assert_clean_exit(rc, err, code):
     assert "Traceback" not in err
 
 
+def json_dump_on_a_full_disk(doc, fh, **kwargs):
+    """``json.dump`` on a disk that fills after its first write."""
+    fh.write("{")
+    raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+
 class TestSeparateSong:
     def test_end_to_end_selects_clean(self, duet_setup, tmp_path):
         out = tmp_path / "out"
@@ -312,6 +318,18 @@ class TestCliSeparate:
             rc = cli.main(argv)
             assert rc == 0
             assert f"chosen model: {chosen}" in capsys.readouterr().out
+
+    def test_full_disk_names_the_report_and_leaves_nothing(
+            self, duet_setup, tmp_path, capsys, monkeypatch):
+        out = tmp_path / "full"
+        out.mkdir()
+        monkeypatch.setattr(json, "dump", json_dump_on_a_full_disk)
+        rc = cli.main(separate_argv(duet_setup, out))
+        err = capsys.readouterr().err
+        assert_clean_exit(rc, err, 2)
+        assert err == (f"error: {out / 'report.json'}: [Errno 28] "
+                       f"{os.strerror(errno.ENOSPC)}\n")
+        assert list(out.iterdir()) == []
 
     @pytest.mark.parametrize("value", ["-5", "0", "inf", "nan"])
     def test_bad_segment_seconds_exits_2_before_any_backend(
@@ -1478,6 +1496,20 @@ class TestCliBuildDataset:
         err = capsys.readouterr().err
         assert_clean_exit(rc, err, 2)
         assert "no stem lasts one 10 s segment" in err
+        assert list(out.iterdir()) == []
+
+    def test_full_disk_names_the_manifest_and_leaves_nothing(
+            self, tmp_path, capsys, monkeypatch):
+        manifest = write_toy_stems(tmp_path, n_singers=2, seconds=20.0, split="train")
+        out = tmp_path / "ds"
+        out.mkdir()
+        monkeypatch.setattr(json, "dump", json_dump_on_a_full_disk)
+        rc = cli.main(["build-dataset", "--manifest", str(manifest), "--scheme", "duet",
+                       "--out", str(out), "--seed", "1"])
+        err = capsys.readouterr().err
+        assert_clean_exit(rc, err, 2)
+        assert err == (f"error: {out / 'dataset.json'}: [Errno 28] "
+                       f"{os.strerror(errno.ENOSPC)}\n")
         assert list(out.iterdir()) == []
 
     @pytest.mark.parametrize("value", ["nan,0.5,0.5", "-1,1,1", "0.5,0.5,0.5"])
