@@ -152,12 +152,16 @@ def open_regular(path, error):
     return os.fdopen(fd, "rb")
 
 
+@contextlib.contextmanager
 def create_regular(path, mode="wb", **kwargs):
-    """``path`` created or truncated and open for writing, as by
-    ``open(path, mode, **kwargs)``. It is opened without blocking, so
-    anything but a regular file (a FIFO, a device) raises
-    ``OSError("<path>: not a regular file")`` at once, never waited on, and
-    a directory raises ``IsADirectoryError``."""
+    """A context manager that yields ``path`` created or truncated and open
+    for writing, as by ``open(path, mode, **kwargs)``, and closes it on
+    leaving. It is opened without blocking, so anything but a regular file
+    (a FIFO, a device) raises ``OSError("<path>: not a regular file")`` at
+    once, never waited on, and a directory raises ``IsADirectoryError``. An
+    OSError raised in the block, or by the closing flush, on a full disk
+    say, is raised again as ``OSError("<path>: <error>")``: a failed write
+    names its file."""
     try:
         fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_TRUNC | os.O_NONBLOCK, 0o666)
     except OSError as exc:
@@ -167,21 +171,20 @@ def create_regular(path, mode="wb", **kwargs):
     if not stat.S_ISREG(os.fstat(fd).st_mode):
         os.close(fd)
         raise OSError(f"{path}: not a regular file")
-    return os.fdopen(fd, mode, **kwargs)
+    try:
+        with os.fdopen(fd, mode, **kwargs) as fh:
+            yield fh
+    except OSError as exc:
+        raise OSError(f"{path}: {exc}") from exc
 
 
 def write_json(path, doc, **kwargs) -> None:
     """Write ``doc`` to ``path``, opened by ``create_regular``, as indented
     JSON with sorted keys and a final newline; ``kwargs`` go to
-    ``json.dump``. An OSError from writing or closing the file, on a full
-    disk say, is raised again as ``OSError("<path>: <error>")``."""
-    fh = create_regular(path, "w", encoding="utf-8")
-    try:
-        with fh:
-            json.dump(doc, fh, indent=2, sort_keys=True, **kwargs)
-            fh.write("\n")
-    except OSError as exc:
-        raise OSError(f"{path}: {exc}") from exc
+    ``json.dump``."""
+    with create_regular(path, "w", encoding="utf-8") as fh:
+        json.dump(doc, fh, indent=2, sort_keys=True, **kwargs)
+        fh.write("\n")
 
 
 class Outputs:

@@ -187,7 +187,9 @@ def _evaluate_pair(root: Path, estimates: Path, record: dict):
 def cmd_evaluate(args) -> int:
     """Score each pair's estimates on ``--jobs`` workers, the calling thread
     one of them (``selection.run_jobs``), and print and write the rows in
-    manifest order."""
+    manifest order. The CSV is written through ``audio.create_regular``
+    inside an ``audio.Outputs``, so a failed write names it and leaves
+    none."""
     doc, root = dataset.load_manifest(args.dataset)
     estimates = Path(args.estimates)
 
@@ -196,10 +198,9 @@ def cmd_evaluate(args) -> int:
     if not records:
         raise ConfigInvalidError(f"no pairs in split {args.split!r}")
 
-    workers = args.jobs or os.cpu_count() or 1
-    with ThreadPoolExecutor(max_workers=max(1, workers - 1)) as pool:
-        results = selection.run_jobs(
-            pool, lambda r: _evaluate_pair(root, estimates, r), records, workers)
+    results = selection.run_jobs(ThreadPoolExecutor,
+                                 lambda r: _evaluate_pair(root, estimates, r),
+                                 records, args.jobs)
 
     rows = []
     sources = []
@@ -232,17 +233,13 @@ def cmd_evaluate(args) -> int:
                   "left out of the mean")
         csv_path = Path(args.csv) if args.csv else estimates / "evaluation.csv"
         # a write that fails, on a full disk say, names the CSV and leaves none
-        with audio.Outputs(csv_path.parent) as outputs:
-            fh = audio.create_regular(outputs.file(csv_path.name), "w",
-                                      newline="", encoding="utf-8")
-            try:
-                with fh:
-                    writer = csv.DictWriter(fh, fieldnames=["pair_id", *metrics.METRICS])
-                    writer.writeheader()
-                    writer.writerows(rows)
-                    writer.writerow({"pair_id": "mean", **means})
-            except OSError as exc:
-                raise OSError(f"{csv_path}: {exc}") from exc
+        with audio.Outputs(csv_path.parent) as outputs, \
+                audio.create_regular(outputs.file(csv_path.name), "w",
+                                     newline="", encoding="utf-8") as fh:
+            writer = csv.DictWriter(fh, fieldnames=["pair_id", *metrics.METRICS])
+            writer.writeheader()
+            writer.writerows(rows)
+            writer.writerow({"pair_id": "mean", **means})
         print(f"csv: {csv_path}")
 
     if missing:

@@ -246,34 +246,36 @@ def _stem_segments(entry: StemEntry, segment_seconds: float) -> list[Segment]:
 def _write_split(split: str, entries: list[StemEntry], scheme: PairingScheme,
                  segment_seconds: float, snr_range: tuple[float, float],
                  pairing_seed: int, rng: np.random.Generator,
-                 pair_records: list[dict], outputs: Outputs) -> int:
-    """Read one split's stems, pair their segments, mix each pair at an SNR
-    drawn from ``snr_range``, write it under ``outputs.root`` and append its
-    manifest record to ``pair_records``; return the number of pairs.
+                 outputs: Outputs) -> list[dict]:
+    """Read the stems of ``entries`` in ``split``, by singer and song, pair
+    their segments, mix each pair at an SNR drawn from ``snr_range`` and
+    write it under ``outputs.root``; return the split's manifest records,
+    none if no stem lasts one segment.
 
     Each pair and its SNR are drawn as it is written, so no pair plan is
     held, and the split's segments die on return, before the next split's
     stems are read. Each pair's three files are recorded in ``outputs``
     before any of them is written."""
     segs_by_singer: dict[str, list[Segment]] = {}
-    for e in entries:
+    for e in sorted((e for e in entries if e.split == split),
+                    key=lambda e: (e.singer_id, e.song_id)):
         for s in _stem_segments(e, segment_seconds):
             segs_by_singer.setdefault(e.singer_id, []).append(s)
     if not segs_by_singer:
-        return 0
+        return []
 
     lo, hi = snr_range
-    count = 0
+    records = []
     for seg_a, seg_b in _draw_pairs(segs_by_singer, scheme, seed=pairing_seed):
         # one scalar draw per pair: the same stream as one vector draw
         snr = float(rng.uniform(lo, hi))
-        pair_id = f"{split}-{count:06d}"
+        pair_id = f"{split}-{len(records):06d}"
         paths = {key: f"{split}/{pair_id}/{name}" for key, name in _PAIR_FILES.items()}
         for path in paths.values():
             outputs.file(path)
         _write_pair(mix_at_snr(seg_a.audio, seg_b.audio, snr),
                     outputs.root / split / pair_id)
-        pair_records.append({
+        records.append({
             "pair_id": pair_id,
             "split": split,
             "snr_db": snr,
@@ -284,33 +286,7 @@ def _write_split(split: str, entries: list[StemEntry], scheme: PairingScheme,
             "segment_b": seg_b.index,
             "pairing_scheme": scheme.kind,
         })
-        count += 1
-    return count
-
-
-def _write_splits(entries: list[StemEntry], scheme: PairingScheme,
-                  segment_seconds: float, snr_range: tuple[float, float],
-                  pairing_base: int, rng: np.random.Generator,
-                  outputs: Outputs) -> tuple[list[dict], dict]:
-    """Write each split in turn (``_write_split``), one split's segments
-    alive at a time; return the manifest's pair records and per-split
-    summary."""
-    pair_records: list[dict] = []
-    summary = {}
-    for split_index, split in enumerate(SPLITS):
-        split_entries = sorted((e for e in entries if e.split == split),
-                               key=lambda e: (e.singer_id, e.song_id))
-        if not split_entries:
-            continue
-        pairs = _write_split(split, split_entries, scheme, segment_seconds, snr_range,
-                             (pairing_base + split_index) % (2 ** 31), rng,
-                             pair_records, outputs)
-        if pairs:
-            summary[split] = {
-                "pairs": pairs,
-                "duration_seconds": pairs * segment_seconds,
-            }
-    return pair_records, summary
+    return records
 
 
 def build_dataset(manifest: list[StemEntry],
@@ -326,9 +302,12 @@ def build_dataset(manifest: list[StemEntry],
     split by singer first. Every setting is checked before any stem is read.
     Returns the manifest dict (also written to ``out_dir/dataset.json``).
     A build that writes no pair, all stems shorter than one segment, raises
-    PairingImpossibleError. Every output is recorded in one ``Outputs``: a
-    build that fails or is interrupted removes the files it wrote, the
-    manifest and every pair, and the directories it made.
+    PairingImpossibleError. The splits are written in turn, one loop over
+    SPLITS (``_write_split``), so one split's segments are alive at a time;
+    each split that has pairs gets a summary row from its records. Every
+    output is recorded in one ``Outputs``: a build that fails or is
+    interrupted removes the files it wrote, the manifest and every pair,
+    and the directories it made.
     """
     if seed < 0:
         raise ValueError(f"seed must be a non-negative integer, got {seed}")
@@ -373,10 +352,19 @@ def build_dataset(manifest: list[StemEntry],
         # dataset.json is made before any pair is written, so an output that
         # cannot take the manifest stops the build before it writes anything
         manifest_path = outputs.file("dataset.json")
-        create_regular(manifest_path).close()
-        pair_records, summary = _write_splits(
-            entries, scheme, segment_seconds, (lo, hi), pairing_base,
-            np.random.default_rng(snr_child), outputs)
+        with create_regular(manifest_path):
+            pass
+        snr_rng = np.random.default_rng(snr_child)
+        pair_records: list[dict] = []
+        summary = {}
+        for split_index, split in enumerate(SPLITS):
+            records = _write_split(split, entries, scheme, segment_seconds, (lo, hi),
+                                   (pairing_base + split_index) % (2 ** 31), snr_rng,
+                                   outputs)
+            if records:
+                pair_records += records
+                summary[split] = {"pairs": len(records),
+                                  "duration_seconds": len(records) * segment_seconds}
         if not pair_records:
             raise PairingImpossibleError(
                 f"no pairs to write: no stem lasts one {segment_seconds:g} s segment")

@@ -59,7 +59,9 @@ def _non_finite_key(value, key: str = "") -> str | None:
 
 
 def _copy(source, path) -> None:
-    """Copy the regular file ``source`` to ``path``, opened by ``create_regular``."""
+    """Copy the regular file ``source`` to ``path``, opened by
+    ``create_regular``. A read error partway through the copy is raised in
+    the opener's block, so it is reported under ``path``'s name."""
     with open_regular(source, OSError) as src, create_regular(path) as dst:
         shutil.copyfileobj(src, dst)
 

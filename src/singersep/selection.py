@@ -21,7 +21,7 @@ import logging
 import os
 import threading
 from collections.abc import Callable, Sequence
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import Executor, ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -189,16 +189,21 @@ def check_jobs(jobs: int | None) -> None:
         raise ConfigInvalidError(f"jobs must be at least 1, got {jobs}")
 
 
-def run_jobs(pool: ThreadPoolExecutor, fn: Callable, items: Sequence, jobs: int) -> list:
-    """``[fn(item) for item in items]`` on ``jobs`` workers: the calling
-    thread and ``jobs - 1`` tasks submitted to ``pool``, each taking the
-    next item when it finishes one. ``jobs`` 1 submits nothing, so a pool
-    that starts its threads on submit starts none.
+def run_jobs(executor: Callable[..., Executor], fn: Callable, items: Sequence,
+             jobs: int | None) -> list:
+    """``[fn(item) for item in items]`` on ``jobs`` workers counting the
+    calling thread (None means one per CPU): the calling thread, and
+    ``jobs - 1`` tasks submitted to the pool that
+    ``executor(max_workers=max(1, jobs - 1))`` opens here and shuts down on
+    return, each worker taking the next item when it finishes one. One
+    worker, or one item, submits nothing, so a pool that starts its threads
+    on submit starts none.
 
     After an item fails no item starts; those under way finish, and the
     failure of the first item in order is raised. An interrupt of the
     calling thread is raised as itself once the pool's tasks have returned.
     """
+    workers = jobs or os.cpu_count() or 1
     results = [None] * len(items)
     failures: dict[int, Exception] = {}
     lock = threading.Lock()
@@ -220,14 +225,15 @@ def run_jobs(pool: ThreadPoolExecutor, fn: Callable, items: Sequence, jobs: int)
                     failures[i] = exc
                 return
 
-    helpers = [pool.submit(work) for _ in range(min(jobs, len(items)) - 1)]
-    try:
-        work()
-    finally:
-        with lock:
-            stop = True  # an interrupt of the calling thread stops the helpers too
-        for helper in helpers:
-            helper.result()
+    with executor(max_workers=max(1, workers - 1)) as pool:
+        helpers = [pool.submit(work) for _ in range(min(workers, len(items)) - 1)]
+        try:
+            work()
+        finally:
+            with lock:
+                stop = True  # an interrupt of the calling thread stops the helpers too
+            for helper in helpers:
+                helper.result()
     if failures:
         raise failures[min(failures)]
     return results
@@ -245,11 +251,11 @@ def select_model(mixed_vocal: Waveform,
     ``pitch_config`` (default ``PitchConfig()``) is the whole scoring rule.
     Candidates run concurrently on ``jobs`` workers (at least 1; None means
     one per CPU) counting the calling thread, so ``jobs - 1`` threads start
-    (``run_jobs``). The workers run the backends and the scoring alike;
-    backend temp files are namespaced per invocation. External-command
-    candidates start first, each group in candidate order, so their
-    processes run beside the in-process scoring; warnings may print in that
-    order. The worker that ran a candidate stores its score at the
+    (``run_jobs``, which sizes and opens the pool). The workers run the
+    backends and the scoring alike; backend temp files are namespaced per
+    invocation. External-command candidates start first, each group in
+    candidate order, so their processes run beside the in-process scoring;
+    warnings may print in that order. The worker that ran a candidate stores its score at the
     candidate's place in ``scores`` and hands its two channels to
     ``on_outputs(model_id, pair, leads)`` itself (a failed candidate has
     none), one call at a time. ``leads`` is true when the candidate is the
@@ -293,9 +299,7 @@ def select_model(mixed_vocal: Waveform,
     # external processes first, so they run beside the in-process scoring
     order = sorted(range(len(candidates)),
                    key=lambda i: candidates[i].backend.kind != KIND_EXTERNAL)
-    workers = jobs or os.cpu_count() or 1
-    with ThreadPoolExecutor(max_workers=max(1, workers - 1)) as pool:
-        run_jobs(pool, run_one, order, workers)
+    run_jobs(ThreadPoolExecutor, run_one, order, jobs)
 
     if best is None:
         raise BackendFailureError(

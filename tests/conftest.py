@@ -156,16 +156,23 @@ def write_toy_stems(tmp_path, n_singers=4, songs_per_singer=1, seconds=30.0,
     return manifest
 
 
-def run_capped(code, *args, address_space=512 * 2 ** 20):
+def run_capped(code, *args, rlimit="RLIMIT_AS", limit=512 * 2 ** 20):
     """Run Python ``code`` with ``args`` as ``sys.argv[1:]`` in a child
-    process whose address space is capped, so that a read that never ends
-    (of /dev/zero, say) fails there with a MemoryError instead of taking the
-    machine's memory. Returns what the child prints, parsed as JSON."""
+    process under a cap, the ``resource`` module's ``rlimit`` set to
+    ``limit``, and return what the child prints, parsed as JSON. The default
+    caps the address space, so that a read that never ends (of /dev/zero,
+    say) fails there with a MemoryError instead of taking the machine's
+    memory. ``RLIMIT_FSIZE`` caps the size of a file the child writes, so
+    the kernel itself refuses a write past it with EFBIG: SIGXFSZ, which
+    would kill the child, is ignored, and the child writes no bytecode,
+    which the cap would cut short. Its stdout and stderr are pipes, which
+    no file-size cap cuts."""
     src = str(Path(singersep.__file__).resolve().parents[1])
-    env = {**os.environ,
+    env = {**os.environ, "PYTHONDONTWRITEBYTECODE": "1",
            "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    cap = ("import resource; resource.setrlimit(resource.RLIMIT_AS, "
-           f"({address_space}, {address_space}))\n")
+    cap = ("import resource, signal\n"
+           "signal.signal(signal.SIGXFSZ, signal.SIG_IGN)\n"
+           f"resource.setrlimit(resource.{rlimit}, ({limit}, {limit}))\n")
     proc = subprocess.run([sys.executable, "-c", cap + code, *map(str, args)],
                           capture_output=True, text=True, env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr

@@ -468,16 +468,16 @@ class TestOneSplitAtATime:
         segments_of = {e.song_id: groups[e.singer_id]
                        for groups, entries, _ in splits.values() for e in entries}
 
-        records = []
         snr_rng = np.random.default_rng(snr_seed)
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(dataset, "_stem_segments",
                           lambda entry, seconds: segments_of[entry.song_id])
             patch.setattr(dataset, "_write_pair", lambda pair, pair_dir: None)
             with Outputs(tmp_path_factory.mktemp("ds")) as outputs:
-                counts = [dataset._write_split(split, entries, scheme, 1.0, snr_range,
-                                               seed, snr_rng, records, outputs)
-                          for split, (_, entries, seed) in splits.items()]
+                per_split = [dataset._write_split(split, entries, scheme, 1.0, snr_range,
+                                                  seed, snr_rng, outputs)
+                             for split, (_, entries, seed) in splits.items()]
+        records = [r for split_records in per_split for r in split_records]
 
         want = []
         vector = np.random.default_rng(snr_seed)
@@ -490,7 +490,7 @@ class TestOneSplitAtATime:
         got = [(r["pair_id"], r["singer_a"], r["song_a"], r["segment_a"], r["singer_b"],
                 r["song_b"], r["segment_b"], r["snr_db"]) for r in records]
         assert got == want
-        assert counts == [singers * per_singer * repeats] * 2
+        assert [len(r) for r in per_split] == [singers * per_singer * repeats] * 2
 
     def test_no_pair_plan_is_built_before_the_first_write(self, tmp_path, monkeypatch):
         # 10**5 passes over four segments: drawn all at once, the 400,000

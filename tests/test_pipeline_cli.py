@@ -22,7 +22,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import singersep
-from singersep import backends, cli, dataset, errors, metrics, pipeline, selection, synth
+from singersep import (audio, backends, cli, dataset, errors, metrics, pipeline,
+                       selection, synth)
 from singersep.audio import Waveform, read_wav, resample, write_wav
 from singersep.backends import (
     KIND_EXTERNAL,
@@ -94,6 +95,37 @@ def json_dump_on_a_full_disk(doc, fh, **kwargs):
     """``json.dump`` on a disk that fills after its first write."""
     fh.write("{")
     raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+
+def fill_disk_on_write(monkeypatch, path, writes):
+    """Fill the disk on the file ``path``: every opener site still opens it
+    through the real ``create_regular``, whose file's write after its first
+    ``writes`` flushes those to disk and raises ENOSPC with no filename, as
+    the kernel's error has none. Returns the file's size on disk at each
+    such fault."""
+    create_regular = audio.create_regular
+    sizes = []
+
+    @contextlib.contextmanager
+    def filling(target, *args, **kwargs):
+        with create_regular(target, *args, **kwargs) as fh:
+            if Path(target) == path:
+                write, done = fh.write, []
+
+                def full(data):
+                    if len(done) == writes:
+                        fh.flush()
+                        sizes.append(os.path.getsize(path))
+                        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+                    done.append(len(data))
+                    return write(data)
+
+                fh.write = full
+            yield fh
+
+    for module in (audio, pipeline):
+        monkeypatch.setattr(module, "create_regular", filling)
+    return sizes
 
 
 class TestSeparateSong:
@@ -548,30 +580,16 @@ class TestChosenStems:
     @pytest.mark.parametrize("target", ["candidates/clean/b.wav", "vocal_b.wav"])
     def test_part_written_file_is_rolled_back(self, duet_setup, tmp_path, capsys,
                                               monkeypatch, target):
-        # the disk fills after the file is made: the run exits 2 and the
-        # part-written file goes with every other output
+        # the disk fills after the file's first write: the run exits 2
+        # naming the file, and the part-written file goes with every other
+        # output
         out = tmp_path / "out"
-        copy = pipeline._copy
-
-        def fill_disk_at(path):
-            if Path(path) == out / target:
-                Path(path).write_bytes(b"RIFF")
-                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC), str(path))
-
-        def failing_write(w, path):
-            fill_disk_at(path)
-            write_wav(w, path)
-
-        def failing_copy(src, dst):
-            fill_disk_at(dst)
-            copy(src, dst)
-
-        monkeypatch.setattr(pipeline, "write_wav", failing_write)
-        monkeypatch.setattr(pipeline, "_copy", failing_copy)
+        sizes = fill_disk_on_write(monkeypatch, out / target, writes=1)
         rc = cli.main(separate_argv(duet_setup, out))
         err = capsys.readouterr().err
         assert_clean_exit(rc, err, 2)
-        assert f"{os.strerror(errno.ENOSPC)}: '{out / target}'" in err
+        assert err == f"error: {out / target}: [Errno 28] {os.strerror(errno.ENOSPC)}\n"
+        assert len(sizes) == 1 and sizes[0] > 0
         assert not out.exists()
 
 
@@ -1887,28 +1905,59 @@ class TestCliEvaluate:
         estimates = {p: p.read_bytes() for p in est.iterdir()}
         csv_path = est / "evaluation.csv"
         csv_path.write_text("an earlier run's scores\n")
-        create_regular = cli.audio.create_regular
-
-        def filling(path, *args, **kwargs):
-            fh = create_regular(path, *args, **kwargs)
-            lines = []
-
-            def write(text):
-                if len(lines) == 2:  # the header and the first row
-                    fh.flush()
-                    raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
-                lines.append(text)
-                return type(fh).write(fh, text)
-
-            fh.write = write
-            return fh
-
-        monkeypatch.setattr(cli.audio, "create_regular", filling)
+        sizes = fill_disk_on_write(monkeypatch, csv_path, writes=2)
         rc = cli.main(["evaluate", "--dataset", str(root), "--estimates", str(est)])
         err = capsys.readouterr().err
         assert_clean_exit(rc, err, 2)
         assert err == f"error: {csv_path}: [Errno 28] {os.strerror(errno.ENOSPC)}\n"
+        assert len(sizes) == 1 and sizes[0] > 0
         assert {p: p.read_bytes() for p in est.iterdir()} == estimates
+
+
+def _tree(root):
+    """Every path under root: a file's bytes, None for a directory."""
+    return {p: None if p.is_dir() else p.read_bytes() for p in root.rglob("*")}
+
+
+class TestFileSizeCap:
+    """A write the kernel itself refuses, past a file-size cap (EFBIG), ends
+    the verb with exit 2 and one line naming the file, and leaves the inputs
+    as they were and nothing the run made. The verb runs in a child process
+    (run_capped) under RLIMIT_FSIZE, set below the first WAV or CSV it
+    writes."""
+
+    def assert_refused(self, tmp_path, argv, limit, written):
+        before = _tree(tmp_path)
+        result = run_capped(_CLI_MAIN, *argv, rlimit="RLIMIT_FSIZE", limit=limit)
+        assert_clean_exit(result["rc"], result["err"], 2)
+        assert result["err"] == (f"error: {written}: [Errno {errno.EFBIG}] "
+                                 f"{os.strerror(errno.EFBIG)}\n")
+        assert _tree(tmp_path) == before
+
+    @pytest.mark.parametrize("extra", ["", "model", "refs"])
+    def test_separate(self, duet_setup, tmp_path, extra):
+        argv = {"": [], "model": ["--model", "clean"],
+                "refs": ["--ref-a", str(duet_setup["refs"][0]),
+                         "--ref-b", str(duet_setup["refs"][1])]}[extra]
+        out = tmp_path / "out"
+        # the 6 s accompaniment takes 96 kB
+        self.assert_refused(tmp_path, separate_argv(duet_setup, out, *argv), 20_000,
+                            out / "accompaniment.wav")
+
+    def test_build_dataset(self, tmp_path):
+        manifest = write_toy_stems(tmp_path, n_singers=2, seconds=20.0, split="train")
+        out = tmp_path / "ds"
+        # a 10 s pair file takes 160 kB
+        self.assert_refused(tmp_path, ["build-dataset", "--manifest", manifest,
+                                       "--scheme", "duet", "--out", out, "--seed", "1"],
+                            20_000, out / "train" / "train-000000" / "mix.wav")
+
+    def test_evaluate(self, built_dataset, tmp_path):
+        root, doc = built_dataset
+        est = write_oracle_estimates(root, doc, tmp_path / "est")
+        # the CSV's header alone is longer
+        self.assert_refused(tmp_path, ["evaluate", "--dataset", root, "--estimates", est],
+                            16, est / "evaluation.csv")
 
 
 def _tree_bytes(root):

@@ -7,7 +7,7 @@ import threading
 import time
 import tracemalloc
 import weakref
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import Future, ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -718,13 +718,35 @@ class TestStartOrder:
             sys.setswitchinterval(interval)
 
 
-def _run_jobs(fn, items, jobs):
-    """run_jobs with a pool sized as its callers size it."""
-    with ThreadPoolExecutor(max_workers=max(1, jobs - 1)) as pool:
-        return run_jobs(pool, fn, items, jobs)
-
-
 class TestRunJobs:
+    @pytest.mark.parametrize("cpus, threads, helpers", [(3, 2, 2), (None, 1, 0)])
+    def test_jobs_none_sizes_the_pool_from_the_cpu_count(self, monkeypatch, cpus,
+                                                          threads, helpers):
+        # one worker per CPU counting the calling thread, so a pool of one
+        # thread fewer (at least 1), shut down on return
+        pools = []
+
+        class Recording:
+            def __init__(self, max_workers):
+                self.max_workers, self.submits, self.open = max_workers, 0, True
+                pools.append(self)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.open = False
+
+            def submit(self, fn):
+                self.submits += 1
+                done = Future()
+                done.set_result(None)  # the calling thread takes every item
+                return done
+
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        assert run_jobs(Recording, lambda i: -i, list(range(6)), None) == [-i for i in range(6)]
+        assert [(p.max_workers, p.submits, p.open) for p in pools] == [(threads, helpers, False)]
+
     @pytest.mark.parametrize("jobs", [1, 2, 5])
     def test_results_in_item_order(self, jobs):
         # later items finish first, and each thread takes the next item
@@ -732,14 +754,15 @@ class TestRunJobs:
             time.sleep(0.002 * (12 - i))
             return (i, threading.get_ident())
 
-        results = _run_jobs(fn, list(range(12)), jobs)
+        results = run_jobs(ThreadPoolExecutor, fn, list(range(12)), jobs)
         assert [i for i, _ in results] == list(range(12))
         assert len({ident for _, ident in results}) <= jobs
 
     def test_lone_worker_is_the_calling_thread(self):
         before = threading.active_count()
-        seen = _run_jobs(lambda i: (threading.get_ident(), threading.active_count()),
-                         list(range(4)), 1)
+        seen = run_jobs(ThreadPoolExecutor,
+                        lambda i: (threading.get_ident(), threading.active_count()),
+                        list(range(4)), 1)
         assert seen == [(threading.get_ident(), before)] * 4
 
     def test_first_failure_in_item_order_is_raised(self):
@@ -753,7 +776,7 @@ class TestRunJobs:
             return i
 
         with pytest.raises(ValueError) as info:
-            _run_jobs(fn, list(range(10)), 5)
+            run_jobs(ThreadPoolExecutor, fn, list(range(10)), 5)
         assert info.value.args == (3,)
 
     def test_no_item_starts_after_a_failure(self):
@@ -770,7 +793,7 @@ class TestRunJobs:
             return i
 
         with pytest.raises(ValueError):
-            _run_jobs(fn, list(range(10)), 2)
+            run_jobs(ThreadPoolExecutor, fn, list(range(10)), 2)
         assert sorted(started) == [0, 1]
 
     def test_interrupt_of_the_calling_thread_raised_after_the_helpers(self):
@@ -790,7 +813,7 @@ class TestRunJobs:
                 finished.append(i)
 
         with pytest.raises(KeyboardInterrupt):
-            _run_jobs(fn, list(range(10)), 3)
+            run_jobs(ThreadPoolExecutor, fn, list(range(10)), 3)
         assert len(finished) == 2
 
     def test_every_item_runs_once_under_contention(self):
@@ -804,7 +827,8 @@ class TestRunJobs:
             for _ in range(5):
                 ran.clear()
                 items = list(range(2000))
-                assert _run_jobs(lambda i: ran.append(i) or -i, items, 8) == [-i for i in items]
+                assert (run_jobs(ThreadPoolExecutor, lambda i: ran.append(i) or -i, items, 8)
+                        == [-i for i in items])
                 assert sorted(ran) == items
                 assert time.monotonic() < deadline
         finally:
