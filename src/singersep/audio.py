@@ -57,11 +57,11 @@ _CACHED_MAX_UD = 512
 # one buffer of this size. A 10 s 8 kHz mono file (160 KB) takes one read.
 # With numpy's 64 KiB cast buffer, decoding holds 256 KiB beside the samples.
 _READ_BLOCK = 192 * 1024
-# Samples per finiteness check: its mask takes at most 64 KiB.
-_FINITE_CHUNK = 1 << 16
-# Samples write_wav encodes at a time: its float codes and their 16-bit copy
-# take 320 KiB, whatever the waveform's length.
-_WRITE_BLOCK = 1 << 15
+# Samples per block of every blockwise pass over samples: the finiteness
+# check, write_wav's encoder, an oracle's mix and si_snr's centring. Each of
+# their temporaries holds at most one block of float64 (256 KiB), whatever
+# the waveform's length.
+BLOCK_SAMPLES = 1 << 15
 # Largest document (registry, manifest, config file) read_document reads; a
 # larger one is refused by its size before any of it is read.
 MAX_DOCUMENT_BYTES = 16 * 2 ** 20
@@ -125,10 +125,10 @@ def abs_peak(samples: np.ndarray) -> float:
 
 
 def _all_finite(samples: np.ndarray) -> bool:
-    """Whether no sample is NaN or infinite, checked in chunks of
-    _FINITE_CHUNK samples, so that the mask is never as long as the samples."""
-    return all(np.isfinite(samples[i:i + _FINITE_CHUNK]).all()
-               for i in range(0, samples.size, _FINITE_CHUNK))
+    """Whether no sample is NaN or infinite, checked BLOCK_SAMPLES at a
+    time, so that the mask is never as long as the samples."""
+    return all(np.isfinite(samples[i:i + BLOCK_SAMPLES]).all()
+               for i in range(0, samples.size, BLOCK_SAMPLES))
 
 
 @dataclass(eq=False)
@@ -378,7 +378,7 @@ def write_wav(w: Waveform, path) -> None:
 
     Raises InvalidWaveformError on empty input or samples outside [-1, 1];
     clipping must be done explicitly by the caller. The samples are encoded
-    and written _WRITE_BLOCK at a time, through two reused buffers.
+    and written BLOCK_SAMPLES at a time, through two reused buffers.
     """
     if len(w) == 0:
         raise InvalidWaveformError("refusing to write an empty waveform")
@@ -394,12 +394,12 @@ def write_wav(w: Waveform, path) -> None:
         b"fmt ", 16, _FMT_PCM, 1, w.sample_rate,
         w.sample_rate * 2, 2, 16,
         b"data", data_bytes)
-    codes = np.empty(min(len(w), _WRITE_BLOCK))
+    codes = np.empty(min(len(w), BLOCK_SAMPLES))
     pcm = np.empty(codes.size, dtype="<i2")
     with create_regular(path) as fh:
         fh.write(header)
-        for first in range(0, len(w), _WRITE_BLOCK):
-            block = w.samples[first:first + _WRITE_BLOCK]
+        for first in range(0, len(w), BLOCK_SAMPLES):
+            block = w.samples[first:first + BLOCK_SAMPLES]
             pcm[:block.size] = _pcm16_codes(block, out=codes[:block.size])
             fh.write(pcm[:block.size])
 
@@ -434,9 +434,10 @@ def resample(w: Waveform, target_rate: int) -> Waveform:
     views of the input (``_run_products``), except at its two ends, where a
     run's taps reach past it and read a short zero-padded copy of that end
     (``_zero_extended``). Beside the output, a call holds one phase group's
-    kernel at a time, or the cached kernels of a common pair (``_kernels``),
-    whatever the rates. The kernels are unscaled, so the output is scaled
-    once at the end by ``up`` over the sum of all their taps.
+    kernel at a time, or the cached kernels (``_cached_kernels``) of a pair
+    whose ``max(up, down)`` is at most _CACHED_MAX_UD, whatever the rates.
+    The kernels are unscaled, so the output is scaled once at the end by
+    ``up`` over the sum of all their taps.
     """
     if target_rate <= 0:
         raise InvalidWaveformError(f"target_rate must be positive, got {target_rate}")
@@ -453,7 +454,9 @@ def resample(w: Waveform, target_rate: int) -> Waveform:
     runs = -(-n_out // up)
     out = np.empty((runs, up))
     col, total = 0, 0.0
-    for start, kernel in _kernels(up, down):
+    kernels = (_cached_kernels if max(up, down) <= _CACHED_MAX_UD
+               else _polyphase_kernels)
+    for start, kernel in kernels(up, down):
         taps = kernel.shape[0]
         total += kernel.sum()
         # runs [inside, beyond) read rows that lie wholly inside the input
@@ -503,17 +506,6 @@ def _run_products(src: np.ndarray, kernel: np.ndarray, down: int,
         view, dst = rows[i * down::k * down], out[i::k]
         for s in range(0, len(dst), block):
             np.matmul(view[s:s + block], kernel, out=dst[s:s + block])
-
-
-def _kernels(up: int, down: int):
-    """``_polyphase_kernels(up, down)``: for the four most recently used pairs
-    whose ``max(up, down)`` is at most _CACHED_MAX_UD, a cached tuple that
-    holds under 4 MB; for any other pair, a rare rate's, the generator
-    itself, whose kernels are designed one at a time as the call uses them,
-    so that pair pays the design on every call."""
-    if max(up, down) <= _CACHED_MAX_UD:
-        return _cached_kernels(up, down)
-    return _polyphase_kernels(up, down)
 
 
 @functools.lru_cache(maxsize=4)

@@ -28,7 +28,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .audio import MAX_SNR_DB, Waveform, open_regular, read_document, read_wav, write_wav
+from .audio import (BLOCK_SAMPLES, MAX_SNR_DB, Waveform, open_regular, read_document,
+                    read_wav, write_wav)
 from .errors import (
     BackendFailureError,
     ContractViolationError,
@@ -53,8 +54,6 @@ _OUTPUTS = {STAGE1: ("out_vocal", "out_accomp"), STAGE2: ("out_a", "out_b")}
 
 # A failing command's stderr is cut to its last this many characters.
 STDERR_TAIL = 2000
-# Samples an oracle mixes at a time: its temporaries take 128 KiB each.
-_MIX_BLOCK = 1 << 14
 
 
 def _check_template(command: str, stage: str) -> None:
@@ -171,36 +170,44 @@ def _run_external(backend: SeparationBackend, input_w: Waveform,
     scratch = Path(tempfile.mkdtemp(prefix="backend-", dir=workdir))
     in_path = scratch / "input.wav"
     slots = {name: scratch / f"{name}.wav" for name in _OUTPUTS[backend.stage]}
-    write_wav(input_w, in_path)
-
-    argv = [token.format(input=in_path, **slots)
-            for token in shlex.split(backend.command)]
-    cmd = shlex.join(argv)
-    # no pipes: a background child that outlives the command cannot hold
-    # the run up, and stderr stays in the scratch kept on failure
-    stderr_path = scratch / "stderr.txt"
+    # the scratch is kept only for a BackendFailureError, whose message names
+    # it; anything else, such as a refused input.wav or an interrupt, removes it
     try:
-        with open(stderr_path, "wb") as stderr:
-            proc = subprocess.run(argv, stdin=subprocess.DEVNULL,
-                                  stdout=subprocess.DEVNULL, stderr=stderr)
-    except OSError as exc:
-        raise BackendFailureError(f"command could not start: {cmd}: {exc}")
-    if proc.returncode != 0:
-        raise BackendFailureError(
-            f"command exited {proc.returncode}: {cmd}\n"
-            f"stderr: {_stderr_tail(stderr_path)}")
-    outs = []
-    for name, path in slots.items():
-        if not path.exists():
-            raise BackendFailureError(f"command produced no {name} file: {cmd}")
+        write_wav(input_w, in_path)
+
+        argv = [token.format(input=in_path, **slots)
+                for token in shlex.split(backend.command)]
+        cmd = shlex.join(argv)
+        # no pipes: a background child that outlives the command cannot hold
+        # the run up, and stderr stays in the scratch kept on failure
+        stderr_path = scratch / "stderr.txt"
         try:
-            # one frame over the input is _reconcile's to trim; more is
-            # refused before it is read
-            outs.append(read_wav(path, max_frames=len(input_w) + 1))
-        except Exception as exc:
+            with open(stderr_path, "wb") as stderr:
+                proc = subprocess.run(argv, stdin=subprocess.DEVNULL,
+                                      stdout=subprocess.DEVNULL, stderr=stderr)
+        except OSError as exc:
+            raise BackendFailureError(f"command could not start: {cmd}: {exc}")
+        if proc.returncode != 0:
             raise BackendFailureError(
-                f"unreadable {name} output: {type(exc).__name__}: {exc}")
-    shutil.rmtree(scratch, ignore_errors=True)  # kept on failure for debugging
+                f"command exited {proc.returncode}: {cmd}\n"
+                f"stderr: {_stderr_tail(stderr_path)}")
+        outs = []
+        for name, path in slots.items():
+            if not path.exists():
+                raise BackendFailureError(f"command produced no {name} file: {cmd}")
+            try:
+                # one frame over the input is _reconcile's to trim; more is
+                # refused before it is read
+                outs.append(read_wav(path, max_frames=len(input_w) + 1))
+            except Exception as exc:
+                raise BackendFailureError(
+                    f"unreadable {name} output: {type(exc).__name__}: {exc}")
+    except BackendFailureError:
+        raise
+    except BaseException:
+        shutil.rmtree(scratch, ignore_errors=True)
+        raise
+    shutil.rmtree(scratch, ignore_errors=True)
     return outs[0], outs[1]
 
 
@@ -226,8 +233,8 @@ def _run_oracle(spec: OracleSpec, input_w: Waveform) -> tuple[Waveform, Waveform
     if a.size != b.size or ref_a.sample_rate != ref_b.sample_rate:
         raise BackendFailureError("oracle references disagree in length or rate")
     # out_a = (1 - leak) * a + leak * b and its mirror, mixed in place
-    for i in range(0, a.size, _MIX_BLOCK):
-        block_a, block_b = a[i:i + _MIX_BLOCK], b[i:i + _MIX_BLOCK]
+    for i in range(0, a.size, BLOCK_SAMPLES):
+        block_a, block_b = a[i:i + BLOCK_SAMPLES], b[i:i + BLOCK_SAMPLES]
         mixed = block_a * (1.0 - spec.leak)
         mixed += block_b * spec.leak
         block_b *= 1.0 - spec.leak

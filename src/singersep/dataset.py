@@ -138,7 +138,8 @@ def _draw_pairs(segments_by_singer: dict[str, list[Segment]],
                 scheme: PairingScheme,
                 seed: int = 0) -> Iterator[tuple[Segment, Segment]]:
     """``pair_segments``' pairs, each drawn when it is taken. A grouping
-    that cannot be paired raises here, before any pair is drawn."""
+    that cannot be paired raises at the first draw, before any pair is
+    drawn."""
     singers = sorted(segments_by_singer)
     if scheme.kind == DUET and len(singers) < 2:
         raise PairingImpossibleError(
@@ -158,19 +159,15 @@ def _draw_pairs(segments_by_singer: dict[str, list[Segment]],
     by_singer = {sid: sorted(segs, key=seg_key)
                  for sid, segs in segments_by_singer.items()}
     rng = np.random.default_rng(seed)
-
-    def draws():
-        for _ in range(scheme.repeats):
-            for seg_a in ordered:
-                if scheme.kind == DUET:
-                    others = [sid for sid in singers if sid != seg_a.singer_id]
-                    pool = by_singer[others[int(rng.integers(len(others)))]]
-                else:
-                    pool = [s for s in by_singer[seg_a.singer_id]
-                            if seg_key(s) != seg_key(seg_a)]
-                yield seg_a, pool[int(rng.integers(len(pool)))]
-
-    return draws()
+    for _ in range(scheme.repeats):
+        for seg_a in ordered:
+            if scheme.kind == DUET:
+                others = [sid for sid in singers if sid != seg_a.singer_id]
+                pool = by_singer[others[int(rng.integers(len(others)))]]
+            else:
+                pool = [s for s in by_singer[seg_a.singer_id]
+                        if seg_key(s) != seg_key(seg_a)]
+            yield seg_a, pool[int(rng.integers(len(pool)))]
 
 
 def mix_at_snr(a: Waveform, b: Waveform, snr_db: float) -> MixPair:

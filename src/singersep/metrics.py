@@ -16,16 +16,12 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .audio import Waveform
+from .audio import BLOCK_SAMPLES, Waveform
 from .errors import DegenerateInputError
 
 SENTINEL_DB = 1e9
 
 _RESIDUAL_FLOOR = 1e-12
-
-# samples per block where si_snr centres the estimate; the block temporary
-# stays small beside the one full-length buffer
-_BLOCK = 1 << 15
 
 
 def _as_array(x) -> np.ndarray:
@@ -79,8 +75,8 @@ def si_snr(reference, estimate) -> float:
         raise DegenerateInputError("zero-variance reference")
     # est is centred a block at a time: products with an uncentred est lose
     # alpha's precision when its mean dwarfs its variation
-    alpha = sum(_dot(buf[i:i + _BLOCK], est[i:i + _BLOCK] - est_mean)
-                for i in range(0, est.size, _BLOCK)) / ref_energy
+    alpha = sum(_dot(buf[i:i + BLOCK_SAMPLES], est[i:i + BLOCK_SAMPLES] - est_mean)
+                for i in range(0, est.size, BLOCK_SAMPLES)) / ref_energy
     buf *= -alpha
     buf += est
     buf -= est_mean

@@ -191,7 +191,6 @@ def _track_blocks(frames: np.ndarray, cfg: PitchConfig, out: np.ndarray) -> None
     spectrum = np.empty((2, rows, frame_len // 2 + 1), dtype=complex)
     # [0]: lags under the threshold; [1]: lags whose successor is not lower
     masks = np.empty((2, rows, tau_max + 1), dtype=bool)
-    shift = np.empty(rows)
     lags = np.arange(tau_max + 1, dtype=float)
 
     for start in range(0, frames.shape[0], BLOCK_FRAMES):
@@ -266,8 +265,7 @@ def _track_blocks(frames: np.ndarray, cfg: PitchConfig, out: np.ndarray) -> None
         here = cmndf[index, tau]
         after = cmndf[index, np.minimum(tau + 1, tau_max)]
         denom = prev - 2 * here + after
-        step = shift[:n]
-        step.fill(0.0)
+        step = np.zeros(n)
         np.divide(0.5 * (prev - after), denom, out=step,
                   where=(tau < tau_max) & (denom > 0))
         refined = tau + np.clip(step, -1.0, 1.0)

@@ -27,7 +27,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .audio import Waveform
+from .audio import BLOCK_SAMPLES, Waveform
 from .backends import KIND_EXTERNAL, CandidateModel, run_backend
 from .errors import BackendFailureError, ConfigInvalidError, FrameMismatchError
 from .pitch import TREND_FRAMES, PitchConfig, PitchTrack, to_semitones, track_pitch
@@ -43,10 +43,10 @@ PENALTY_SCORE = 1e12
 DUPLICATE_SIMILARITY = 0.99
 # Longest delay between duplicated channels that is caught: one 10 ms hop at 8 kHz.
 DUPLICATE_MAX_LAG = 80
-# channel_similarity's FFT length, and FFTs per batch: the batch bounds the
-# FFTs' working memory at any input length.
+# channel_similarity's FFT length, and FFTs per batch: the batch, one block
+# of samples, bounds the FFTs' working memory at any input length.
 SIMILARITY_FFT = 2048
-SIMILARITY_BATCH = 16
+SIMILARITY_BATCH = BLOCK_SAMPLES // SIMILARITY_FFT
 
 
 @dataclass

@@ -1,3 +1,4 @@
+import contextlib
 import functools
 import json
 import math
@@ -20,7 +21,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import singersep
-from singersep import audio, synth
+from singersep import audio, metrics, synth
 from singersep.audio import (
     MAX_SAMPLE_RATE,
     Waveform,
@@ -33,7 +34,14 @@ from singersep.audio import (
     segment_length,
     write_wav,
 )
-from singersep.backends import registry_load
+from singersep.backends import (
+    KIND_ORACLE,
+    STAGE2,
+    OracleSpec,
+    SeparationBackend,
+    registry_load,
+    run_backend,
+)
 from singersep.errors import (
     InvalidWaveformError,
     MalformedWavError,
@@ -547,8 +555,8 @@ class TestWriteWav:
         assert quantize_pcm16(samples).tobytes() == want.tobytes()
 
     def test_blockwise_bytes_identical_to_reference(self, tmp_path):
-        samples = np.random.default_rng(6).uniform(-1.0, 1.0, 2 * audio._WRITE_BLOCK + 3)
-        samples[[0, audio._WRITE_BLOCK - 1, audio._WRITE_BLOCK, -1]] = [
+        samples = np.random.default_rng(6).uniform(-1.0, 1.0, 2 * audio.BLOCK_SAMPLES + 3)
+        samples[[0, audio.BLOCK_SAMPLES - 1, audio.BLOCK_SAMPLES, -1]] = [
             1.0 + 1e-10, -1.0, 0.5 / 32767, -1.0 - 1e-10]
         path = tmp_path / "long.wav"
         write_wav(Waveform(samples, 8000), path)
@@ -594,6 +602,66 @@ class TestWriteWav:
         back = read_wav(path)
         assert len(back) == len(w)
         assert np.max(np.abs(back.samples - w.samples)) <= 2 ** -15
+
+
+def _at_block_size(size, fn, *args):
+    """fn(*args) with BLOCK_SAMPLES set to ``size`` in every module that binds it."""
+    with contextlib.ExitStack() as stack:
+        for name, module in list(sys.modules.items()):
+            if name.startswith("singersep.") and hasattr(module, "BLOCK_SAMPLES"):
+                stack.enter_context(mock.patch.object(module, "BLOCK_SAMPLES", size))
+        return fn(*args)
+
+
+class TestBlockSize:
+    """No blockwise pass over samples depends on BLOCK_SAMPLES: at 7 samples
+    a block, so with block edges inside every input, each gives what it does
+    at the default size."""
+
+    @pytest.mark.parametrize("n", [1, 6, 7, 8, 23])
+    def test_write_wav_writes_the_same_bytes(self, tmp_path, n):
+        samples = np.random.default_rng(n).uniform(-1.0, 1.0, n)
+        samples[[0, -1]] = [1.0 + 1e-10, -1.0 - 1e-10]
+        w = Waveform(samples, 8000)
+        write_wav(w, tmp_path / "default.wav")
+        with mock.patch.object(audio, "_pcm16_codes", wraps=audio._pcm16_codes) as codes:
+            _at_block_size(7, write_wav, w, tmp_path / "small.wav")
+        assert codes.call_count == -(-n // 7)
+        assert ((tmp_path / "small.wav").read_bytes()
+                == (tmp_path / "default.wav").read_bytes())
+
+    @pytest.mark.parametrize("index", [6, 7, -1])
+    @pytest.mark.parametrize("size", [audio.BLOCK_SAMPLES, 7])
+    def test_a_nan_at_a_block_edge_is_refused(self, tmp_path, index, size):
+        samples = np.zeros(20)  # two blocks of 7 and part of a third
+        samples[index] = np.nan
+        path = write_float32_wav(tmp_path / "nan.wav", samples)
+        with pytest.raises(InvalidWaveformError, match="non-finite"):
+            _at_block_size(size, Waveform, samples, 8000)
+        with pytest.raises(MalformedWavError, match="non-finite"):
+            _at_block_size(size, read_wav, path)
+
+    def test_oracle_outputs_are_bit_equal(self, tmp_wav):
+        pa = tmp_wav(white_noise(23 / 8000, amplitude=0.6, seed=1))
+        pb = tmp_wav(white_noise(23 / 8000, amplitude=0.6, seed=2))
+        backend = SeparationBackend(kind=KIND_ORACLE, stage=STAGE2, oracle=OracleSpec(
+            str(pa), str(pb), leak=0.3, noise_snr_db=20.0, noise_seed=4))
+        song = read_wav(pa)
+        want = run_backend(backend, song)
+        got = _at_block_size(7, run_backend, backend, song)
+        for out, expected in zip(got, want):
+            assert out.samples.tobytes() == expected.samples.tobytes()
+
+    @pytest.mark.parametrize("n", [2, 7, 23])
+    def test_si_snr_agrees_within_1e_12(self, n):
+        rng = np.random.default_rng(n)
+        ref = rng.standard_normal(n)
+        est = 3.0 + 0.8 * ref + 0.1 * rng.standard_normal(n)
+        want = metrics.si_snr(ref, est)
+        with mock.patch.object(metrics, "_dot", wraps=metrics._dot) as dot:
+            got = _at_block_size(7, metrics.si_snr, ref, est)
+        assert dot.call_count == -(-n // 7) + 2  # the blocks, then two energies
+        assert got == pytest.approx(want, rel=1e-12)
 
 
 def _fft_peak_hz(w):
@@ -825,7 +893,7 @@ class TestKernelCache:
         rate, target_rate = rates
         w = Waveform(np.random.default_rng(seed).uniform(-1.0, 1.0, n), rate)
         first, second = resample(w, target_rate), resample(w, target_rate)
-        with mock.patch.object(audio, "_kernels", audio._polyphase_kernels):
+        with mock.patch.object(audio, "_CACHED_MAX_UD", 0):
             fresh = resample(w, target_rate)
         assert first.samples.tobytes() == fresh.samples.tobytes()
         assert second.samples.tobytes() == fresh.samples.tobytes()

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from singersep import backends, synth
-from singersep.audio import quantize_pcm16, read_wav
+from singersep.audio import BLOCK_SAMPLES, CANONICAL_RATE, quantize_pcm16, read_wav
 from singersep.backends import (
     KIND_EXTERNAL,
     KIND_ORACLE,
@@ -166,9 +166,10 @@ class TestOracle:
     @pytest.mark.parametrize("snr_db", [None, -10.0, 20.0])
     @pytest.mark.parametrize("swap", [False, True])
     def test_bits_equal_the_plain_expressions(self, tmp_wav, leak, snr_db, swap):
-        # 5 s at 8 kHz spans two whole mixing blocks and part of a third
-        pa = tmp_wav(white_noise(5.0, amplitude=0.6, seed=1))
-        pb = tmp_wav(white_noise(5.0, amplitude=0.6, seed=2))
+        # two whole mixing blocks and part of a third
+        seconds = 2.5 * BLOCK_SAMPLES / CANONICAL_RATE
+        pa = tmp_wav(white_noise(seconds, amplitude=0.6, seed=1))
+        pb = tmp_wav(white_noise(seconds, amplitude=0.6, seed=2))
         backend = SeparationBackend(kind=KIND_ORACLE, stage=STAGE2, oracle=OracleSpec(
             str(pa), str(pb), swap=swap, leak=leak, noise_snr_db=snr_db, noise_seed=4))
         got = run_backend(backend, read_wav(pa))
@@ -308,6 +309,16 @@ class TestExternalCommand:
         w = synth.sine(250.0, 0.5)
         out_a, _ = run_backend(stub_cmd("ok"), w, workdir=tmp_path / "with space")
         assert len(out_a) == len(w)
+
+    def test_interrupt_removes_the_scratch(self, stub_cmd, tmp_path, monkeypatch):
+        def interrupted(*args, **kwargs):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(backends.subprocess, "run", interrupted)
+        workdir = tmp_path / "work"
+        with pytest.raises(KeyboardInterrupt):
+            run_backend(stub_cmd("ok"), synth.sine(250.0, 0.5), workdir=workdir)
+        assert list(workdir.iterdir()) == []
 
     def test_parallel_runs_do_not_collide(self, stub_cmd, tmp_path):
         w = synth.sine(199.0, 0.5)

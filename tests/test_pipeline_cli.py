@@ -1927,11 +1927,14 @@ class TestFileSizeCap:
     writes."""
 
     def assert_refused(self, tmp_path, argv, limit, written):
+        """A ``*`` in ``written`` stands for the rest of one path component,
+        such as a scratch directory's random name."""
         before = _tree(tmp_path)
         result = run_capped(_CLI_MAIN, *argv, rlimit="RLIMIT_FSIZE", limit=limit)
         assert_clean_exit(result["rc"], result["err"], 2)
-        assert result["err"] == (f"error: {written}: [Errno {errno.EFBIG}] "
-                                 f"{os.strerror(errno.EFBIG)}\n")
+        line = f"error: {written}: [Errno {errno.EFBIG}] {os.strerror(errno.EFBIG)}\n"
+        assert re.fullmatch(re.escape(line).replace(r"\*", "[^/]*"), result["err"]), \
+            result["err"]
         assert _tree(tmp_path) == before
 
     @pytest.mark.parametrize("extra", ["", "model", "refs"])
@@ -1943,6 +1946,17 @@ class TestFileSizeCap:
         # the 6 s accompaniment takes 96 kB
         self.assert_refused(tmp_path, separate_argv(duet_setup, out, *argv), 20_000,
                             out / "accompaniment.wav")
+
+    def test_separate_external_stage1(self, duet_setup, tmp_path):
+        copy = (f"{sys.executable} -c 'import shutil, sys; "
+                "[shutil.copy(sys.argv[1], p) for p in sys.argv[2:]]' "
+                "{input} {out_vocal} {out_accomp}")
+        registry = swap_stage1(duet_setup, tmp_path, copy)
+        out = tmp_path / "out"
+        # the backend's scratch input.wav, 6 s at 8 kHz, takes 96 kB; the
+        # command never runs, so its scratch is not kept
+        self.assert_refused(tmp_path, separate_argv(duet_setup, out, registry=registry),
+                            20_000, out / "tmp" / "backend-*" / "input.wav")
 
     def test_build_dataset(self, tmp_path):
         manifest = write_toy_stems(tmp_path, n_singers=2, seconds=20.0, split="train")
