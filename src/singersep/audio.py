@@ -58,9 +58,9 @@ _CACHED_MAX_UD = 512
 # With numpy's 64 KiB cast buffer, decoding holds 256 KiB beside the samples.
 _READ_BLOCK = 192 * 1024
 # Samples per block of every blockwise pass over samples: the finiteness
-# check, write_wav's encoder, an oracle's mix and si_snr's centring. Each of
-# their temporaries holds at most one block of float64 (256 KiB), whatever
-# the waveform's length.
+# check, write_wav's encoder and an oracle's mix. Each of their temporaries
+# holds at most one block of float64 (256 KiB), whatever the waveform's
+# length.
 BLOCK_SAMPLES = 1 << 15
 # Largest document (registry, manifest, config file) read_document reads; a
 # larger one is refused by its size before any of it is read.
@@ -153,6 +153,20 @@ def open_regular(path, error):
 
 
 @contextlib.contextmanager
+def _naming_errors(path):
+    """A context manager that raises an OSError from its block that names no
+    file (``filename`` is None: a failed read or write of a file already
+    open) again as ``OSError("<path>: <error>")``. One that names its file,
+    such as a missing one, is raised as it is, so none is named twice."""
+    try:
+        yield
+    except OSError as exc:
+        if exc.filename is not None:
+            raise
+        raise OSError(f"{path}: {exc}") from exc
+
+
+@contextlib.contextmanager
 def create_regular(path, mode="wb", **kwargs):
     """A context manager that yields ``path`` created or truncated and open
     for writing, as by ``open(path, mode, **kwargs)``, and closes it on
@@ -160,8 +174,8 @@ def create_regular(path, mode="wb", **kwargs):
     (a FIFO, a device) raises ``OSError("<path>: not a regular file")`` at
     once, never waited on, and a directory raises ``IsADirectoryError``. An
     OSError raised in the block, or by the closing flush, on a full disk
-    say, is raised again as ``OSError("<path>: <error>")``: a failed write
-    names its file."""
+    say, is raised again as ``OSError("<path>: <error>")`` by
+    ``_naming_errors``: a failed write names its file."""
     try:
         fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_TRUNC | os.O_NONBLOCK, 0o666)
     except OSError as exc:
@@ -171,11 +185,8 @@ def create_regular(path, mode="wb", **kwargs):
     if not stat.S_ISREG(os.fstat(fd).st_mode):
         os.close(fd)
         raise OSError(f"{path}: not a regular file")
-    try:
-        with os.fdopen(fd, mode, **kwargs) as fh:
-            yield fh
-    except OSError as exc:
-        raise OSError(f"{path}: {exc}") from exc
+    with _naming_errors(path), os.fdopen(fd, mode, **kwargs) as fh:
+        yield fh
 
 
 def write_json(path, doc, **kwargs) -> None:
@@ -280,9 +291,11 @@ def read_wav(path, max_frames: int | None = None) -> Waveform:
     past the end of the file, or that holds more than ``max_frames``
     frames, is refused before any of it is read. The payload is then
     decoded through one reused buffer of _READ_BLOCK bytes (or of one
-    frame, if a frame is larger) straight into the returned samples.
+    frame, if a frame is larger) straight into the returned samples. An
+    OSError in the read, such as an EIO partway through the payload, names
+    the file (``_naming_errors``).
     """
-    with open_regular(path, MalformedWavError) as fh:
+    with _naming_errors(path), open_regular(path, MalformedWavError) as fh:
         file_size = os.fstat(fh.fileno()).st_size
         head = fh.read(12)
         if len(head) < 12 or head[0:4] != b"RIFF" or head[8:12] != b"WAVE":

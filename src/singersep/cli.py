@@ -5,7 +5,8 @@ file (key=value lines). Exit codes: 0 success, 1 a failed selftest check,
 4 evaluation incomplete. An error exits with its class's ``exit_code`` and
 prints one stderr line starting with its ``label`` (see ``errors.py``): 2
 and ``error:`` for a configuration error, and for any ValueError or
-OSError; 3 and ``backend failure:`` for a backend failure.
+OSError; 3 and ``backend failure:`` for a backend failure; 130 and
+``interrupted:`` for Ctrl-C (a KeyboardInterrupt), with no traceback.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from . import audio, backends, dataset, metrics, pipeline, pitch, selection, synth
-from .errors import ConfigInvalidError, SingerSepError
+from .errors import ConfigInvalidError, InterruptedRunError, SingerSepError
 
 EXIT_OK = 0
 EXIT_INCOMPLETE = 4
@@ -477,10 +478,13 @@ def main(argv=None) -> int:
         if "config" in vars(args):  # every verb but selftest
             args = _merge_settings(args, argv)
         return args.func(args)
+    except KeyboardInterrupt:
+        policy, message = InterruptedRunError, "SIGINT received"
     except (SingerSepError, ValueError, OSError) as exc:
         policy = exc if isinstance(exc, SingerSepError) else SingerSepError
-        print(f"{policy.label}: {exc}", file=sys.stderr)
-        return policy.exit_code
+        message = exc
+    print(f"{policy.label}: {message}", file=sys.stderr)
+    return policy.exit_code
 
 
 if __name__ == "__main__":

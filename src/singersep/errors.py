@@ -80,3 +80,13 @@ class MalformedRegistryError(SingerSepError):
 
 class DuplicateModelIdError(MalformedRegistryError):
     """Two registry entries share a model_id."""
+
+
+# --- the run itself ---
+
+class InterruptedRunError(SingerSepError):
+    """The run was interrupted (Ctrl-C, SIGINT): the policy the CLI reports
+    a KeyboardInterrupt with, 130 as a shell reports a SIGINT."""
+
+    exit_code = 130
+    label = "interrupted"

@@ -16,7 +16,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .audio import BLOCK_SAMPLES, Waveform
+from .audio import Waveform
 from .errors import DegenerateInputError
 
 SENTINEL_DB = 1e9
@@ -58,7 +58,12 @@ def zero_variance(signal) -> bool:
 
 
 def si_snr(reference, estimate) -> float:
-    """Scale-invariant SNR of estimate against reference, in dB."""
+    """Scale-invariant SNR of estimate against reference, in dB.
+
+    Holds two full-length buffers beside its inputs: the centred reference,
+    scaled in place to the projection, and the centred estimate, in place
+    the residual.
+    """
     ref, est = _as_pair(reference, estimate)
     if ref.size < 2:
         raise DegenerateInputError("si_snr needs at least 2 samples")
@@ -66,21 +71,17 @@ def si_snr(reference, estimate) -> float:
         raise DegenerateInputError("zero-variance reference")
     if zero_variance(est):
         raise DegenerateInputError("zero-variance estimate")
-    # one full-length buffer: the centred reference, then in place the residual
-    # est - mean(est) - alpha * centred reference
-    est_mean = est.mean()
-    buf = ref - ref.mean()
-    ref_energy = _dot(buf, buf)
+    # both are centred before any product: products with an uncentred est
+    # lose alpha's precision when its mean dwarfs its variation
+    ref_c = ref - ref.mean()
+    ref_energy = _dot(ref_c, ref_c)
     if ref_energy == 0.0:  # samples so small that their squares underflow
         raise DegenerateInputError("zero-variance reference")
-    # est is centred a block at a time: products with an uncentred est lose
-    # alpha's precision when its mean dwarfs its variation
-    alpha = sum(_dot(buf[i:i + BLOCK_SAMPLES], est[i:i + BLOCK_SAMPLES] - est_mean)
-                for i in range(0, est.size, BLOCK_SAMPLES)) / ref_energy
-    buf *= -alpha
-    buf += est
-    buf -= est_mean
-    target_energy, resid_energy = alpha * alpha * ref_energy, _dot(buf, buf)
+    est_c = est - est.mean()
+    alpha = _dot(ref_c, est_c) / ref_energy
+    ref_c *= alpha
+    est_c -= ref_c
+    target_energy, resid_energy = alpha * alpha * ref_energy, _dot(est_c, est_c)
     if target_energy + resid_energy == 0.0:  # the estimate's energy underflows
         raise DegenerateInputError("zero-variance estimate")
     return _ratio_db(target_energy, resid_energy)

@@ -1,3 +1,4 @@
+import errno
 import io
 import json
 import os
@@ -15,9 +16,9 @@ import singersep
 from singersep import audio, backends, synth
 
 
-# CI runs the tracker-equivalence test once more under this profile, with
-# `--hypothesis-profile tracker`
-settings.register_profile("tracker", max_examples=1000)
+# CI runs the tracker- and metric-equivalence tests once more under this
+# profile, with `--hypothesis-profile equivalence`
+settings.register_profile("equivalence", max_examples=1000)
 
 
 @pytest.fixture
@@ -154,6 +155,27 @@ def write_toy_stems(tmp_path, n_singers=4, songs_per_singer=1, seconds=30.0,
     with open(manifest, "w", encoding="utf-8") as fh:
         json.dump(rows, fh, indent=2)
     return manifest
+
+
+class _EioReader(io.BufferedReader):
+    """A file whose ``readinto``, the call read_wav decodes a payload with,
+    fails with EIO and no filename, as a failing disk's read does; its
+    other reads succeed."""
+
+    def readinto(self, buffer):
+        raise OSError(errno.EIO, os.strerror(errno.EIO))
+
+
+def fail_payload_reads(monkeypatch, path):
+    """Open ``path`` as an _EioReader wherever ``audio.open_regular`` opens
+    it; every other file opens as before."""
+    open_regular = audio.open_regular
+
+    def opening(target, error):
+        fh = open_regular(target, error)
+        return _EioReader(fh.detach()) if Path(target) == Path(path) else fh
+
+    monkeypatch.setattr(audio, "open_regular", opening)
 
 
 def run_capped(code, *args, rlimit="RLIMIT_AS", limit=512 * 2 ** 20):

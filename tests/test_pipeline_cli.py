@@ -7,6 +7,7 @@ import math
 import re
 import os
 import shlex
+import signal
 import struct
 import subprocess
 import sys
@@ -43,6 +44,7 @@ from singersep.selection import select_model
 from conftest import (
     GUID_TAIL,
     extensible_wav_bytes,
+    fail_payload_reads,
     make_duet_refs,
     run_capped,
     two_channel_wav_bytes,
@@ -468,13 +470,18 @@ def separate_argv(setup, out, *extra, song=None, registry=None):
             "--stage1", "stage1-pass", "--out", str(out), "--seed", "3", *extra]
 
 
+def cli_process_env():
+    """The environment a CLI process runs in: this one, with the singersep
+    under test first on PYTHONPATH."""
+    src = str(Path(singersep.__file__).resolve().parents[1])
+    return {**os.environ,
+            "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+
+
 def run_cli_process(argv):
     """Run the CLI in a process of its own, at most 120 s; its result."""
-    src = str(Path(singersep.__file__).resolve().parents[1])
-    env = {**os.environ,
-           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     return subprocess.run([sys.executable, "-m", "singersep", *argv],
-                          capture_output=True, text=True, env=env, timeout=120)
+                          capture_output=True, text=True, env=cli_process_env(), timeout=120)
 
 
 def swap_stage1(setup, tmp_path, command):
@@ -1913,6 +1920,18 @@ class TestCliEvaluate:
         assert len(sizes) == 1 and sizes[0] > 0
         assert {p: p.read_bytes() for p in est.iterdir()} == estimates
 
+    def test_read_error_names_the_wav_and_leaves_no_csv(self, built_dataset, tmp_path,
+                                                        capsys, monkeypatch):
+        root, doc = built_dataset
+        est = write_oracle_estimates(root, doc, tmp_path / "est")
+        failing = est / f"{doc['pairs'][0]['pair_id']}_a.wav"
+        fail_payload_reads(monkeypatch, failing)
+        rc = cli.main(["evaluate", "--dataset", str(root), "--estimates", str(est)])
+        err = capsys.readouterr().err
+        assert_clean_exit(rc, err, 2)
+        assert err == f"error: {failing}: [Errno {errno.EIO}] {os.strerror(errno.EIO)}\n"
+        assert not (est / "evaluation.csv").exists()
+
 
 def _tree(root):
     """Every path under root: a file's bytes, None for a directory."""
@@ -1972,6 +1991,67 @@ class TestFileSizeCap:
         # the CSV's header alone is longer
         self.assert_refused(tmp_path, ["evaluate", "--dataset", root, "--estimates", est],
                             16, est / "evaluation.csv")
+
+
+def _process_gone(pid):
+    """Whether process ``pid`` has ended: it is not found, or it is a zombie
+    that its new parent has yet to reap."""
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return True
+    try:
+        return Path(f"/proc/{pid}/stat").read_text().rsplit(")", 1)[1].split()[0] == "Z"
+    except FileNotFoundError:
+        return True
+
+
+class TestInterrupt:
+    """Ctrl-C (SIGINT) ends a run with exit 130 and one stderr line, no
+    traceback, and leaves nothing the run made: its outputs are removed and
+    the backend command it was waiting on is killed."""
+
+    def test_separate_waiting_on_a_command(self, duet_setup, tmp_path):
+        pid_file = tmp_path / "pid"
+        # writes its pid, then becomes `sleep 30` under that pid
+        code = ("import os, sys; "
+                "open(sys.argv[1] + '.part', 'w').write(str(os.getpid())); "
+                "os.replace(sys.argv[1] + '.part', sys.argv[1]); "
+                "os.execvp('sleep', ['sleep', '30'])")
+        command = shlex.join([sys.executable, "-c", code, str(pid_file)])
+        registry = add_candidate(duet_setup, tmp_path, "sleeper",
+                                 command + " {input} {out_a} {out_b}")
+        out = tmp_path / "out"
+        argv = separate_argv(duet_setup, out, "--jobs", "1", registry=registry)
+        proc = subprocess.Popen([sys.executable, "-m", "singersep", *argv],
+                                env=cli_process_env(), stdout=subprocess.PIPE,
+                                stderr=subprocess.PIPE, text=True)
+        sleeper = None
+        try:
+            deadline = time.monotonic() + 60
+            while not pid_file.exists():
+                assert proc.poll() is None, proc.communicate()
+                assert time.monotonic() < deadline, "the command never started"
+                time.sleep(0.02)
+            sleeper = int(pid_file.read_text())
+            proc.send_signal(signal.SIGINT)
+            start = time.monotonic()
+            _, err = proc.communicate(timeout=30)
+            elapsed = time.monotonic() - start
+        finally:
+            if proc.poll() is None:
+                proc.kill()
+                proc.communicate()
+            if sleeper is not None and not _process_gone(sleeper):
+                os.kill(sleeper, signal.SIGKILL)
+        assert proc.returncode == 130, err
+        assert elapsed < 2.0
+        assert err == "interrupted: SIGINT received\n"
+        assert not out.exists()
+        deadline = time.monotonic() + 2
+        while not _process_gone(sleeper):
+            assert time.monotonic() < deadline, f"pid {sleeper} still runs"
+            time.sleep(0.02)
 
 
 def _tree_bytes(root):
@@ -2173,19 +2253,35 @@ class TestErrorTaxonomy:
         assert rc == policy.exit_code
         assert capsys.readouterr().err == f"{policy.label}: it broke\n"
 
+    def test_keyboard_interrupt_exits_130_in_one_line(self, tmp_path, capsys,
+                                                      monkeypatch):
+        def interrupted(args):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(cli, "cmd_evaluate", interrupted)
+        try:
+            rc = cli.main(verb_argv("evaluate", tmp_path))
+        except KeyboardInterrupt:  # one escaping would end the whole session
+            pytest.fail("KeyboardInterrupt escaped cli.main")
+        assert rc == 130
+        assert capsys.readouterr().err == "interrupted: SIGINT received\n"
+
     def test_only_backend_failures_exit_3_and_carry_a_penalty_reason(self):
         backend = [errors.BackendFailureError, errors.ContractViolationError]
-        assert {cls.exit_code for cls in ERROR_CLASSES} == {2, 3}
+        assert {cls.exit_code for cls in ERROR_CLASSES} == {2, 3, 130}
         assert [cls for cls in ERROR_CLASSES if cls.exit_code == 3] == backend
-        assert [cls for cls in ERROR_CLASSES if cls.label != "error"] == backend
+        assert [cls for cls in ERROR_CLASSES if cls.exit_code == 130] == [
+            errors.InterruptedRunError]
+        assert [cls for cls in ERROR_CLASSES if cls.label != "error"] == [
+            *backend, errors.InterruptedRunError]
         assert [cls for cls in ERROR_CLASSES if hasattr(cls, "reason")] == backend
         assert {cls.reason for cls in backend} == {"backend_failed"}
 
     def test_readme_exit_code_table_matches_errors(self):
         readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(
             encoding="utf-8")
-        rows = re.findall(r"^\| (\d) \| [^|]+ \|([^|]*)\|([^|]*)\|$", readme, re.M)
-        assert [int(code) for code, *_ in rows] == [0, 1, 2, 3, 4]
+        rows = re.findall(r"^\| (\d+) \| [^|]+ \|([^|]*)\|([^|]*)\|$", readme, re.M)
+        assert [int(code) for code, *_ in rows] == [0, 1, 2, 3, 4, 130]
         documented = []
         for code, prefix, names in rows:
             for name in re.findall(r"`(\w+)`", names):

@@ -204,7 +204,7 @@ class TestTracker:
 
 
     # hypothesis' default 100 examples; CI runs it again under the
-    # `tracker` profile (tests/conftest.py), at 1000. The explicit examples
+    # `equivalence` profile (tests/conftest.py), at 1000. The explicit examples
     # pin one frame and a last block of one at the default settings
     @settings(deadline=None)
     @given(tracker_cases())
